@@ -108,8 +108,11 @@ def young_svg(
 def _write_svg(args, svg: str) -> None:
     if not args.out:
         raise EqhilbError("--render svg requires --out FILE")
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write(svg)
+    try:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.write(svg)
+    except OSError as exc:
+        raise EqhilbError(f"cannot write {args.out}: {exc.strerror}") from None
 
 
 def _group(args) -> coloring.GroupParams:
@@ -216,7 +219,7 @@ def _cmd_psi(args) -> int:
     g = _group(args)
     lam = Partition.parse(args.partition)
     if args.inverse:
-        result = stabilization.psi_inverse(g, args.r, lam, method="both")
+        result = stabilization.psi_inverse(g, args.r, lam)
         label = "preimage"
     else:
         result = stabilization.psi(g, args.r, lam)

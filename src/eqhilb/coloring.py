@@ -105,7 +105,11 @@ def is_balanced(g: GroupParams, lam: Partition) -> tuple[bool, int | None]:
 def _max_boxes(max_boxes: int | None) -> int:
     if max_boxes is not None:
         return max_boxes
-    return int(os.environ.get(MAX_BOXES_ENV, DEFAULT_MAX_BOXES))
+    value = os.environ.get(MAX_BOXES_ENV, DEFAULT_MAX_BOXES)
+    try:
+        return int(value)
+    except ValueError:
+        raise PreconditionError(f"{MAX_BOXES_ENV} must be an integer, got {value!r}") from None
 
 
 def enumerate_balanced(

@@ -18,6 +18,8 @@ from __future__ import annotations
 import functools
 from typing import Callable, Iterable, Iterator, NamedTuple
 
+from .errors import PreconditionError
+
 EMPTY_TEXT = "∅"  # "∅"
 
 
@@ -55,7 +57,10 @@ class Partition:
         text = text.strip()
         if text in ("", EMPTY_TEXT):
             return cls()
-        return cls(int(part) for part in text.split(","))
+        try:
+            return cls(int(part) for part in text.split(","))
+        except ValueError as exc:
+            raise PreconditionError(f"cannot read partition {text!r}: {exc}") from None
 
     def __contains__(self, box) -> bool:
         i, j = box

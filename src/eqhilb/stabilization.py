@@ -176,7 +176,7 @@ def psi(g: GroupParams, r: int, lam: Partition) -> Partition:
     return result
 
 
-def _fast_inverse(g: GroupParams, r: int, mu: Partition) -> Partition:
+def _deletion(g: GroupParams, r: int, mu: Partition) -> Partition:
     """Deletion step: strip the boxes colored in [n, n+ab-1] and close the gaps.
 
     Column gaps close within the columns left of the anchor, row gaps
@@ -216,13 +216,11 @@ def _fast_inverse(g: GroupParams, r: int, mu: Partition) -> Partition:
         ) from exc
 
 
-def psi_inverse(g: GroupParams, r: int, mu: Partition, method: str = "fast") -> Partition:
+def psi_inverse(g: GroupParams, r: int, mu: Partition) -> Partition:
     """The unique preimage of ``mu`` under the insertion step.
 
-    ``method`` picks the implementation: "fast" deletes the high-colored
-    boxes and compacts, "reference" searches the enumerated balanced
-    family at order ``n``, and "both" runs the two and insists they
-    agree.  Every path verifies its answer by re-applying the insertion.
+    Deletes the high-colored boxes and compacts, then verifies the
+    answer by re-applying the insertion.
     """
     g = _positive_weights(g)
     a, b, n = g.a, g.b, g.n
@@ -235,31 +233,12 @@ def psi_inverse(g: GroupParams, r: int, mu: Partition, method: str = "fast") -> 
         raise UnbalancedPartitionError(
             f"{mu} is not balanced with multiplicity {r} for {big}"
         )
-    if method not in ("fast", "reference", "both"):
-        raise PreconditionError(f"unknown method {method!r}")
-    answers = {}
-    if method in ("fast", "both"):
-        lam = _fast_inverse(g, r, mu)
-        if psi(g, r, lam) != mu:
-            raise InvariantViolationError(
-                f"fast inverse {lam} of {mu} does not map back under insertion"
-            )
-        answers["fast"] = lam
-    if method in ("reference", "both"):
-        lam = next(
-            (cand for cand in enumerate_balanced(g, r) if psi(g, r, cand) == mu), None
-        )
-        if lam is None:
-            raise InvariantViolationError(
-                f"{mu} has no insertion preimage at order {n}; the map must be onto"
-            )
-        answers["reference"] = lam
-    if method == "both" and answers["fast"] != answers["reference"]:
+    lam = _deletion(g, r, mu)
+    if psi(g, r, lam) != mu:
         raise InvariantViolationError(
-            f"inverse mismatch for {mu}: fast={answers['fast']} "
-            f"reference={answers['reference']}"
+            f"inverse {lam} of {mu} does not map back under insertion"
         )
-    return answers[method if method != "both" else "fast"]
+    return lam
 
 
 def verify_period(g: GroupParams, r: int, n_from: int, n_to: int) -> dict:

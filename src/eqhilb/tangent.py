@@ -1,30 +1,34 @@
-"""Distinguished arrows, the Betti statistic, and L-polynomial classes.
+"""The attracting-cell statistic, L-polynomial classes, and distinguished arrows.
 
-Every box ``(i, j)`` of a diagram carries two distinguished coordinate
-arrows on the lattice, one pointing southwest and one northeast, that
-hug the boundary of the diagram:
+Write ``arm`` and ``leg`` for the number of boxes of a diagram to the
+right of and above a box.  The torus weights of the tangent space at the
+corresponding monomial ideal are, per box, ``(arm+1, -leg)`` and
+``(-arm, leg+1)`` (Ellingsrud-Stromme; Nakajima, Lectures on Hilbert
+schemes, Prop. 5.8).  The cyclic group of weights ``(a, b)`` and order
+``n`` fixes a weight ``(w1, w2)`` exactly when ``a*w1 + b*w2 = 0 mod n``,
+and on a balanced diagram of ``r*n`` boxes exactly ``2r`` weights are
+fixed.
 
-* ``D``: tail ``(l(j), j)``, head ``(i, c(i)-1)``;
-* ``U``: tail ``(i, c(i))``, head ``(l(j)-1, j)``;
+The dimension of the attracting cell for a one-parameter subtorus with
+weights ``p >> q > 0`` counts the fixed weights that are
+lexicographically positive: every box with ``a*(arm+1) = b*leg mod n``,
+plus every row-end box (``arm = 0``) with ``b*(leg+1) = 0 mod n``.  The
+level sets of this hook count over the balanced diagrams are the
+compactly supported Betti numbers, summed up by ``l_class``.
 
-where ``l(j)`` is the row length and ``c(i)`` the column height.  The
-torus scales such an arrow by the weight pair ``tail - head``
-componentwise, and the cyclic group fixes it exactly when
-``a*w1 + b*w2 = 0 mod n``.  For a balanced diagram of ``r*n`` boxes the
-fixed ("invariant") arrows form a basis of the cotangent space at the
-corresponding fixed point, so there are exactly ``2r`` of them.
-
-Counting the invariant arrows whose weight pair is lexicographically
-positive gives the dimension of the attracting cell at that fixed point
-for a one-parameter subtorus with weights ``p >> q > 0``; the level sets
-of this statistic over all balanced diagrams are the compactly
-supported Betti numbers.
+``Arrow`` spells the same weights out as lattice arrows that hug the
+boundary of the diagram (``D``: tail ``(l(j), j)``, head ``(i, c(i)-1)``;
+``U``: tail ``(i, c(i))``, head ``(l(j)-1, j)``, weight ``tail - head``,
+with ``l(j)`` the row length and ``c(i)`` the column height).  It serves
+the ``betti`` command, the SVG overlay and the tests, where it is the
+independent oracle for the hook count; the statistic never builds one.
 """
 
 from __future__ import annotations
 
 import functools
 import json
+from collections import Counter
 from dataclasses import dataclass
 
 from .coloring import GroupParams, enumerate_balanced, is_balanced
@@ -50,9 +54,6 @@ class Arrow:
     tail: Box
     head: Box
     weight: tuple[int, int]
-
-    def is_vertical(self) -> bool:
-        return self.weight[0] == 0
 
 
 def distinguished_arrows(lam: Partition) -> tuple[Arrow, ...]:
@@ -96,21 +97,29 @@ def _require_balanced(g: GroupParams, lam: Partition) -> int:
     return r
 
 
-@functools.lru_cache(maxsize=None)
+def _cell_dimension(g: GroupParams, lam: Partition) -> int:
+    """The hook count of the module docstring; ``lam`` must be balanced."""
+    a, b, n = g.a, g.b, g.n
+    heights = lam.conjugate().rows
+    dim = 0
+    for j, length in enumerate(lam.rows):
+        for arm1, height in zip(range(length, 0, -1), heights):
+            if (a * arm1 - b * (height - 1 - j)) % n == 0:
+                dim += 1
+        if b * (heights[length - 1] - j) % n == 0:
+            dim += 1
+    return dim
+
+
 def betti_statistic(g: GroupParams, lam: Partition) -> int:
     """Attracting-cell dimension at the fixed point of a balanced diagram.
 
-    Counts invariant D arrows plus invariant vertical U arrows; this is
-    the number of invariant arrows with lexicographically positive
-    weight pair (D arrows have w1 >= 1, a U arrow is lex-positive
-    exactly when it is vertical).
+    Equal to the number of invariant arrows with lexicographically
+    positive weight pair: every invariant D arrow and every invariant
+    vertical U arrow.
     """
     _require_balanced(g, lam)
-    count = 0
-    for ar in invariant_arrows(g, lam):
-        if ar.kind == ARROW_D or ar.is_vertical():
-            count += 1
-    return count
+    return _cell_dimension(g, lam)
 
 
 def cotangent_weights(g: GroupParams, lam: Partition) -> tuple[tuple[int, int], ...]:
@@ -209,19 +218,12 @@ def l_class(g: GroupParams, r: int, max_boxes: int | None = None) -> LPolynomial
     Coefficient of ``L^k`` counts the balanced partitions with statistic
     ``k``; its evaluation at 1 is the number of balanced partitions.
     """
-    balanced = enumerate_balanced(g, r, max_boxes=max_boxes)
-    return _l_class_from(g, balanced)
+    enumerate_balanced(g, r, max_boxes=max_boxes)  # checks r and the ceiling
+    return _l_class(g, r)
 
 
 @functools.lru_cache(maxsize=None)
-def _l_class_from(g: GroupParams, balanced: tuple[Partition, ...]) -> LPolynomial:
-    counts: dict[int, int] = {}
-    for lam in balanced:
-        beta = betti_statistic(g, lam)
-        counts[beta] = counts.get(beta, 0) + 1
-    if not counts:
-        return LPolynomial()
-    coeffs = [0] * (max(counts) + 1)
-    for beta, cnt in counts.items():
-        coeffs[beta] = cnt
-    return LPolynomial(coeffs)
+def _l_class(g: GroupParams, r: int) -> LPolynomial:
+    # l_class has checked the configured ceiling; a ceiling of r*n admits this family
+    counts = Counter(_cell_dimension(g, lam) for lam in enumerate_balanced(g, r, r * g.n))
+    return LPolynomial(counts[k] for k in range(max(counts, default=-1) + 1))

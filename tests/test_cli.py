@@ -193,3 +193,33 @@ def test_precondition_named_in_message(capsys):
                        "--partition", "3,1")
     assert code == 1
     assert "n > r*a*b" in err
+
+
+def test_bad_max_boxes_env_reported(monkeypatch, capsys):
+    monkeypatch.setenv("EQHILB_MAX_BOXES", "abc")
+    code, _, err = run(capsys, "enumerate", "--a", "1", "--b", "-1", "--n", "3", "--r", "1")
+    assert code == 1
+    assert err.startswith("error: EQHILB_MAX_BOXES must be an integer")
+
+
+def test_non_integer_partition_reported(capsys):
+    code, _, err = run(capsys, "betti", "--a", "1", "--b", "-1", "--n", "3",
+                       "--partition", "4,x")
+    assert code == 1
+    assert err.startswith("error: cannot read partition '4,x'")
+
+
+def test_increasing_partition_reported(capsys):
+    code, _, err = run(capsys, "betti", "--a", "1", "--b", "-1", "--n", "3",
+                       "--partition", "3,4")
+    assert code == 1
+    assert err.startswith("error: cannot read partition '3,4'")
+    assert "weakly decreasing" in err
+
+
+def test_unwritable_svg_reported(tmp_path, capsys):
+    target = tmp_path / "missing" / "x.svg"
+    code, _, err = run(capsys, "betti", "--a", "1", "--b", "-1", "--n", "3",
+                       "--partition", "2,1", "--render", "svg", "--out", str(target))
+    assert code == 1
+    assert err.startswith(f"error: cannot write {target}")

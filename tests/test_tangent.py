@@ -2,6 +2,7 @@ import pytest
 
 from eqhilb import (
     Box,
+    EnumerationLimitError,
     GroupParams,
     LPolynomial,
     Partition,
@@ -131,6 +132,17 @@ def test_l_class_values():
     assert l_class(GroupParams(1, -1, 3), 1) == LPolynomial([0, 2, 1])
     assert l_class(GroupParams(1, 1, 4), 0) == LPolynomial([1])
     assert l_class(GroupParams(1, -1, 2), 2).euler() == 5
+
+
+def test_l_class_ceiling_checked_when_memoised(monkeypatch):
+    g = GroupParams(1, -1, 4)
+    assert l_class(g, 2).euler() == multipartition_count(4, 2)
+    with pytest.raises(EnumerationLimitError):
+        l_class(g, 2, max_boxes=7)
+    monkeypatch.setenv("EQHILB_MAX_BOXES", "7")
+    with pytest.raises(EnumerationLimitError):
+        l_class(g, 2)
+    assert l_class(g, 2, max_boxes=8).euler() == multipartition_count(4, 2)
 
 
 def test_l_class_euler_counts_family():
