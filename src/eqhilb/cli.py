@@ -106,8 +106,6 @@ def young_svg(
 
 
 def _write_svg(args, svg: str) -> None:
-    if not args.out:
-        raise EqhilbError("--render svg requires --out FILE")
     try:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(svg)
@@ -437,6 +435,8 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "render", None) == "svg" and not args.out:
+            raise EqhilbError("--render svg requires --out FILE")
         return args.func(args)
     except EqhilbError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -18,8 +18,8 @@ from dataclasses import dataclass
 from .errors import EnumerationLimitError, PreconditionError
 from .partitions import Box, Partition
 
-#: Default ceiling on r*n for enumerations; override with the environment
-#: variable EQHILB_MAX_BOXES or the max_boxes argument.
+#: Default ceiling on r*n for enumerations and L-classes; the environment
+#: variable EQHILB_MAX_BOXES, read on every call, overrides it.
 DEFAULT_MAX_BOXES = 80
 MAX_BOXES_ENV = "EQHILB_MAX_BOXES"
 
@@ -42,14 +42,6 @@ class GroupParams:
             raise PreconditionError(f"weights must be coprime, got ({self.a}, {self.b})")
         if self.n < 1:
             raise PreconditionError(f"group order must be >= 1, got {self.n}")
-
-    @property
-    def a_mod(self) -> int:
-        return self.a % self.n
-
-    @property
-    def b_mod(self) -> int:
-        return self.b % self.n
 
     def with_n(self, n: int) -> "GroupParams":
         return GroupParams(self.a, self.b, n)
@@ -82,7 +74,7 @@ def color(g: GroupParams, box: Box) -> int:
 
 def weight_vector(g: GroupParams, lam: Partition) -> WeightVector:
     counts = [0] * g.n
-    am, bm, n = g.a_mod, g.b_mod, g.n
+    am, bm, n = g.a % g.n, g.b % g.n, g.n
     for j, length in enumerate(lam.rows):
         s = (bm * j) % n
         for _ in range(length):
@@ -102,19 +94,33 @@ def is_balanced(g: GroupParams, lam: Partition) -> tuple[bool, int | None]:
     return (r is not None, r)
 
 
-def _max_boxes(max_boxes: int | None) -> int:
-    if max_boxes is not None:
-        return max_boxes
+def _family_key(g: GroupParams, r: int) -> tuple[int, int, int, int]:
+    """The memo key ``(a mod n, b mod n, n, r)`` of the balanced family of ``g``.
+
+    Checks ``r`` and the ceiling on ``r*n`` first.  The coloring sees the
+    weights only through their residues, so signed weights with equal
+    residues share one key; every ``r = 0`` family is ``{empty}`` and
+    shares the trivial group's key.
+    """
+    if r < 0:
+        raise PreconditionError(f"multiplicity must be nonnegative, got {r}")
     value = os.environ.get(MAX_BOXES_ENV, DEFAULT_MAX_BOXES)
     try:
-        return int(value)
+        ceiling = int(value)
     except ValueError:
         raise PreconditionError(f"{MAX_BOXES_ENV} must be an integer, got {value!r}") from None
+    total = r * g.n
+    if total > ceiling:
+        raise EnumerationLimitError(
+            f"enumerating balanced partitions of {total} boxes exceeds the "
+            f"ceiling of {ceiling} (raise {MAX_BOXES_ENV})"
+        )
+    if r == 0:
+        return (0, 0, 1, 0)
+    return (g.a % g.n, g.b % g.n, g.n, r)
 
 
-def enumerate_balanced(
-    g: GroupParams, r: int, max_boxes: int | None = None
-) -> tuple[Partition, ...]:
+def enumerate_balanced(g: GroupParams, r: int) -> tuple[Partition, ...]:
     """All balanced partitions of ``r*n`` for the coloring ``g``, sorted.
 
     Diagrams are built row by row (largest row first) while tracking the
@@ -123,24 +129,13 @@ def enumerate_balanced(
     filter over all partitions of ``r*n`` is kept in the test suite as
     the oracle for this generator.
     """
-    if r < 0:
-        raise PreconditionError(f"multiplicity must be nonnegative, got {r}")
-    total = r * g.n
-    ceiling = _max_boxes(max_boxes)
-    if total > ceiling:
-        raise EnumerationLimitError(
-            f"enumerating balanced partitions of {total} boxes exceeds the "
-            f"ceiling of {ceiling} (raise {MAX_BOXES_ENV} or max_boxes)"
-        )
-    return _enumerate_balanced_cached(g, r)
+    return _balanced_family(_family_key(g, r))
 
 
 @functools.lru_cache(maxsize=None)
-def _enumerate_balanced_cached(g: GroupParams, r: int) -> tuple[Partition, ...]:
-    if r == 0:
-        return (Partition(),)
-    n, total = g.n, r * g.n
-    am, bm = g.a_mod, g.b_mod
+def _balanced_family(key: tuple[int, int, int, int]) -> tuple[Partition, ...]:
+    am, bm, n, r = key
+    total = r * n
     counts = [0] * n
     rows: list[int] = []
     found: list[Partition] = []

@@ -31,7 +31,7 @@ import json
 from collections import Counter
 from dataclasses import dataclass
 
-from .coloring import GroupParams, enumerate_balanced, is_balanced
+from .coloring import GroupParams, _balanced_family, _family_key, is_balanced
 from .errors import UnbalancedPartitionError
 from .partitions import Box, Partition
 
@@ -97,9 +97,12 @@ def _require_balanced(g: GroupParams, lam: Partition) -> int:
     return r
 
 
-def _cell_dimension(g: GroupParams, lam: Partition) -> int:
-    """The hook count of the module docstring; ``lam`` must be balanced."""
-    a, b, n = g.a, g.b, g.n
+def _cell_dimension(a: int, b: int, n: int, lam: Partition) -> int:
+    """The hook count of the module docstring; ``lam`` must be balanced.
+
+    Every condition is a congruence mod ``n``, so ``(a, b)`` may be any
+    representatives of the weights' residues.
+    """
     heights = lam.conjugate().rows
     dim = 0
     for j, length in enumerate(lam.rows):
@@ -119,7 +122,7 @@ def betti_statistic(g: GroupParams, lam: Partition) -> int:
     vertical U arrow.
     """
     _require_balanced(g, lam)
-    return _cell_dimension(g, lam)
+    return _cell_dimension(g.a, g.b, g.n, lam)
 
 
 def cotangent_weights(g: GroupParams, lam: Partition) -> tuple[tuple[int, int], ...]:
@@ -212,18 +215,18 @@ class LPolynomial:
         return " + ".join(terms) if terms else "0"
 
 
-def l_class(g: GroupParams, r: int, max_boxes: int | None = None) -> LPolynomial:
+def l_class(g: GroupParams, r: int) -> LPolynomial:
     """Motivic class of the fixed-point family: sum of L^beta over balanced diagrams.
 
     Coefficient of ``L^k`` counts the balanced partitions with statistic
     ``k``; its evaluation at 1 is the number of balanced partitions.
+    Memoised per coloring key, like the family itself.
     """
-    enumerate_balanced(g, r, max_boxes=max_boxes)  # checks r and the ceiling
-    return _l_class(g, r)
+    return _l_class(_family_key(g, r))
 
 
 @functools.lru_cache(maxsize=None)
-def _l_class(g: GroupParams, r: int) -> LPolynomial:
-    # l_class has checked the configured ceiling; a ceiling of r*n admits this family
-    counts = Counter(_cell_dimension(g, lam) for lam in enumerate_balanced(g, r, r * g.n))
+def _l_class(key: tuple[int, int, int, int]) -> LPolynomial:
+    a, b, n, _ = key
+    counts = Counter(_cell_dimension(a, b, n, lam) for lam in _balanced_family(key))
     return LPolynomial(counts[k] for k in range(max(counts, default=-1) + 1))

@@ -1,6 +1,13 @@
 """Brute-force references that the fast paths of the package are tested against."""
 
-from eqhilb import enumerate_balanced, psi
+from eqhilb import enumerate_balanced, is_balanced, partitions_of, psi
+
+
+def brute_force_balanced(g, r):
+    """Filter all partitions of r*n by the balance test."""
+    return tuple(
+        sorted(lam for lam in partitions_of(r * g.n) if is_balanced(g, lam) == (True, r))
+    )
 
 
 def psi_inverse_by_search(g, r, mu):

@@ -169,10 +169,12 @@ def test_render_svg(tmp_path, capsys):
 
 
 def test_svg_requires_out(capsys):
-    code, _, err = run(capsys, "betti", "--a", "1", "--b", "-1", "--n", "3",
-                       "--partition", "2,1", "--render", "svg")
-    assert code == 1
-    assert "requires --out" in err
+    for argv in (["betti", "--a", "1", "--b", "-1", "--n", "3", "--partition", "2,1"],
+                 ["enumerate", "--a", "1", "--b", "1", "--n", "3", "--r", "1"]):
+        code, out, err = run(capsys, *argv, "--render", "svg")
+        assert code == 1
+        assert "requires --out" in err
+        assert out == ""
 
 
 def test_usage_error_exit_code(capsys):

@@ -14,13 +14,7 @@ from eqhilb import (
     partitions_of,
     weight_vector,
 )
-
-
-def brute_force_balanced(g, r):
-    """Oracle: filter all partitions of r*n by the balance test."""
-    return tuple(
-        sorted(lam for lam in partitions_of(r * g.n) if is_balanced(g, lam) == (True, r))
-    )
+from oracles import brute_force_balanced
 
 
 def test_group_params_validation():
@@ -29,7 +23,7 @@ def test_group_params_validation():
     with pytest.raises(PreconditionError):
         GroupParams(1, 1, 0)
     g = GroupParams(1, -1, 3)
-    assert (g.a_mod, g.b_mod) == (1, 2)
+    assert (color(g, Box(1, 0)), color(g, Box(0, 1))) == (1, 2)
 
 
 def test_color_values():
@@ -118,11 +112,19 @@ def test_n_equals_one_gives_all_partitions():
         assert enumerate_balanced(g, r) == tuple(sorted(partitions_of(r)))
 
 
-def test_enumeration_ceiling():
+def test_enumeration_ceiling(monkeypatch):
     with pytest.raises(EnumerationLimitError):
         enumerate_balanced(GroupParams(1, 1, 10), 100)
-    # explicit ceiling overrides the default
-    assert enumerate_balanced(GroupParams(1, 1, 2), 1, max_boxes=2)
+    g = GroupParams(1, 0, 81)
+    with pytest.raises(EnumerationLimitError):
+        enumerate_balanced(g, 1)
+    # a ceiling above the default admits the family
+    monkeypatch.setenv("EQHILB_MAX_BOXES", "81")
+    assert enumerate_balanced(g, 1) == (Partition((81,)),)
+    # the memo is warm, and a lower ceiling still refuses it
+    monkeypatch.setenv("EQHILB_MAX_BOXES", "80")
+    with pytest.raises(EnumerationLimitError):
+        enumerate_balanced(g, 1)
 
 
 def test_enumeration_ceiling_env(monkeypatch):

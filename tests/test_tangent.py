@@ -1,3 +1,5 @@
+from collections import Counter
+
 import pytest
 
 from eqhilb import (
@@ -16,6 +18,8 @@ from eqhilb import (
     l_class,
     multipartition_count,
 )
+from eqhilb import coloring, tangent
+from oracles import brute_force_balanced
 
 
 def numeric_cell_dimension(g, lam, q=1):
@@ -137,12 +141,46 @@ def test_l_class_values():
 def test_l_class_ceiling_checked_when_memoised(monkeypatch):
     g = GroupParams(1, -1, 4)
     assert l_class(g, 2).euler() == multipartition_count(4, 2)
-    with pytest.raises(EnumerationLimitError):
-        l_class(g, 2, max_boxes=7)
     monkeypatch.setenv("EQHILB_MAX_BOXES", "7")
     with pytest.raises(EnumerationLimitError):
         l_class(g, 2)
-    assert l_class(g, 2, max_boxes=8).euler() == multipartition_count(4, 2)
+    with pytest.raises(EnumerationLimitError):
+        l_class(GroupParams(1, 3, 4), 2)  # same residues, same memo entry
+    monkeypatch.setenv("EQHILB_MAX_BOXES", "8")
+    assert l_class(g, 2).euler() == multipartition_count(4, 2)
+
+
+def test_signed_weights_with_equal_residues_share_the_memo():
+    """The memo serves the second member of each pair; the oracles use its
+    signed weights."""
+    pairs = [((1, -1, 3), (1, 2, 3)), ((1, -1, 2), (1, 1, 2)),
+             ((1, 2, 4), (1, -2, 4)), ((2, 3, 6), (2, -3, 6))]
+    for first, second in pairs:
+        g = GroupParams(*second)
+        for r in range(3):
+            enumerate_balanced(GroupParams(*first), r)
+            l_class(GroupParams(*first), r)
+            sizes = (coloring._balanced_family.cache_info().currsize,
+                     tangent._l_class.cache_info().currsize)
+            family = enumerate_balanced(g, r)
+            lc = l_class(g, r)
+            assert sizes == (coloring._balanced_family.cache_info().currsize,
+                             tangent._l_class.cache_info().currsize)
+            assert family == brute_force_balanced(g, r), (g, r)
+            counts = Counter(
+                sum(1 for ar in invariant_arrows(g, lam) if is_lex_positive(ar.weight))
+                for lam in family
+            )
+            assert lc == LPolynomial(counts[k] for k in range(2 * r + 1)), (g, r)
+
+
+def test_l_class_memo_holds_one_entry_per_coloring():
+    before = tangent._l_class.cache_info().currsize
+    for k in range(50):
+        assert l_class(GroupParams(1, 1 + 3 * k, 3), 1) == LPolynomial([0, 1, 1])
+    for n in range(1, 1001):
+        assert l_class(GroupParams(1, 1, n), 0) == LPolynomial([1])
+    assert tangent._l_class.cache_info().currsize - before <= 2
 
 
 def test_l_class_euler_counts_family():
