@@ -18,9 +18,13 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .coloring import GroupParams, enumerate_balanced, is_balanced
+from .coloring import GroupParams, enumerate_balanced
 from .errors import InsufficientSamplesError, PreconditionError
 from .partitions import Partition
+
+#: Largest orders per residue class that ``verify_quasipolynomial`` holds out
+#: of the fit and demands the fitted quasipolynomial extrapolate to.
+_HOLDOUT = 2
 
 
 def normalize_group(g: GroupParams) -> GroupParams:
@@ -173,7 +177,7 @@ class Quasipolynomial:
         poly = self.polys[n % self.period]
         if poly is None:
             raise PreconditionError(f"no polynomial fitted for residue {n % self.period}")
-        return sum((c * n**k for k, c in enumerate(poly)), Fraction(0))
+        return _evaluate(poly, n)
 
     def degree(self) -> int:
         """Largest degree among the fitted classes (-1 if all empty)."""
@@ -207,6 +211,11 @@ class Quasipolynomial:
             valid_from=data["valid_from"],
             class_validated=tuple(data["class_validated"]),
         )
+
+
+def _evaluate(poly: tuple[Fraction, ...], n: int) -> Fraction:
+    """Value at ``n`` of the polynomial with ascending coefficients ``poly``."""
+    return sum((c * n**k for k, c in enumerate(poly)), Fraction(0))
 
 
 def _lagrange(points: list[tuple[int, int]]) -> tuple[Fraction, ...]:
@@ -260,13 +269,10 @@ def fit_quasipolynomial(samples, period: int, degree_bound: int) -> Quasipolynom
                 f"residue class {residue} has {len(pts)} samples; "
                 f"needs at least degree_bound + 2 = {degree_bound + 2}"
             )
-        train, held = pts[:-1], pts[-1]
+        train = pts[:-1]  # the largest-n sample is held out
         poly = _lagrange(train[-(degree_bound + 1):])
         polys[residue] = poly
-        evaluate = lambda n: sum((c * n**k for k, c in enumerate(poly)), Fraction(0))
-        flags[residue] = all(evaluate(n) == v for n, v in train) and evaluate(
-            held[0]
-        ) == held[1]
+        flags[residue] = all(_evaluate(poly, n) == v for n, v in pts)
     valid_from = min(n for pts in by_class.values() for n, _ in pts)
     return Quasipolynomial(period, tuple(polys), valid_from, tuple(flags))
 
@@ -276,22 +282,24 @@ def verify_quasipolynomial(
     r: int,
     n_from: int,
     n_to: int,
-    holdout: int = 2,
     use_reduction: bool = False,
 ) -> dict:
     """Desk check of quasipolynomiality for mixed-sign weights.
 
-    Counts balanced partitions over the orders in range that are coprime
-    to both weights, fits a quasipolynomial of period ``|a*b|`` and
-    degree at most ``r``, and demands successful extrapolation to
-    ``holdout`` unseen orders per residue class.  The smallest order
-    from which the fit extrapolates is discovered by retrying on
-    suffixes and reported as ``valid_from``.  With ``use_reduction`` the
-    skipped non-coprime orders are counted through their normalized
-    parameters and reported alongside.
+    Counts balanced partitions over the orders from ``n_from >= 1`` to
+    ``n_to`` that are coprime to both weights, fits a quasipolynomial of
+    period ``|a*b|`` and degree at most ``r``, and demands successful
+    extrapolation to the two largest orders of each residue class, which
+    the fit does not see.  The smallest order from which the fit
+    extrapolates is discovered by retrying on suffixes and reported as
+    ``valid_from``.  With ``use_reduction`` the skipped non-coprime
+    orders are counted through their normalized parameters and reported
+    alongside.
     """
     if g.a * g.b >= 0:
         raise PreconditionError(f"requires weights of opposite sign, got ({g.a}, {g.b})")
+    if n_from < 1:
+        raise PreconditionError(f"group orders start at 1, got n_from={n_from}")
     period = abs(g.a * g.b)
     coprime = [
         n
@@ -309,7 +317,7 @@ def verify_quasipolynomial(
     by_class: dict[int, list[int]] = {}
     for n in coprime:
         by_class.setdefault(n % period, []).append(n)
-    extrap_ns = {n for ns in by_class.values() for n in sorted(ns)[-holdout:]}
+    extrap_ns = {n for ns in by_class.values() for n in sorted(ns)[-_HOLDOUT:]}
     fit_ns = [n for n in coprime if n not in extrap_ns]
     result: dict = {
         "group": {"a": g.a, "b": g.b},

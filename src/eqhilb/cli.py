@@ -20,7 +20,7 @@ from . import coloring
 from . import stabilization
 from . import tangent
 from .errors import EqhilbError
-from .partitions import Box, Partition, diagram
+from .partitions import Partition, diagram
 
 _DIGITS = "0123456789abcdefghijklmnopqrstuvwxyz"
 
@@ -29,6 +29,9 @@ _PALETTE = [
     "#4e79a7", "#f28e2b", "#e15759", "#76b7b2", "#59a14f", "#edc948",
     "#b07aa1", "#ff9da7", "#9c755f", "#bab0ac", "#86bcb6", "#d37295",
 ]
+
+#: side of one diagram cell in SVG pixels
+_CELL = 28
 
 
 def _emit(text: str) -> None:
@@ -47,25 +50,21 @@ def _colored_diagram(g: coloring.GroupParams, lam: Partition) -> str:
     return diagram(lam, cell=lambda box: _residue_char(coloring.color(g, box)))
 
 
-def young_svg(
-    lam: Partition,
-    g: coloring.GroupParams | None = None,
-    arrows=None,
-    cell: int = 28,
-) -> str:
+def young_svg(lam: Partition, g: coloring.GroupParams | None = None, arrows=None) -> str:
     """SVG rendering of a diagram: cells colored by residue, row 0 at the
-    bottom, optional arrow overlay drawn tail to head."""
+    bottom, optional arrow overlay drawn tail to head; each cell is
+    ``_CELL`` pixels wide."""
     width = lam.rows[0] if lam.rows else 1
     height = len(lam.rows) if lam.rows else 1
-    pad = cell  # room for arrow tails just outside the diagram
-    w = (width + 2) * cell
-    h = (height + 2) * cell
+    pad = _CELL  # room for arrow tails just outside the diagram
+    w = (width + 2) * _CELL
+    h = (height + 2) * _CELL
 
     def cx(i: int) -> int:
-        return pad + i * cell
+        return pad + i * _CELL
 
     def cy(j: int) -> int:
-        return h - pad - (j + 1) * cell
+        return h - pad - (j + 1) * _CELL
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{w}" height="{h}" '
@@ -83,20 +82,20 @@ def young_svg(
             label = str(s)
         x, y = cx(box.i), cy(box.j)
         parts.append(
-            f'<rect x="{x}" y="{y}" width="{cell}" height="{cell}" '
+            f'<rect x="{x}" y="{y}" width="{_CELL}" height="{_CELL}" '
             f'fill="{fill}" stroke="#333"/>'
         )
         if label:
             parts.append(
-                f'<text x="{x + cell // 2}" y="{y + cell // 2 + 4}" '
-                f'font-size="{cell // 2}" text-anchor="middle" '
+                f'<text x="{x + _CELL // 2}" y="{y + _CELL // 2 + 4}" '
+                f'font-size="{_CELL // 2}" text-anchor="middle" '
                 f'fill="#111">{label}</text>'
             )
     for ar in arrows or ():
-        x1 = cx(ar.tail.i) + cell // 2
-        y1 = cy(ar.tail.j) + cell // 2
-        x2 = cx(ar.head.i) + cell // 2
-        y2 = cy(ar.head.j) + cell // 2
+        x1 = cx(ar.tail.i) + _CELL // 2
+        y1 = cy(ar.tail.j) + _CELL // 2
+        x2 = cx(ar.head.i) + _CELL // 2
+        y2 = cy(ar.head.j) + _CELL // 2
         parts.append(
             f'<line x1="{x1}" y1="{y1}" x2="{x2}" y2="{y2}" stroke="#222" '
             f'stroke-width="2" marker-end="url(#tip)"/>'
@@ -150,11 +149,11 @@ def _cmd_enumerate(args) -> int:
         for e in entries:
             _emit(f"  {e['partition']}  betti={e['betti']}")
         if args.render == "ascii":
-            for e in entries:
+            for lam in found:
                 _emit("")
-                _emit(_colored_diagram(g, Partition.parse(e["partition"])))
+                _emit(_colored_diagram(g, lam))
     if args.render == "svg":
-        svgs = [young_svg(Partition.parse(e["partition"]), g) for e in entries]
+        svgs = [young_svg(lam, g) for lam in found]
         _write_svg(args, "\n".join(svgs))
     return 0
 
@@ -233,7 +232,7 @@ def _cmd_psi(args) -> int:
 
 
 def _cmd_verify_period(args) -> int:
-    g = coloring.GroupParams(args.a, args.b, max(args.n_from, 1))
+    g = coloring.GroupParams(args.a, args.b, args.n_from)
     report = stabilization.verify_period(g, args.r, args.n_from, args.n_to)
     ok = report["all_equal"] and report["all_bijections_ok"]
     if args.format == "json":
@@ -248,7 +247,7 @@ def _cmd_verify_period(args) -> int:
 
 
 def _cmd_verify_qpoly(args) -> int:
-    g = coloring.GroupParams(args.a, args.b, max(args.n_from, 1))
+    g = coloring.GroupParams(args.a, args.b, args.n_from)
     report = analysis.verify_quasipolynomial(g, args.r, args.n_from, args.n_to)
     if args.format == "json":
         _emit(_jdump(report))

@@ -15,13 +15,17 @@ import math
 import os
 from dataclasses import dataclass
 
-from .errors import EnumerationLimitError, PreconditionError
+from .errors import EnumerationLimitError, PreconditionError, UnbalancedPartitionError
 from .partitions import Box, Partition
 
 #: Default ceiling on r*n for enumerations and L-classes; the environment
 #: variable EQHILB_MAX_BOXES, read on every call, overrides it.
 DEFAULT_MAX_BOXES = 80
 MAX_BOXES_ENV = "EQHILB_MAX_BOXES"
+
+#: Entries kept by each memo keyed on ``_family_key`` (families here,
+#: L-classes in ``tangent``), so a long-lived process holds bounded memory.
+_MEMO_SIZE = 256
 
 
 @dataclass(frozen=True)
@@ -94,6 +98,15 @@ def is_balanced(g: GroupParams, lam: Partition) -> tuple[bool, int | None]:
     return (r is not None, r)
 
 
+def _require_balanced(g: GroupParams, lam: Partition, r: int | None = None) -> int:
+    """The multiplicity of ``lam``; raises unless it is balanced (with multiplicity ``r``)."""
+    mult = weight_vector(g, lam).uniform_multiplicity()
+    if mult is None or (r is not None and mult != r):
+        what = "balanced" if r is None else f"balanced with multiplicity {r}"
+        raise UnbalancedPartitionError(f"{lam} is not {what} for {g}")
+    return mult
+
+
 def _family_key(g: GroupParams, r: int) -> tuple[int, int, int, int]:
     """The memo key ``(a mod n, b mod n, n, r)`` of the balanced family of ``g``.
 
@@ -132,7 +145,7 @@ def enumerate_balanced(g: GroupParams, r: int) -> tuple[Partition, ...]:
     return _balanced_family(_family_key(g, r))
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=_MEMO_SIZE)
 def _balanced_family(key: tuple[int, int, int, int]) -> tuple[Partition, ...]:
     am, bm, n, r = key
     total = r * n

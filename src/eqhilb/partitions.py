@@ -109,8 +109,8 @@ class Partition:
         return ",".join(str(r) for r in self.rows) if self.rows else EMPTY_TEXT
 
 
-def partitions_of(m: int, max_part: int | None = None) -> Iterator[Partition]:
-    """Yield every partition of ``m`` (rows bounded by ``max_part``).
+def partitions_of(m: int) -> Iterator[Partition]:
+    """Yield every partition of ``m``.
 
     Deterministic order: first row descending, then recursively the same.
     Used as the brute-force oracle for constrained enumerations.
@@ -126,11 +126,7 @@ def partitions_of(m: int, max_part: int | None = None) -> Iterator[Partition]:
             for rest in rec(remaining - first, first):
                 yield (first,) + rest
 
-    bound = m if max_part is None else min(max_part, m)
-    if m == 0:
-        yield Partition()
-        return
-    for rows in rec(m, bound):
+    for rows in rec(m, m):
         yield Partition(rows)
 
 

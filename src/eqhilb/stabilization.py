@@ -21,8 +21,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .coloring import GroupParams, color, enumerate_balanced, is_balanced
-from .errors import InvariantViolationError, PreconditionError, UnbalancedPartitionError
+from .coloring import GroupParams, _require_balanced, color, enumerate_balanced, is_balanced
+from .errors import InvariantViolationError, PreconditionError
 from .partitions import Box, Partition
 from .tangent import betti_statistic, l_class
 
@@ -98,11 +98,7 @@ def make_split(g: GroupParams, r: int, lam: Partition, anchor: Box | None = None
     rab = r * g.a * g.b
     if g.n <= rab:
         raise PreconditionError(f"requires n > r*a*b, got n={g.n} <= {rab}")
-    ok, mult = is_balanced(g, lam)
-    if not ok or mult != r:
-        raise UnbalancedPartitionError(
-            f"{lam} is not balanced with multiplicity {r} for {g}"
-        )
+    _require_balanced(g, lam, r)
     free = [pt for pt in diagonal(g, rab) if pt not in lam]
     if not free:
         raise InvariantViolationError(
@@ -130,6 +126,20 @@ def phi(ctx: SplitContext, box) -> Box:
     raise PreconditionError(f"{box} lies in neither region of the split at {ctx.anchor}")
 
 
+def _reassemble(rows: list[int], heights: list[int], j0: int) -> Partition:
+    """The diagram with ``rows`` below row ``j0`` and, from row ``j0`` up,
+    the rows read off the column ``heights`` left of the anchor."""
+    rows = rows + [sum(1 for h in heights if h > j) for j in range(j0, max(heights, default=0))]
+    while rows and rows[-1] == 0:
+        rows.pop()
+    try:
+        return Partition(rows)
+    except ValueError as exc:
+        raise InvariantViolationError(
+            f"the regions reassemble to a non-monotone profile: {rows}"
+        ) from exc
+
+
 def psi(g: GroupParams, r: int, lam: Partition) -> Partition:
     """Insertion step: maps balanced diagrams at order n to order n + a*b.
 
@@ -143,84 +153,31 @@ def psi(g: GroupParams, r: int, lam: Partition) -> Partition:
     g = ctx.g
     a, b, n = g.a, g.b, g.n
     i0, j0 = ctx.anchor
-    col_extra: dict[int, int] = {}
-    row_extra: dict[int, int] = {}
+    heights = [lam.col_height(i) for i in range(i0)]
+    rows = [lam.row_len(j) for j in range(j0)]
     for box in lam.boxes():
         k = color(g, box)
         if k >= n - b and box.i < i0:
-            col_extra[box.i] = col_extra.get(box.i, 0) + a
+            heights[box.i] += a
         elif k >= n - a and box.i >= i0:
-            row_extra[box.j] = row_extra.get(box.j, 0) + b
-    width = lam.rows[0] if lam.rows else 0
-    heights = [lam.col_height(i) + col_extra.get(i, 0) for i in range(min(i0, width))]
-    rows = [lam.rows[j] + row_extra.get(j, 0) for j in range(min(j0, len(lam.rows)))]
-    j = j0
-    while True:
-        cnt = sum(1 for h in heights if h > j)
-        if cnt == 0:
-            break
-        rows.append(cnt)
-        j += 1
-    try:
-        result = Partition(rows)
-    except ValueError as exc:
-        raise InvariantViolationError(
-            f"insertion produced a non-monotone profile for {lam} at {g}: {rows}"
-        ) from exc
+            rows[box.j] += b  # box.j < j0: the anchor lies outside lam
+    result = _reassemble(rows, heights, j0)
     big = g.with_n(n + a * b)
-    ok, mult = is_balanced(big, result)
-    if result.size != r * big.n or not ok or mult != r:
+    if is_balanced(big, result) != (True, r):
         raise InvariantViolationError(
             f"insertion output {result} is not balanced of multiplicity {r} at {big}"
         )
     return result
 
 
-def _deletion(g: GroupParams, r: int, mu: Partition) -> Partition:
-    """Deletion step: strip the boxes colored in [n, n+ab-1] and close the gaps.
-
-    Column gaps close within the columns left of the anchor, row gaps
-    within the rows below it; the two profiles are then reassembled the
-    same way the insertion builds its output.
-    """
-    a, b, n = g.a, g.b, g.n
-    big = g.with_n(n + a * b)
-    rab = r * a * b
-    anchors = [pt for pt in diagonal(g, rab) if pt not in mu]
-    if not anchors:
-        raise InvariantViolationError(f"no anchor on diagonal {rab} outside {mu}")
-    i0, j0 = anchors[0]
-    survivors = [box for box in mu.boxes() if color(big, box) < n]
-    col_cnt: dict[int, int] = {}
-    row_cnt: dict[int, int] = {}
-    for box in survivors:
-        if box.i < i0:
-            col_cnt[box.i] = col_cnt.get(box.i, 0) + 1
-        if box.j < j0:
-            row_cnt[box.j] = row_cnt.get(box.j, 0) + 1
-    rows = [row_cnt.get(j, 0) for j in range(j0)]
-    j = j0
-    while True:
-        cnt = sum(1 for c in col_cnt.values() if c > j)
-        if cnt == 0:
-            break
-        rows.append(cnt)
-        j += 1
-    while rows and rows[-1] == 0:
-        rows.pop()
-    try:
-        return Partition(rows)
-    except ValueError as exc:
-        raise InvariantViolationError(
-            f"deletion produced a non-monotone profile for {mu} at {big}: {rows}"
-        ) from exc
-
-
 def psi_inverse(g: GroupParams, r: int, mu: Partition) -> Partition:
     """The unique preimage of ``mu`` under the insertion step.
 
-    Deletes the high-colored boxes and compacts, then verifies the
-    answer by re-applying the insertion.
+    Splits ``mu`` at the anchor of the larger order, keeps the boxes
+    colored below ``n`` (those colored in ``[n, n+ab-1]`` are the ones the
+    insertion added), closes the gaps within the columns left of the
+    anchor and the rows below it, and reassembles the two profiles as the
+    insertion does.  The answer is verified by re-applying the insertion.
     """
     g = _positive_weights(g)
     a, b, n = g.a, g.b, g.n
@@ -228,12 +185,16 @@ def psi_inverse(g: GroupParams, r: int, mu: Partition) -> Partition:
     if n <= rab:
         raise PreconditionError(f"requires n > r*a*b, got n={n} <= {rab}")
     big = g.with_n(n + a * b)
-    ok, mult = is_balanced(big, mu)
-    if not ok or mult != r:
-        raise UnbalancedPartitionError(
-            f"{mu} is not balanced with multiplicity {r} for {big}"
-        )
-    lam = _deletion(g, r, mu)
+    i0, j0 = make_split(big, r, mu).anchor
+    heights = [0] * i0
+    rows = [0] * j0
+    for box in mu.boxes():
+        if color(big, box) < n:
+            if box.i < i0:
+                heights[box.i] += 1
+            if box.j < j0:
+                rows[box.j] += 1
+    lam = _reassemble(rows, heights, j0)
     if psi(g, r, lam) != mu:
         raise InvariantViolationError(
             f"inverse {lam} of {mu} does not map back under insertion"
@@ -244,11 +205,14 @@ def psi_inverse(g: GroupParams, r: int, mu: Partition) -> Partition:
 def verify_period(g: GroupParams, r: int, n_from: int, n_to: int) -> dict:
     """Desk check of the periodicity: compare L-classes at n and n + a*b.
 
-    For every n in range with ``n > r*a*b`` the report records the two
-    coefficient vectors, whether they agree, and a witness that the
-    insertion realizes a statistic-preserving bijection.
+    The orders run from ``n_from >= 1`` to ``n_to``.  For every n with
+    ``n > r*a*b`` the report records the two coefficient vectors, whether
+    they agree, and a witness that the insertion realizes a
+    statistic-preserving bijection.
     """
     g = _positive_weights(g)
+    if n_from < 1:
+        raise PreconditionError(f"group orders start at 1, got n_from={n_from}")
     period = g.a * g.b
     rab = r * period
     checks = []

@@ -31,8 +31,7 @@ import json
 from collections import Counter
 from dataclasses import dataclass
 
-from .coloring import GroupParams, _balanced_family, _family_key, is_balanced
-from .errors import UnbalancedPartitionError
+from .coloring import GroupParams, _MEMO_SIZE, _balanced_family, _family_key, _require_balanced
 from .partitions import Box, Partition
 
 ARROW_D = "D"
@@ -85,16 +84,6 @@ def invariant_arrows(g: GroupParams, lam: Partition) -> tuple[Arrow, ...]:
 def is_lex_positive(weight: tuple[int, int]) -> bool:
     """Positivity under any torus direction with p >> q > 0."""
     return weight[0] > 0 or (weight[0] == 0 and weight[1] > 0)
-
-
-def _require_balanced(g: GroupParams, lam: Partition) -> int:
-    ok, r = is_balanced(g, lam)
-    if not ok:
-        raise UnbalancedPartitionError(
-            f"{lam} is not balanced for {g}; the statistic is only defined on "
-            "balanced partitions"
-        )
-    return r
 
 
 def _cell_dimension(a: int, b: int, n: int, lam: Partition) -> int:
@@ -169,8 +158,8 @@ class LPolynomial:
             top = 2 * max(self.degree(), 0)
         return tuple(self.coeff(i // 2) if i % 2 == 0 else 0 for i in range(top + 1))
 
-    def poincare_str(self) -> str:
-        """Poincare polynomial in z, printed in descending degree."""
+    def _format(self, monomial) -> str:
+        """Nonzero terms in descending degree, ``monomial(k)`` naming ``L^k`` for k >= 1."""
         terms = []
         for k in range(len(self.coeffs) - 1, -1, -1):
             c = self.coeffs[k]
@@ -179,9 +168,13 @@ class LPolynomial:
             if k == 0:
                 terms.append(str(c))
             else:
-                z = f"z^{2 * k}"
-                terms.append(z if c == 1 else f"{c}{z}")
+                mono = monomial(k)
+                terms.append(mono if c == 1 else f"{c}{mono}")
         return " + ".join(terms) if terms else "0"
+
+    def poincare_str(self) -> str:
+        """Poincare polynomial in z, printed in descending degree."""
+        return self._format(lambda k: f"z^{2 * k}")
 
     def to_json(self) -> dict:
         return {"coeffs": list(self.coeffs)}
@@ -202,17 +195,7 @@ class LPolynomial:
         return f"LPolynomial({list(self.coeffs)!r})"
 
     def __str__(self) -> str:
-        terms = []
-        for k in range(len(self.coeffs) - 1, -1, -1):
-            c = self.coeffs[k]
-            if c == 0:
-                continue
-            if k == 0:
-                terms.append(str(c))
-            else:
-                mono = "L" if k == 1 else f"L^{k}"
-                terms.append(mono if c == 1 else f"{c}{mono}")
-        return " + ".join(terms) if terms else "0"
+        return self._format(lambda k: "L" if k == 1 else f"L^{k}")
 
 
 def l_class(g: GroupParams, r: int) -> LPolynomial:
@@ -225,7 +208,7 @@ def l_class(g: GroupParams, r: int) -> LPolynomial:
     return _l_class(_family_key(g, r))
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=_MEMO_SIZE)
 def _l_class(key: tuple[int, int, int, int]) -> LPolynomial:
     a, b, n, _ = key
     counts = Counter(_cell_dimension(a, b, n, lam) for lam in _balanced_family(key))

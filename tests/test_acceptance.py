@@ -30,7 +30,6 @@ from eqhilb import (
     psi_inverse,
     runners,
     to_abacus,
-    verify_period,
     verify_quasipolynomial,
     weight_vector,
 )

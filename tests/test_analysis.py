@@ -230,3 +230,10 @@ def test_verify_quasipolynomial_reduction_flag():
 def test_verify_quasipolynomial_rejects_same_signs():
     with pytest.raises(PreconditionError):
         verify_quasipolynomial(GroupParams(1, 2, 3), 1, 3, 9)
+
+
+def test_verify_quasipolynomial_rejects_orders_below_one():
+    # order 0 is coprime to neither weight; it names no group, so it is refused, not skipped
+    for n_from in (0, -3):
+        with pytest.raises(PreconditionError, match="n_from"):
+            verify_quasipolynomial(GroupParams(2, -3, 5), 1, n_from, 20)

@@ -204,6 +204,15 @@ def test_bad_max_boxes_env_reported(monkeypatch, capsys):
     assert err.startswith("error: EQHILB_MAX_BOXES must be an integer")
 
 
+def test_order_below_one_reported(capsys):
+    for argv in (["verify-period", "--a", "1", "--b", "1"],
+                 ["verify-qpoly", "--a", "2", "--b", "-3"]):
+        code, out, err = run(capsys, *argv, "--r", "1", "--n-from", "-3", "--n-to", "4")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: group order must be >= 1, got -3")
+
+
 def test_non_integer_partition_reported(capsys):
     code, _, err = run(capsys, "betti", "--a", "1", "--b", "-1", "--n", "3",
                        "--partition", "4,x")

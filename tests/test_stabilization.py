@@ -54,6 +54,8 @@ def test_make_split_distinct_errors():
         make_split(GroupParams(1, 1, 2), 2, Partition((3, 1)))
     with pytest.raises(UnbalancedPartitionError):
         make_split(GroupParams(1, 1, 3), 1, Partition((2, 1)))
+    with pytest.raises(UnbalancedPartitionError, match="multiplicity 1"):
+        make_split(GroupParams(1, 1, 3), 1, Partition((3, 3)))  # balanced, r = 2
 
 
 def test_negated_weights_are_normalized():
@@ -171,6 +173,8 @@ def test_psi_inverse_rejects_bad_input():
     g = GroupParams(1, 1, 2)
     with pytest.raises(UnbalancedPartitionError):
         psi_inverse(g, 1, Partition((2, 1)))
+    with pytest.raises(UnbalancedPartitionError, match="multiplicity 1"):
+        psi_inverse(g, 1, Partition((3, 3)))  # balanced at order 3, r = 2
     with pytest.raises(PreconditionError):
         psi_inverse(GroupParams(1, 1, 1), 1, Partition((2,)))
 
@@ -193,3 +197,10 @@ def test_verify_period_skips_below_threshold():
     rep = verify_period(GroupParams(1, 1, 2), 2, 1, 4)
     assert rep["skipped_below_threshold"] == [1, 2]
     assert [c["n"] for c in rep["checks"]] == [3, 4]
+
+
+def test_verify_period_rejects_orders_below_one():
+    # orders below 1 name no group; they are refused, not reported as skipped
+    for n_from in (0, -3):
+        with pytest.raises(PreconditionError, match="n_from"):
+            verify_period(GroupParams(1, 1, 2), 1, n_from, 4)

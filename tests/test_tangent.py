@@ -1,3 +1,4 @@
+import math
 from collections import Counter
 
 import pytest
@@ -181,6 +182,24 @@ def test_l_class_memo_holds_one_entry_per_coloring():
     for n in range(1, 1001):
         assert l_class(GroupParams(1, 1, n), 0) == LPolynomial([1])
     assert tangent._l_class.cache_info().currsize - before <= 2
+
+
+def test_memos_are_bounded_and_recompute_evicted_keys():
+    bound = coloring._MEMO_SIZE
+    groups = [GroupParams(a, b, n) for n in range(2, 12) for a in range(n) for b in range(n)
+              if math.gcd(a, b) == 1]
+    assert len(groups) > bound  # distinct keys, each a family of n boxes
+    first = groups[0]
+    family, lc = enumerate_balanced(first, 1), l_class(first, 1)
+    for g in groups:
+        enumerate_balanced(g, 1)
+        l_class(g, 1)
+    memos = (coloring._balanced_family, tangent._l_class)
+    assert all(memo.cache_info().currsize <= bound for memo in memos)
+    misses = [memo.cache_info().misses for memo in memos]
+    assert enumerate_balanced(first, 1) == family == brute_force_balanced(first, 1)
+    assert l_class(first, 1) == lc
+    assert [memo.cache_info().misses for memo in memos] == [m + 1 for m in misses]
 
 
 def test_l_class_euler_counts_family():
