@@ -1,24 +1,31 @@
 """Boundary-word abaci, n-runners, n-cores and n-quotients.
 
-An abacus is a function ``h : Z -> {0, 1}`` that is 1 far to the left
-and 0 far to the right.  A partition corresponds to the abacus with
-beads (1s) at the positions ``lam_t - t`` for ``t = 1, 2, ...``; reading
-the window from the first 0 to the last 1 gives the boundary word of
-the diagram (0 per horizontal edge step, 1 per vertical edge step).
-Partitions correspond to abaci up to translation; the charge (beads at
-nonnegative positions minus gaps at negative positions) is 0 exactly
-for the alignment above, and is tracked so that translates remain
-distinguishable.
+Everything here reads one representation of a partition, its beta-set:
+for any ``k`` at least its number of parts, the ``k`` distinct
+beta-numbers ``lam_t - t + k`` (``t = 1..k``).  Conversely a finite bead
+set with beads ``x_1 > ... > x_k`` is the partition with parts
+``x_t - (k - t)``; adding one bead at 0 and shifting the others up by
+one leaves it unchanged.
 
-Splitting the window into ``n`` interleaved subsequences ("runners",
-runner ``i`` holding the window positions congruent to ``i`` mod ``n``)
-reads off the n-quotient; pushing every bead of each runner as far left
-as it goes and reading the array back gives the n-core.  Together these
+An abacus is a function ``h : Z -> {0, 1}`` that is 1 far to the left
+and 0 far to the right: the beta-set with ``k`` the number of parts,
+shifted by ``-k``, with every negative position below ``-k`` beaded as
+well.  Reading the window from the first 0 (at ``-k``) to the last 1
+gives the boundary word of the diagram (0 per horizontal edge step, 1
+per vertical edge step).  Partitions correspond to abaci up to
+translation; the charge (beads at nonnegative positions minus gaps at
+negative positions) is 0 exactly for this alignment, and is tracked so
+that translates remain distinguishable.
+
+Bead ``x`` sits at level ``x // n`` on runner ``x % n``.  The levels on
+each runner form a beta-set of their own, whose partition is one
+component of the n-quotient; packing every runner's beads down to the
+levels ``0, 1, ...`` gives the beta-set of the n-core.  Together these
 satisfy ``|lam| = |core| + n * sum(|quotient parts|)``.
 
-Because the window starts at the first 0, which sits at position
-``-(number of parts)``, the runner labels depend on the number of parts
-mod ``n``.  The quotient therefore records this alignment; without it a
+The runners are labelled from the window start, which sits at
+``-(number of parts)``, so the labels depend on the number of parts mod
+``n``.  The quotient therefore records this alignment; without it a
 core/quotient pair can have several preimages (for n = 3, the pair
 (empty core, ((1), {}, {})) is produced by (3), (2,1) and (1,1,1)
 alike) and reconstruction refuses to guess.
@@ -73,38 +80,38 @@ class Abacus:
         return "...11|" + "".join(str(x) for x in self.word) + "|00..."
 
 
-def _partition_from_beads(fin: frozenset[int], floor: int) -> Partition:
-    """Partition of the abacus with finite beads ``fin`` above ``floor``.
+def _beta(lam: Partition, k: int) -> list[int]:
+    """The ``k`` beta-numbers ``lam_t - t + k`` of ``lam``, largest first."""
+    rows = lam.rows + (0,) * (k - len(lam.rows))
+    return [rows[t] + k - t - 1 for t in range(k)]
 
-    Every position below ``floor`` is a bead; at or above it, exactly the
-    members of ``fin`` are.  The reading is translation-normalized (the
-    charge ``len(fin) + floor`` is shifted away first).
-    """
-    c = len(fin) + floor
-    rows = []
-    for t, b in enumerate(sorted(fin, reverse=True), start=1):
-        part = b - c + t
-        if part <= 0:
-            break
-        rows.append(part)
-    return Partition(rows)
+
+def _from_beta(beads) -> Partition:
+    """The partition of a finite bead set: with ``x_1 > ... > x_k``, parts ``x_t - (k - t)``."""
+    xs = sorted(beads, reverse=True)
+    k = len(xs)
+    return Partition(p for p in (x - k + t for t, x in enumerate(xs, 1)) if p > 0)
+
+
+def _runner_beads(beads, n: int) -> list[list[int]]:
+    """Bead ``x`` at level ``x // n`` on runner ``x % n``."""
+    levels = [[] for _ in range(n)]
+    for x in beads:
+        levels[x % n].append(x // n)
+    return levels
 
 
 def to_abacus(lam: Partition) -> Abacus:
     """Canonical (charge-0) abacus of a partition."""
     m = len(lam.rows)
-    if m == 0:
-        return Abacus((), 0)
-    beads = {lam.rows[t] - (t + 1) for t in range(m)}
-    floor = -m  # first gap: every position below -m is a bead, -m never is
-    top = max(beads)
-    word = tuple(1 if z in beads else 0 for z in range(floor, top + 1))
-    return Abacus(word, floor)
+    beads = set(_beta(lam, m))
+    word = tuple(int(x in beads) for x in range(max(beads, default=-1) + 1))
+    return Abacus(word, -m)
 
 
 def from_abacus(ab: Abacus) -> Partition:
     """Partition of an abacus; translates of the same word give the same one."""
-    return _partition_from_beads(ab.beads(), ab.offset)
+    return _from_beta(p - ab.offset for p in ab.beads())
 
 
 @dataclass(frozen=True)
@@ -137,68 +144,24 @@ class MultiPartition:
 def runners(lam: Partition, n: int) -> tuple[MultiPartition, Partition]:
     """Runner decomposition: the n-quotient and the n-core.
 
-    Runner ``i`` collects the window positions congruent to ``i`` mod
-    ``n``, counted from the window start (the first 0); each runner is
-    an abacus in its own right and its partition is component ``i`` of
-    the quotient.  Sorting every runner into ...111000... and reading
-    the array back vertically yields the core.
+    Runner ``i`` holds the beads ``x`` of the beta-set with ``x % n == i``,
+    counted from the window start (the first 0); the levels ``x // n`` on
+    it are a beta-set whose partition is component ``i`` of the
+    quotient.  Packing every runner's beads down and reading the beads
+    back yields the core.
     """
     if n < 1:
         raise PreconditionError(f"n must be >= 1, got {n}")
-    ab = to_abacus(lam)
-    first0 = ab.offset
-    beads = ab.beads()
-    top = first0 + len(ab.word) - 1
-    parts = []
-    charges = []
-    for i in range(n):
-        span = (top - first0 - i) // n + 1
-        rfin = frozenset(t for t in range(max(span, 0)) if (first0 + i + n * t) in beads)
-        parts.append(_partition_from_beads(rfin, 0))
-        charges.append(len(rfin))  # runner charge relative to the window start
-    core_fin = frozenset(
-        first0 + i + n * t for i in range(n) for t in range(charges[i])
-    )
-    core = _partition_from_beads(core_fin, first0)
+    m = len(lam.rows)
+    levels = _runner_beads(_beta(lam, m), n)
+    parts = tuple(_from_beta(run) for run in levels)
+    core = _from_beta(i + n * t for i, run in enumerate(levels) for t in range(len(run)))
     size_check = core.size + n * sum(p.size for p in parts)
     if size_check != lam.size:
         raise InvariantViolationError(
             f"size identity failed for {lam} at n={n}: {lam.size} != {size_check}"
         )
-    return MultiPartition(tuple(parts), alignment=first0 % n), core
-
-
-def _core_class_charges(core: Partition, n: int) -> list[int]:
-    """Per-absolute-residue charges of a core's abacus; rejects non-cores."""
-    ab = to_abacus(core)
-    beads = ab.beads()
-    floor = ab.offset
-    top = floor + len(ab.word) - 1
-    charges = []
-    for s in range(n):
-        t0 = -((s - floor) // n)  # smallest t with s + n*t >= floor
-        hits = [t for t in range(t0, (top - s) // n + 1) if (s + n * t) in beads]
-        if hits != list(range(t0, t0 + len(hits))):
-            raise NotNCoreError(f"{core} is not an {n}-core")
-        charges.append(t0 + len(hits))
-    return charges
-
-
-def _assemble(core_charges: list[int], abs_parts: list[Partition], n: int) -> Partition:
-    """Partition whose absolute runner ``s`` carries ``abs_parts[s]`` at the given charge."""
-    shift = max(1, max(len(p.rows) - c for p, c in zip(abs_parts, core_charges)) + 1)
-    floor = (n - 1) - n * shift  # below this every position is a bead
-    fin = set()
-    for s in range(n):
-        c = core_charges[s]
-        part = abs_parts[s]
-        m = len(part.rows)
-        t0 = -((floor - s) // -n)  # ceil((floor - s) / n)
-        for t in range(t0, c - m):
-            fin.add(s + n * t)
-        for t in range(m):
-            fin.add(s + n * (part.rows[t] - (t + 1) + c))
-    return _partition_from_beads(frozenset(fin), floor)
+    return MultiPartition(parts, alignment=-m % n), core
 
 
 def from_core_quotient(core: Partition, quot: MultiPartition) -> Partition:
@@ -211,14 +174,21 @@ def from_core_quotient(core: Partition, quot: MultiPartition) -> Partition:
     ``AmbiguousQuotientError`` listing the candidates.
     """
     n = len(quot.parts)
-    charges = _core_class_charges(core, n)
+    # with k a multiple of n, runner s holds the absolute residue s
+    core_levels = _runner_beads(_beta(core, -(-len(core.rows) // n) * n), n)
+    if any(run and run[0] != len(run) - 1 for run in core_levels):
+        raise NotNCoreError(f"{core} is not an {n}-core")
     rotations = range(n) if quot.alignment is None else (quot.alignment % n,)
     matches = []
     for rho in rotations:
-        abs_parts = [Partition()] * n
-        for i, p in enumerate(quot.parts):
-            abs_parts[(rho + i) % n] = p
-        candidate = _assemble(charges, abs_parts, n)
+        abs_parts = [quot.parts[(s - rho) % n] for s in range(n)]
+        # one more bead on every runner until each runner holds its part
+        extra = max(0, *(len(p.rows) - len(run) for p, run in zip(abs_parts, core_levels)))
+        candidate = _from_beta(
+            s + n * y
+            for s, (p, run) in enumerate(zip(abs_parts, core_levels))
+            for y in _beta(p, len(run) + extra)
+        )
         got_quot, got_core = runners(candidate, n)
         if got_core == core and got_quot.parts == quot.parts:
             matches.append(candidate)

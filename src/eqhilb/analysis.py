@@ -11,7 +11,6 @@ than assuming a threshold.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import json
 import math
@@ -110,32 +109,21 @@ def check_rectangle_bijection(g: GroupParams, r: int) -> dict:
     return report
 
 
-@functools.lru_cache(maxsize=None)
-def _partition_numbers(top: int) -> tuple[int, ...]:
-    """p(0..top) by the bounded-part recurrence."""
-    counts = [1] + [0] * top
-    for part in range(1, top + 1):
-        for m in range(part, top + 1):
-            counts[m] += counts[m - part]
-    return tuple(counts)
-
-
 def multipartition_count(n: int, r: int) -> int:
     """Number of n-tuples of partitions with total size r.
 
-    Coefficient of ``t^r`` in the n-th power of the partition generating
-    function, computed by power-series convolution.
+    Coefficient of ``t^r`` in ``prod_{k>=1} (1 - t^k)^(-n)``: the series
+    is multiplied ``n`` times by each factor ``1 / (1 - t^k)``, ``k <= r``.
     """
     if n < 1:
         raise PreconditionError(f"n must be >= 1, got {n}")
     if r < 0:
         raise PreconditionError(f"r must be nonnegative, got {r}")
-    p = _partition_numbers(r)
     series = [1] + [0] * r
-    for _ in range(n):
-        series = [
-            sum(series[k] * p[m - k] for k in range(m + 1)) for m in range(r + 1)
-        ]
+    for part in range(1, r + 1):
+        for _ in range(n):
+            for m in range(part, r + 1):
+                series[m] += series[m - part]
     return series[r]
 
 

@@ -190,6 +190,8 @@ def _cmd_betti(args) -> int:
 def _cmd_poincare(args) -> int:
     if args.n is None and (args.n_from is None or args.n_to is None):
         raise EqhilbError("poincare needs --n or both --n-from and --n-to")
+    if args.n is None and args.n_to < args.n_from:
+        raise EqhilbError(f"--n-to {args.n_to} is below --n-from {args.n_from}")
     g0 = coloring.GroupParams(args.a, args.b, args.n_from if args.n is None else args.n)
     ns = [args.n] if args.n is not None else list(range(args.n_from, args.n_to + 1))
     entries = []

@@ -205,16 +205,18 @@ def psi_inverse(g: GroupParams, r: int, mu: Partition) -> Partition:
 def verify_period(g: GroupParams, r: int, n_from: int, n_to: int) -> dict:
     """Desk check of the periodicity: compare L-classes at n and n + a*b.
 
-    The orders run from ``n_from >= 1`` to ``n_to``.  For every n with
-    ``n > r*a*b`` the report records the two coefficient vectors, whether
-    they agree, and a witness that the insertion realizes a
-    statistic-preserving bijection.
+    The orders run from ``n_from >= 1`` to ``n_to``, and at least one of
+    them must exceed ``r*a*b``.  For every n with ``n > r*a*b`` the
+    report records the two coefficient vectors, whether they agree, and a
+    witness that the insertion realizes a statistic-preserving bijection.
     """
     g = _positive_weights(g)
     if n_from < 1:
         raise PreconditionError(f"group orders start at 1, got n_from={n_from}")
     period = g.a * g.b
     rab = r * period
+    if max(n_from, rab + 1) > n_to:
+        raise PreconditionError(f"no order in {n_from}..{n_to} exceeds r*a*b = {rab}")
     checks = []
     skipped = []
     for n in range(n_from, n_to + 1):

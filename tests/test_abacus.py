@@ -7,6 +7,7 @@ from eqhilb import (
     MultiPartition,
     NotNCoreError,
     Partition,
+    PreconditionError,
     from_abacus,
     from_core_quotient,
     has_empty_core,
@@ -15,6 +16,7 @@ from eqhilb import (
     runners,
     to_abacus,
 )
+from oracles import core_by_hook_removal
 
 
 def test_to_abacus_golden():
@@ -78,6 +80,13 @@ def test_size_identity_exhaustive():
                 assert lam.size == core.size + n * quot.total()
 
 
+def test_core_matches_hook_removal_oracle():
+    for m in range(15):
+        for lam in partitions_of(m):
+            for n in range(1, 6):
+                assert runners(lam, n)[1] == core_by_hook_removal(lam, n), (lam, n)
+
+
 def test_core_quotient_roundtrip_exhaustive():
     for m in range(16):
         for lam in partitions_of(m):
@@ -95,6 +104,15 @@ def test_from_core_quotient_golden():
 def test_from_core_quotient_rejects_non_core():
     with pytest.raises(NotNCoreError):
         from_core_quotient(Partition((2, 1)), MultiPartition((Partition(),) * 3, alignment=0))
+
+
+def test_from_core_quotient_rejects_wrong_alignment():
+    # (1,1,1) has 2-core (1) and 2-quotient ((1), {}) at alignment 1; no
+    # partition has that pair at alignment 0
+    quot, core = runners(Partition((1, 1, 1)), 2)
+    assert quot.alignment == 1
+    with pytest.raises(PreconditionError, match="with the given alignment"):
+        from_core_quotient(core, MultiPartition(quot.parts, alignment=0))
 
 
 def test_bare_quotient_can_be_ambiguous():

@@ -213,6 +213,21 @@ def test_order_below_one_reported(capsys):
         assert err.startswith("error: group order must be >= 1, got -3")
 
 
+def test_empty_order_range_reported(capsys):
+    for argv, message in (
+        (["verify-period", "--a", "1", "--b", "2", "--r", "3", "--n-from", "1", "--n-to", "5"],
+         "error: no order in 1..5 exceeds r*a*b = 6"),
+        (["verify-period", "--a", "1", "--b", "2", "--r", "1", "--n-from", "5", "--n-to", "2"],
+         "error: no order in 5..2 exceeds r*a*b = 2"),
+        (["poincare", "--a", "1", "--b", "2", "--r", "1", "--n-from", "5", "--n-to", "2"],
+         "error: --n-to 2 is below --n-from 5"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert err.startswith(message)
+
+
 def test_non_integer_partition_reported(capsys):
     code, _, err = run(capsys, "betti", "--a", "1", "--b", "-1", "--n", "3",
                        "--partition", "4,x")

@@ -204,3 +204,15 @@ def test_verify_period_rejects_orders_below_one():
     for n_from in (0, -3):
         with pytest.raises(PreconditionError, match="n_from"):
             verify_period(GroupParams(1, 1, 2), 1, n_from, 4)
+
+
+def test_verify_period_refuses_ranges_with_nothing_to_check():
+    # every order at or below r*a*b, an order range ending at the threshold,
+    # and a reversed range: no check would run, so none passes vacuously
+    for (a, b), r, n_from, n_to in (((1, 2), 3, 1, 5), ((1, 1), 2, 1, 2), ((1, 2), 1, 5, 2)):
+        with pytest.raises(PreconditionError, match=r"exceeds r\*a\*b"):
+            verify_period(GroupParams(a, b, n_from), r, n_from, n_to)
+    # one order above the threshold is enough
+    rep = verify_period(GroupParams(1, 1, 2), 2, 1, 3)
+    assert rep["skipped_below_threshold"] == [1, 2]
+    assert [c["n"] for c in rep["checks"]] == [3]
