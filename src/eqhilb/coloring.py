@@ -137,8 +137,10 @@ def enumerate_balanced(g: GroupParams, r: int) -> tuple[Partition, ...]:
     """All balanced partitions of ``r*n`` for the coloring ``g``, sorted.
 
     Diagrams are built row by row (largest row first) while tracking the
-    color histogram; a prefix is abandoned as soon as some color exceeds
-    ``r``, which keeps desk-scale enumerations fast.  The brute-force
+    color histogram.  Each later row puts one box in column 0, so the
+    column-0 boxes the histogram can still take (no color above ``r``)
+    bound the rows left, and the next row is at least the remaining
+    boxes over that count; no shorter row is tried.  The brute-force
     filter over all partitions of ``r*n`` is kept in the test suite as
     the oracle for this generator.
     """
@@ -157,9 +159,29 @@ def _balanced_family(key: tuple[int, int, int, int]) -> tuple[Partition, ...]:
         if remaining == 0:
             found.append(Partition(rows))
             return
-        length = min(max_row, remaining)
+        # every row from j on puts one box in column 0: count how many
+        # of those boxes the histogram can still take, so row j, the
+        # longest of the rest, holds at least remaining / rows_left
         row_start = (bm * j) % n
-        while length >= 1:
+        rows_left = 0
+        s = row_start
+        while rows_left < remaining and counts[s] < r:
+            counts[s] += 1
+            rows_left += 1
+            s += bm
+            if s >= n:
+                s -= n
+        s = row_start
+        for _ in range(rows_left):
+            counts[s] -= 1
+            s += bm
+            if s >= n:
+                s -= n
+        if rows_left == 0:
+            return
+        shortest = -(-remaining // rows_left)
+        length = min(max_row, remaining)
+        while length >= shortest:
             added = 0
             overflow_at = -1
             s = row_start

@@ -1,13 +1,40 @@
 """Brute-force references that the fast paths of the package are tested against."""
 
+import functools
+
 from eqhilb import Partition, enumerate_balanced, is_balanced, partitions_of, psi
+
+
+@functools.cache
+def _partitions(size):
+    return tuple(partitions_of(size))
 
 
 def brute_force_balanced(g, r):
     """Filter all partitions of r*n by the balance test."""
     return tuple(
-        sorted(lam for lam in partitions_of(r * g.n) if is_balanced(g, lam) == (True, r))
+        sorted(lam for lam in _partitions(r * g.n) if is_balanced(g, lam) == (True, r))
     )
+
+
+def gottsche_l_class(n, r):
+    """Coefficients in L of the class of Hilb^r of the minimal resolution of
+    A_{n-1}: the coefficient of t^r in
+    prod_{k>=1} 1/((1 - L^{k+1} t^k)(1 - L^k t^k)^{n-1})  (Goettsche).
+    Each factor 1/(1 - x) turns the series S into T = S + x*T, filled in
+    by increasing power of t; no power of L in the t^r term exceeds 2r."""
+    top = 2 * r
+    series = [[0] * (top + 1) for _ in range(r + 1)]
+    series[0][0] = 1
+    for k in range(1, r + 1):
+        for e in [k + 1] + [k] * (n - 1):
+            for d in range(k, r + 1):
+                for i, c in enumerate(series[d - k][:top + 1 - e]):
+                    series[d][i + e] += c
+    coeffs = series[r]
+    while coeffs and coeffs[-1] == 0:
+        coeffs.pop()
+    return coeffs
 
 
 def psi_inverse_by_search(g, r, mu):

@@ -91,6 +91,14 @@ def test_enumerate_matches_brute_force_grid():
                 assert enumerate_balanced(g, r) == brute_force_balanced(g, r), (g, r)
 
 
+def test_enumerate_matches_brute_force_beyond_grid():
+    """Larger families, where the column-0 bound prunes most of the search."""
+    for a, b, n, r in [(1, 2, 10, 3), (1, 3, 13, 2), (3, 4, 15, 2),
+                       (2, 5, 14, 2), (1, -1, 15, 2), (1, -2, 10, 3)]:
+        g = GroupParams(a, b, n)
+        assert enumerate_balanced(g, r) == brute_force_balanced(g, r), (g, r)
+
+
 def test_negation_invariance():
     for a, b, n in [(1, 1, 4), (1, -2, 5), (2, 3, 7)]:
         g, neg = GroupParams(a, b, n), GroupParams(-a, -b, n)
@@ -108,7 +116,7 @@ def test_conjugation_swaps_weights():
 
 def test_n_equals_one_gives_all_partitions():
     g = GroupParams(1, 1, 1)
-    for r in range(9):
+    for r in range(15):
         assert enumerate_balanced(g, r) == tuple(sorted(partitions_of(r)))
 
 

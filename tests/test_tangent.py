@@ -20,7 +20,7 @@ from eqhilb import (
     multipartition_count,
 )
 from eqhilb import coloring, tangent
-from oracles import brute_force_balanced
+from oracles import brute_force_balanced, gottsche_l_class
 
 
 def numeric_cell_dimension(g, lam, q=1):
@@ -200,6 +200,41 @@ def test_memos_are_bounded_and_recompute_evicted_keys():
     assert enumerate_balanced(first, 1) == family == brute_force_balanced(first, 1)
     assert l_class(first, 1) == lc
     assert [memo.cache_info().misses for memo in memos] == [m + 1 for m in misses]
+
+
+def test_l_class_matches_gottsche_product():
+    """(1,-1;n) is the A_{n-1} singularity; its Hilbert schemes of points
+    on the minimal resolution have Goettsche's product as class."""
+    cases = [(n, r) for n in range(1, 11) for r in range(1, 6) if r * n <= 40]
+    for n, r in cases + [(40, 2)]:
+        assert list(l_class(GroupParams(1, -1, n), r).coeffs) == gottsche_l_class(n, r), (n, r)
+
+
+GRID_WEIGHTS = [(1, 1), (1, 2), (2, 3), (1, -1), (1, -2), (2, -3), (1, 3)]
+
+
+def test_l_class_invariant_under_unit_scaling():
+    """A unit u of Z/n gives the same group, so (a, b) and the residues of
+    (u*a, u*b) share the class; a residue pair that is not coprime is skipped."""
+    for a, b in GRID_WEIGHTS:
+        for n in range(1, 9):
+            for u in range(2, n):
+                scaled = (u * a % n, u * b % n)
+                if math.gcd(u, n) != 1 or math.gcd(*scaled) != 1:
+                    continue
+                for r in range(1, 24 // n + 1):
+                    assert l_class(GroupParams(a, b, n), r) == \
+                        l_class(GroupParams(*scaled, n), r), (a, b, n, u, r)
+
+
+def test_l_class_invariant_under_swapping_weights():
+    """Exchanging the two coordinates of the plane swaps the weights and
+    gives an isomorphic Hilbert scheme."""
+    for a, b in GRID_WEIGHTS:
+        for n in range(1, 9):
+            for r in range(1, 24 // n + 1):
+                assert l_class(GroupParams(a, b, n), r) == \
+                    l_class(GroupParams(b, a, n), r), (a, b, n, r)
 
 
 def test_l_class_euler_counts_family():
