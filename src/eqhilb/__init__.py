@@ -30,7 +30,6 @@ from .analysis import (
 )
 from .coloring import (
     GroupParams,
-    WeightVector,
     color,
     enumerate_balanced,
     is_balanced,
@@ -85,7 +84,6 @@ __all__ = [
     "Quasipolynomial",
     "SplitContext",
     "UnbalancedPartitionError",
-    "WeightVector",
     "betti_statistic",
     "check_rectangle_bijection",
     "color",

@@ -42,12 +42,8 @@ def _jdump(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True, ensure_ascii=True)
 
 
-def _residue_char(s: int) -> str:
-    return _DIGITS[s] if s < len(_DIGITS) else "?"
-
-
 def _colored_diagram(g: coloring.GroupParams, lam: Partition) -> str:
-    return diagram(lam, cell=lambda box: _residue_char(coloring.color(g, box)))
+    return diagram(lam, cell=lambda box: _DIGITS[coloring.color(g, box)])
 
 
 def young_svg(lam: Partition, g: coloring.GroupParams | None = None, arrows=None) -> str:
@@ -190,6 +186,8 @@ def _cmd_betti(args) -> int:
 def _cmd_poincare(args) -> int:
     if args.n is None and (args.n_from is None or args.n_to is None):
         raise EqhilbError("poincare needs --n or both --n-from and --n-to")
+    if args.n is not None and (args.n_from is not None or args.n_to is not None):
+        raise EqhilbError("poincare takes --n or --n-from and --n-to, not both")
     if args.n is None and args.n_to < args.n_from:
         raise EqhilbError(f"--n-to {args.n_to} is below --n-from {args.n_from}")
     g0 = coloring.GroupParams(args.a, args.b, args.n_from if args.n is None else args.n)
@@ -302,6 +300,8 @@ def _cmd_hj(args) -> int:
 
 
 def _cmd_check_star(args) -> int:
+    if args.partition is not None and (args.n is not None or args.r is not None):
+        raise EqhilbError("check-star takes --partition or --n and --r, not both")
     if args.partition is not None:
         lam = Partition.parse(args.partition)
         ok = analysis.satisfies_star(lam, args.a, args.b)
@@ -438,6 +438,9 @@ def main(argv=None) -> int:
     try:
         if getattr(args, "render", None) == "svg" and not args.out:
             raise EqhilbError("--render svg requires --out FILE")
+        if getattr(args, "render", None) == "ascii" and args.n > len(_DIGITS):
+            raise EqhilbError(f"--render ascii shows at most {len(_DIGITS)} colors, "
+                              f"got --n {args.n}")
         return args.func(args)
     except EqhilbError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -54,29 +54,13 @@ class GroupParams:
         return f"({self.a},{self.b};{self.n})"
 
 
-@dataclass(frozen=True)
-class WeightVector:
-    """Residue histogram of a colored diagram: counts[s] boxes of color s."""
-
-    counts: tuple[int, ...]
-
-    def total(self) -> int:
-        return sum(self.counts)
-
-    def uniform_multiplicity(self) -> int | None:
-        """The common value of all entries, or None if they differ."""
-        if not self.counts:
-            return None
-        r = self.counts[0]
-        return r if all(c == r for c in self.counts) else None
-
-
 def color(g: GroupParams, box: Box) -> int:
     """Residue ``a*i + b*j mod n`` of a box, always in ``[0, n)``."""
     return (g.a * box[0] + g.b * box[1]) % g.n
 
 
-def weight_vector(g: GroupParams, lam: Partition) -> WeightVector:
+def weight_vector(g: GroupParams, lam: Partition) -> tuple[int, ...]:
+    """Residue histogram of a colored diagram: entry ``s`` counts the boxes of color ``s``."""
     counts = [0] * g.n
     am, bm, n = g.a % g.n, g.b % g.n, g.n
     for j, length in enumerate(lam.rows):
@@ -86,7 +70,7 @@ def weight_vector(g: GroupParams, lam: Partition) -> WeightVector:
             s += am
             if s >= n:
                 s -= n
-    return WeightVector(tuple(counts))
+    return tuple(counts)
 
 
 def is_balanced(g: GroupParams, lam: Partition) -> tuple[bool, int | None]:
@@ -94,14 +78,15 @@ def is_balanced(g: GroupParams, lam: Partition) -> tuple[bool, int | None]:
 
     The empty partition is balanced with multiplicity 0.
     """
-    r = weight_vector(g, lam).uniform_multiplicity()
-    return (r is not None, r)
+    counts = weight_vector(g, lam)
+    r = counts[0]
+    return (True, r) if counts.count(r) == g.n else (False, None)
 
 
 def _require_balanced(g: GroupParams, lam: Partition, r: int | None = None) -> int:
     """The multiplicity of ``lam``; raises unless it is balanced (with multiplicity ``r``)."""
-    mult = weight_vector(g, lam).uniform_multiplicity()
-    if mult is None or (r is not None and mult != r):
+    balanced, mult = is_balanced(g, lam)
+    if not balanced or (r is not None and mult != r):
         what = "balanced" if r is None else f"balanced with multiplicity {r}"
         raise UnbalancedPartitionError(f"{lam} is not {what} for {g}")
     return mult
@@ -140,9 +125,11 @@ def enumerate_balanced(g: GroupParams, r: int) -> tuple[Partition, ...]:
     color histogram.  Each later row puts one box in column 0, so the
     column-0 boxes the histogram can still take (no color above ``r``)
     bound the rows left, and the next row is at least the remaining
-    boxes over that count; no shorter row is tried.  The brute-force
-    filter over all partitions of ``r*n`` is kept in the test suite as
-    the oracle for this generator.
+    boxes over that count.  Each row is filled once, as far as the
+    histogram and the row above allow, and then shrunk one box at a time
+    down to that bound; every shorter row is a prefix, so it fits too.
+    The brute-force filter over all partitions of ``r*n`` is kept in the
+    test suite as the oracle for this generator.
     """
     return _balanced_family(_family_key(g, r))
 
@@ -150,65 +137,50 @@ def enumerate_balanced(g: GroupParams, r: int) -> tuple[Partition, ...]:
 @functools.lru_cache(maxsize=_MEMO_SIZE)
 def _balanced_family(key: tuple[int, int, int, int]) -> tuple[Partition, ...]:
     am, bm, n, r = key
-    total = r * n
     counts = [0] * n
     rows: list[int] = []
     found: list[Partition] = []
+
+    def fill(s: int, step: int, limit: int) -> int:
+        """Add boxes of colors s, s+step, ... (mod n) while each color holds
+        fewer than r, at most ``limit`` of them; return how many were added."""
+        added = 0
+        while added < limit and counts[s] < r:
+            counts[s] += 1
+            added += 1
+            s += step
+            if s >= n:
+                s -= n
+        return added
+
+    def drain(s: int, step: int, k: int) -> None:
+        """Remove the first ``k`` boxes a ``fill(s, step, ...)`` added."""
+        for _ in range(k):
+            counts[s] -= 1
+            s += step
+            if s >= n:
+                s -= n
 
     def extend(remaining: int, max_row: int, j: int) -> None:
         if remaining == 0:
             found.append(Partition(rows))
             return
-        # every row from j on puts one box in column 0: count how many
-        # of those boxes the histogram can still take, so row j, the
+        # every row from j on puts one box in column 0, so row j, the
         # longest of the rest, holds at least remaining / rows_left
-        row_start = (bm * j) % n
-        rows_left = 0
-        s = row_start
-        while rows_left < remaining and counts[s] < r:
-            counts[s] += 1
-            rows_left += 1
-            s += bm
-            if s >= n:
-                s -= n
-        s = row_start
-        for _ in range(rows_left):
-            counts[s] -= 1
-            s += bm
-            if s >= n:
-                s -= n
+        start = (bm * j) % n
+        rows_left = fill(start, bm, remaining)
+        drain(start, bm, rows_left)
         if rows_left == 0:
             return
         shortest = -(-remaining // rows_left)
-        length = min(max_row, remaining)
+        length = fill(start, am, min(max_row, remaining))
         while length >= shortest:
-            added = 0
-            overflow_at = -1
-            s = row_start
-            for i in range(length):
-                counts[s] += 1
-                added += 1
-                if counts[s] > r:
-                    overflow_at = i
-                    break
-                s += am
-                if s >= n:
-                    s -= n
-            if overflow_at < 0:
-                rows.append(length)
-                extend(remaining - length, length, j + 1)
-                rows.pop()
-                next_length = length - 1
-            else:
-                # any row reaching the overflowing box fails the same way
-                next_length = overflow_at
-            s = row_start
-            for _ in range(added):
-                counts[s] -= 1
-                s += am
-                if s >= n:
-                    s -= n
-            length = next_length
+            rows.append(length)
+            extend(remaining - length, length, j + 1)
+            rows.pop()
+            counts[(start + am * (length - 1)) % n] -= 1
+            length -= 1
+        drain(start, am, length)
 
-    extend(total, total, 0)
+    extend(r * n, r * n, 0)
     return tuple(sorted(found))

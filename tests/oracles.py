@@ -2,7 +2,7 @@
 
 import functools
 
-from eqhilb import Partition, enumerate_balanced, is_balanced, partitions_of, psi
+from eqhilb import Partition, enumerate_balanced, partitions_of, psi
 
 
 @functools.cache
@@ -11,10 +11,17 @@ def _partitions(size):
 
 
 def brute_force_balanced(g, r):
-    """Filter all partitions of r*n by the balance test."""
-    return tuple(
-        sorted(lam for lam in _partitions(r * g.n) if is_balanced(g, lam) == (True, r))
-    )
+    """Filter all partitions of r*n by counting the color (a*i + b*j) % n
+    of each box."""
+
+    def balanced(lam):
+        counts = [0] * g.n
+        for j, length in enumerate(lam.rows):
+            for i in range(length):
+                counts[(g.a * i + g.b * j) % g.n] += 1
+        return counts == [r] * g.n
+
+    return tuple(sorted(lam for lam in _partitions(r * g.n) if balanced(lam)))
 
 
 def gottsche_l_class(n, r):

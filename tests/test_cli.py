@@ -155,6 +155,15 @@ def test_render_ascii(capsys):
     assert "012" in out  # the single-row diagram colored 0,1,2
 
 
+def test_render_ascii_refuses_more_colors_than_digits(capsys):
+    for argv in (["enumerate", "--a", "1", "--b", "1", "--n", "40", "--r", "1"],
+                 ["betti", "--a", "1", "--b", "1", "--n", "37", "--partition", "37"]):
+        code, out, err = run(capsys, *argv, "--render", "ascii")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: --render ascii shows at most 36 colors")
+
+
 def test_render_svg(tmp_path, capsys):
     target = tmp_path / "diagram.svg"
     code, _, _ = run(capsys, "betti", "--a", "1", "--b", "-1", "--n", "3",
@@ -226,6 +235,24 @@ def test_empty_order_range_reported(capsys):
         assert code == 1
         assert out == ""
         assert err.startswith(message)
+
+
+def test_poincare_refuses_order_with_range(capsys):
+    for extra in (["--n-from", "2"], ["--n-to", "5"], ["--n-from", "2", "--n-to", "5"]):
+        code, out, err = run(capsys, "poincare", "--a", "1", "--b", "1", "--r", "1",
+                             "--n", "3", *extra)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: poincare takes --n or --n-from and --n-to, not both")
+
+
+def test_check_star_refuses_partition_with_group_order(capsys):
+    for extra in (["--n", "5", "--r", "1"], ["--n", "5"], ["--r", "1"]):
+        code, out, err = run(capsys, "check-star", "--a", "1", "--b", "-2",
+                             "--partition", "2,2", *extra)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: check-star takes --partition or --n and --r, not both")
 
 
 def test_non_integer_partition_reported(capsys):

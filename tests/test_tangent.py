@@ -2,6 +2,8 @@ import math
 from collections import Counter
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from eqhilb import (
     Box,
@@ -235,6 +237,21 @@ def test_l_class_invariant_under_swapping_weights():
             for r in range(1, 24 // n + 1):
                 assert l_class(GroupParams(a, b, n), r) == \
                     l_class(GroupParams(b, a, n), r), (a, b, n, r)
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.sampled_from(GRID_WEIGHTS), st.integers(1, 8), st.data())
+def test_l_class_independent_of_torus_direction(weights, n, data):
+    """Every direction (p, q) with p, q > 0 contracts the plane, so the
+    cells it attracts give the same class as the lexicographic direction."""
+    g = GroupParams(*weights, n)
+    r = data.draw(st.integers(1, 24 // n))
+    p = data.draw(st.integers(1, 50))
+    q = data.draw(st.integers(1, 50))
+    family = [cotangent_weights(g, lam) for lam in enumerate_balanced(g, r)]
+    assume(all(p * w1 + q * w2 != 0 for ws in family for w1, w2 in ws))
+    dims = Counter(sum(p * w1 + q * w2 > 0 for w1, w2 in ws) for ws in family)
+    assert LPolynomial([dims[k] for k in range(2 * r + 1)]) == l_class(g, r)
 
 
 def test_l_class_euler_counts_family():
