@@ -47,10 +47,7 @@ from .errors import (
 )
 from .partitions import Box, Partition, diagram, partitions_of
 from .stabilization import (
-    SplitContext,
     diagonal,
-    make_split,
-    phi,
     psi,
     psi_inverse,
     verify_period,
@@ -59,10 +56,8 @@ from .tangent import (
     Arrow,
     LPolynomial,
     betti_statistic,
-    cotangent_weights,
     distinguished_arrows,
     invariant_arrows,
-    is_lex_positive,
     l_class,
 )
 
@@ -82,12 +77,10 @@ __all__ = [
     "Partition",
     "PreconditionError",
     "Quasipolynomial",
-    "SplitContext",
     "UnbalancedPartitionError",
     "betti_statistic",
     "check_rectangle_bijection",
     "color",
-    "cotangent_weights",
     "diagonal",
     "diagram",
     "distinguished_arrows",
@@ -99,13 +92,10 @@ __all__ = [
     "hj_expand",
     "invariant_arrows",
     "is_balanced",
-    "is_lex_positive",
     "l_class",
-    "make_split",
     "multipartition_count",
     "normalize_group",
     "partitions_of",
-    "phi",
     "psi",
     "psi_inverse",
     "rectangle_map",

@@ -133,6 +133,8 @@ def _cmd_enumerate(args) -> int:
         {"partition": str(lam), "betti": tangent.betti_statistic(g, lam)}
         for lam in found
     ]
+    if args.render == "svg":
+        _write_svg(args, "\n".join(young_svg(lam, g) for lam in found))
     if args.format == "json":
         _emit(_jdump({"group": {"a": g.a, "b": g.b, "n": g.n}, "r": args.r,
                       "partitions": entries}))
@@ -148,9 +150,6 @@ def _cmd_enumerate(args) -> int:
             for lam in found:
                 _emit("")
                 _emit(_colored_diagram(g, lam))
-    if args.render == "svg":
-        svgs = [young_svg(lam, g) for lam in found]
-        _write_svg(args, "\n".join(svgs))
     return 0
 
 
@@ -159,6 +158,8 @@ def _cmd_betti(args) -> int:
     lam = Partition.parse(args.partition)
     beta = tangent.betti_statistic(g, lam)
     arrows = tangent.invariant_arrows(g, lam)
+    if args.render == "svg":
+        _write_svg(args, young_svg(lam, g, arrows=arrows))
     if args.format == "json":
         _emit(_jdump({
             "group": {"a": g.a, "b": g.b, "n": g.n},
@@ -178,8 +179,6 @@ def _cmd_betti(args) -> int:
                   f"head {tuple(ar.head)}, weight {ar.weight}")
         if args.render == "ascii":
             _emit(_colored_diagram(g, lam))
-    if args.render == "svg":
-        _write_svg(args, young_svg(lam, g, arrows=arrows))
     return 0
 
 
@@ -436,9 +435,14 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        if getattr(args, "render", None) == "svg" and not args.out:
+        render = getattr(args, "render", None)
+        if render == "svg" and not args.out:
             raise EqhilbError("--render svg requires --out FILE")
-        if getattr(args, "render", None) == "ascii" and args.n > len(_DIGITS):
+        if render != "svg" and getattr(args, "out", None) is not None:
+            raise EqhilbError("--out FILE is written only with --render svg")
+        if render == "ascii" and args.format != "text":
+            raise EqhilbError(f"--render ascii draws only text output, got --format {args.format}")
+        if render == "ascii" and args.n > len(_DIGITS):
             raise EqhilbError(f"--render ascii shows at most {len(_DIGITS)} colors, "
                               f"got --n {args.n}")
         return args.func(args)

@@ -19,8 +19,6 @@ available ``i0`` is used for determinism.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .coloring import GroupParams, _require_balanced, color, enumerate_balanced, is_balanced
 from .errors import InvariantViolationError, PreconditionError
 from .partitions import Box, Partition
@@ -54,76 +52,23 @@ def diagonal(g: GroupParams, k: int) -> tuple[Box, ...]:
     return tuple(points)
 
 
-@dataclass(frozen=True)
-class SplitContext:
-    """Anchor-induced split of a balanced diagram into regions A and B.
+def _anchor(g: GroupParams, r: int, lam: Partition) -> Box:
+    """The off-diagram point of diagonal ``r*a*b`` with the smallest ``i``.
 
-    Region A is ``{i < i0, j >= j0}``, region B is ``{i >= i0, j < j0}``;
-    every box colored in ``[r*a*b, n-1]`` lies in exactly one of them.
-    """
-
-    g: GroupParams  # positive weights
-    r: int
-    lam: Partition
-    anchor: Box
-
-    def in_region_a(self, box) -> bool:
-        i, j = box
-        return i < self.anchor.i and j >= self.anchor.j
-
-    def in_region_b(self, box) -> bool:
-        i, j = box
-        return i >= self.anchor.i and j < self.anchor.j
-
-    def split_of_class(self, k: int) -> tuple[tuple[Box, ...], tuple[Box, ...]]:
-        """Boxes of color class k in region A and in region B."""
-        a_side, b_side = [], []
-        for box in self.lam.boxes():
-            if color(self.g, box) != k:
-                continue
-            if self.in_region_a(box):
-                a_side.append(box)
-            elif self.in_region_b(box):
-                b_side.append(box)
-        return tuple(a_side), tuple(b_side)
-
-
-def make_split(g: GroupParams, r: int, lam: Partition, anchor: Box | None = None) -> SplitContext:
-    """Build the region split for a balanced diagram; anchor defaults to smallest i0.
-
-    Preconditions are reported distinctly: weights of equal sign,
+    ``g`` has positive weights.  Preconditions are reported distinctly:
     ``n > r*a*b``, and ``lam`` balanced with multiplicity ``r``.
     """
-    g = _positive_weights(g)
     rab = r * g.a * g.b
     if g.n <= rab:
         raise PreconditionError(f"requires n > r*a*b, got n={g.n} <= {rab}")
     _require_balanced(g, lam, r)
-    free = [pt for pt in diagonal(g, rab) if pt not in lam]
-    if not free:
-        raise InvariantViolationError(
-            f"no anchor available on diagonal {rab} for {lam}; this cannot "
-            "happen for a balanced diagram"
-        )
-    if anchor is None:
-        anchor = free[0]  # diagonal() lists points by ascending i
-    elif anchor not in free:
-        raise PreconditionError(f"anchor {anchor} is not an off-diagram point of diagonal {rab}")
-    return SplitContext(g, r, lam, anchor)
-
-
-def phi(ctx: SplitContext, box) -> Box:
-    """Shift a region-A box down by a, a region-B box left by b.
-
-    Restricted to the boxes of any color class ``k`` in ``[r*a*b, n-1]``
-    this is a bijection onto the class ``k - a*b`` boxes.
-    """
-    i, j = box
-    if ctx.in_region_a(box):
-        return Box(i, j - ctx.g.a)
-    if ctx.in_region_b(box):
-        return Box(i - ctx.g.b, j)
-    raise PreconditionError(f"{box} lies in neither region of the split at {ctx.anchor}")
+    for pt in diagonal(g, rab):  # listed by ascending i
+        if pt not in lam:
+            return pt
+    raise InvariantViolationError(
+        f"no anchor available on diagonal {rab} for {lam}; this cannot "
+        "happen for a balanced diagram"
+    )
 
 
 def _reassemble(rows: list[int], heights: list[int], j0: int) -> Partition:
@@ -149,10 +94,9 @@ def psi(g: GroupParams, r: int, lam: Partition) -> Partition:
     same Betti statistic; any failure of these guarantees raises, it is
     never repaired.
     """
-    ctx = make_split(g, r, lam)
-    g = ctx.g
+    g = _positive_weights(g)
     a, b, n = g.a, g.b, g.n
-    i0, j0 = ctx.anchor
+    i0, j0 = _anchor(g, r, lam)
     heights = [lam.col_height(i) for i in range(i0)]
     rows = [lam.row_len(j) for j in range(j0)]
     for box in lam.boxes():
@@ -185,7 +129,7 @@ def psi_inverse(g: GroupParams, r: int, mu: Partition) -> Partition:
     if n <= rab:
         raise PreconditionError(f"requires n > r*a*b, got n={n} <= {rab}")
     big = g.with_n(n + a * b)
-    i0, j0 = make_split(big, r, mu).anchor
+    i0, j0 = _anchor(big, r, mu)
     heights = [0] * i0
     rows = [0] * j0
     for box in mu.boxes():

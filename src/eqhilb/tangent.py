@@ -81,11 +81,6 @@ def invariant_arrows(g: GroupParams, lam: Partition) -> tuple[Arrow, ...]:
     )
 
 
-def is_lex_positive(weight: tuple[int, int]) -> bool:
-    """Positivity under any torus direction with p >> q > 0."""
-    return weight[0] > 0 or (weight[0] == 0 and weight[1] > 0)
-
-
 def _cell_dimension(a: int, b: int, n: int, lam: Partition) -> int:
     """The hook count of the module docstring; ``lam`` must be balanced.
 
@@ -112,15 +107,6 @@ def betti_statistic(g: GroupParams, lam: Partition) -> int:
     """
     _require_balanced(g, lam)
     return _cell_dimension(g.a, g.b, g.n, lam)
-
-
-def cotangent_weights(g: GroupParams, lam: Partition) -> tuple[tuple[int, int], ...]:
-    """Multiset of torus weights on the cotangent space, as a sorted tuple.
-
-    Always of cardinality ``2r`` on a balanced diagram of ``r*n`` boxes.
-    """
-    _require_balanced(g, lam)
-    return tuple(sorted(ar.weight for ar in invariant_arrows(g, lam)))
 
 
 class LPolynomial:

@@ -2,7 +2,16 @@
 
 import functools
 
-from eqhilb import Partition, enumerate_balanced, partitions_of, psi
+from eqhilb import (
+    Box,
+    Partition,
+    PreconditionError,
+    color,
+    enumerate_balanced,
+    invariant_arrows,
+    partitions_of,
+    psi,
+)
 
 
 @functools.cache
@@ -48,6 +57,40 @@ def psi_inverse_by_search(g, r, mu):
     """Preimage of ``mu`` under the insertion step, found by applying the
     insertion to every balanced diagram at order ``n``; None if there is none."""
     return next((lam for lam in enumerate_balanced(g, r) if psi(g, r, lam) == mu), None)
+
+
+def split_of_class(g, lam, anchor, k):
+    """Boxes of color class k in region A (strictly left of the anchor, at
+    or above its row) and in region B (at or right of the anchor, strictly
+    below its row), the split the insertion step cuts at; g has positive
+    weights."""
+    boxes = [box for box in lam.boxes() if color(g, box) == k]
+    return (
+        tuple(box for box in boxes if box.i < anchor.i and box.j >= anchor.j),
+        tuple(box for box in boxes if box.i >= anchor.i and box.j < anchor.j),
+    )
+
+
+def phi(g, anchor, box):
+    """Shift a region-A box down by a, a region-B box left by b.  Restricted
+    to a color class k in [r*a*b, n-1] it should biject onto class k - a*b."""
+    i, j = box
+    if i < anchor.i and j >= anchor.j:
+        return Box(i, j - g.a)
+    if i >= anchor.i and j < anchor.j:
+        return Box(i - g.b, j)
+    raise PreconditionError(f"{box} lies in neither region of the split at {anchor}")
+
+
+def cotangent_weights(g, lam):
+    """Torus weights on the cotangent space at a balanced diagram, sorted:
+    the weights of its invariant arrows, 2r of them for r*n boxes."""
+    return tuple(sorted(ar.weight for ar in invariant_arrows(g, lam)))
+
+
+def is_lex_positive(weight):
+    """Positivity under any torus direction with p >> q > 0."""
+    return weight[0] > 0 or (weight[0] == 0 and weight[1] > 0)
 
 
 def core_by_hook_removal(lam, n):

@@ -13,7 +13,6 @@ from eqhilb import (
     Quasipolynomial,
     betti_statistic,
     check_rectangle_bijection,
-    cotangent_weights,
     diagonal,
     enumerate_balanced,
     from_abacus,
@@ -21,9 +20,7 @@ from eqhilb import (
     hj_expand,
     invariant_arrows,
     is_balanced,
-    is_lex_positive,
     l_class,
-    make_split,
     multipartition_count,
     partitions_of,
     psi,
@@ -33,7 +30,7 @@ from eqhilb import (
     verify_quasipolynomial,
     weight_vector,
 )
-from oracles import psi_inverse_by_search
+from oracles import cotangent_weights, is_lex_positive, psi_inverse_by_search, split_of_class
 
 
 def report(name, ok, detail=""):
@@ -253,14 +250,13 @@ def test_property_suite_anchor_independence():
         rab = r * a * b
         for lam in enumerate_balanced(g, r):
             anchors = [pt for pt in diagonal(g, rab) if pt not in lam]
-            contexts = [make_split(g, r, lam, anchor=pt) for pt in anchors]
             for k in range(rab, n):
                 if not any(
                     (k - rab - a * u) >= 0 and (k - rab - a * u) % b == 0
                     for u in range((k - rab) // a + 1)
                 ):
                     continue
-                if len({ctx.split_of_class(k) for ctx in contexts}) != 1:
+                if len({split_of_class(g, lam, pt, k) for pt in anchors}) != 1:
                     ok = False
     report("region split independent of anchor choice", ok)
 

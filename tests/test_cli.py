@@ -186,6 +186,46 @@ def test_svg_requires_out(capsys):
         assert out == ""
 
 
+def test_enumerate_refuses_ascii_render_with_json_or_csv(capsys):
+    for fmt in ("json", "csv"):
+        code, out, err = run(capsys, "enumerate", "--a", "1", "--b", "-1", "--n", "3",
+                             "--r", "1", "--format", fmt, "--render", "ascii")
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"error: --render ascii draws only text output, got --format {fmt}")
+
+
+def test_betti_refuses_ascii_render_with_json(capsys):
+    code, out, err = run(capsys, "betti", "--a", "1", "--b", "-1", "--n", "3",
+                         "--partition", "2,1", "--format", "json", "--render", "ascii")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: --render ascii draws only text output, got --format json")
+
+
+def test_out_requires_svg_render(tmp_path, capsys):
+    target = tmp_path / "y.svg"
+    for argv in (["betti", "--a", "1", "--b", "-1", "--n", "3", "--partition", "2,1"],
+                 ["enumerate", "--a", "1", "--b", "1", "--n", "3", "--r", "1"],
+                 ["enumerate", "--a", "1", "--b", "1", "--n", "3", "--r", "1",
+                  "--render", "ascii"]):
+        code, out, err = run(capsys, *argv, "--out", str(target))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: --out FILE is written only with --render svg")
+        assert not target.exists()
+
+
+def test_failed_svg_write_prints_nothing(tmp_path, capsys):
+    target = tmp_path / "missing" / "x.svg"
+    for argv in (["betti", "--a", "1", "--b", "-1", "--n", "3", "--partition", "2,1"],
+                 ["enumerate", "--a", "1", "--b", "1", "--n", "3", "--r", "1"]):
+        code, out, err = run(capsys, *argv, "--render", "svg", "--out", str(target))
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"error: cannot write {target}")
+
+
 def test_usage_error_exit_code(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["enumerate", "--a", "1"])

@@ -18,6 +18,7 @@ import pytest
 from eqhilb.cli import main
 
 GOLDEN = Path(__file__).with_name("cli_golden.json")
+README = Path(__file__).parents[1] / "README.md"
 
 #: the CLI commands of README.md, then the JSON form of the abacus command
 COMMANDS = [
@@ -55,6 +56,14 @@ def test_cli_output_is_byte_identical(index, tmp_path, capsys):
     expected = json.loads(GOLDEN.read_text(encoding="utf-8"))[index]
     assert expected["command"] == COMMANDS[index]
     assert replay(COMMANDS[index], tmp_path, lambda: capsys.readouterr().out) == expected
+
+
+def test_commands_are_those_of_the_readme():
+    block = README.read_text(encoding="utf-8").split("## CLI\n", 1)[1]
+    block = block.split("```sh\n", 1)[1].split("```", 1)[0]
+    readme = [line.removeprefix("eqhilb ") for line in block.splitlines()
+              if line.startswith("eqhilb ")]
+    assert readme == COMMANDS[:10]
 
 
 if __name__ == "__main__":

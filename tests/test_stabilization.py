@@ -10,13 +10,12 @@ from eqhilb import (
     color,
     diagonal,
     enumerate_balanced,
-    make_split,
-    phi,
     psi,
     psi_inverse,
     verify_period,
 )
-from oracles import psi_inverse_by_search
+from eqhilb.stabilization import _anchor
+from oracles import phi, psi_inverse_by_search, split_of_class
 
 
 def representable(k, rab, a, b):
@@ -38,24 +37,26 @@ def test_diagonal_rejects_mixed_signs():
         diagonal(GroupParams(1, -1, 3), 2)
 
 
-def test_make_split_examples():
+def test_anchor_examples():
     g = GroupParams(1, 1, 2)
-    assert make_split(g, 1, Partition((2,))).anchor == Box(0, 1)
-    assert make_split(g, 1, Partition((1, 1))).anchor == Box(1, 0)
-    ctx = make_split(GroupParams(1, 1, 5), 0, Partition())
-    assert ctx.anchor == Box(0, 0)
-    assert not ctx.in_region_a(Box(0, 0)) and not ctx.in_region_b(Box(0, 0))
+    assert _anchor(g, 1, Partition((2,))) == Box(0, 1)
+    assert _anchor(g, 1, Partition((1, 1))) == Box(1, 0)
+    g5 = GroupParams(1, 1, 5)
+    anchor = _anchor(g5, 0, Partition())
+    assert anchor == Box(0, 0)
+    with pytest.raises(PreconditionError, match="neither region"):
+        phi(g5, anchor, Box(0, 0))
 
 
-def test_make_split_distinct_errors():
+def test_psi_distinct_errors():
     with pytest.raises(PreconditionError, match="equal sign"):
-        make_split(GroupParams(1, -1, 5), 1, Partition((5,)))
+        psi(GroupParams(1, -1, 5), 1, Partition((5,)))
     with pytest.raises(PreconditionError, match="n > r"):
-        make_split(GroupParams(1, 1, 2), 2, Partition((3, 1)))
+        psi(GroupParams(1, 1, 2), 2, Partition((3, 1)))
     with pytest.raises(UnbalancedPartitionError):
-        make_split(GroupParams(1, 1, 3), 1, Partition((2, 1)))
+        psi(GroupParams(1, 1, 3), 1, Partition((2, 1)))
     with pytest.raises(UnbalancedPartitionError, match="multiplicity 1"):
-        make_split(GroupParams(1, 1, 3), 1, Partition((3, 3)))  # balanced, r = 2
+        psi(GroupParams(1, 1, 3), 1, Partition((3, 3)))  # balanced, r = 2
 
 
 def test_negated_weights_are_normalized():
@@ -64,10 +65,10 @@ def test_negated_weights_are_normalized():
 
 def test_phi_examples():
     g = GroupParams(1, 1, 2)
-    assert phi(make_split(g, 1, Partition((2,))), Box(1, 0)) == Box(0, 0)
-    assert phi(make_split(g, 1, Partition((1, 1))), Box(0, 1)) == Box(0, 0)
+    assert phi(g, _anchor(g, 1, Partition((2,))), Box(1, 0)) == Box(0, 0)
+    assert phi(g, _anchor(g, 1, Partition((1, 1))), Box(0, 1)) == Box(0, 0)
     with pytest.raises(PreconditionError):
-        phi(make_split(g, 1, Partition((2,))), Box(0, 1))
+        phi(g, _anchor(g, 1, Partition((2,))), Box(0, 1))
 
 
 def test_class_splits_and_phi_bijections():
@@ -81,18 +82,18 @@ def test_class_splits_and_phi_bijections():
         if n <= rab:
             continue
         for lam in enumerate_balanced(g, r):
-            ctx = make_split(g, r, lam)
+            anchor = _anchor(g, r, lam)
             for k in range(rab, n):
                 if not representable(k, rab, a, b):
                     continue
-                a_side, b_side = ctx.split_of_class(k)
+                a_side, b_side = split_of_class(g, lam, anchor, k)
                 s_k = [box for box in lam.boxes() if color(g, box) == k]
                 assert sorted(a_side + b_side) == sorted(s_k)
                 for i, j in a_side:
                     assert i < b or Box(i - b, j + a) in a_side
                 for i, j in b_side:
                     assert j < a or Box(i + b, j - a) in b_side
-                image = [phi(ctx, box) for box in a_side + b_side]
+                image = [phi(g, anchor, box) for box in a_side + b_side]
                 target = [box for box in lam.boxes() if color(g, box) == (k - a * b) % n]
                 assert len(set(image)) == len(image)
                 assert sorted(image) == sorted(target)
@@ -105,11 +106,10 @@ def test_split_is_anchor_independent():
         rab = r * a * b
         for lam in enumerate_balanced(g, r):
             anchors = [pt for pt in diagonal(g, rab) if pt not in lam]
-            contexts = [make_split(g, r, lam, anchor=pt) for pt in anchors]
             for k in range(rab, n):
                 if not representable(k, rab, a, b):
                     continue
-                splits = {ctx.split_of_class(k) for ctx in contexts}
+                splits = {split_of_class(g, lam, pt, k) for pt in anchors}
                 assert len(splits) == 1, (g, r, lam, k)
 
 

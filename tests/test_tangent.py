@@ -13,16 +13,14 @@ from eqhilb import (
     Partition,
     UnbalancedPartitionError,
     betti_statistic,
-    cotangent_weights,
     distinguished_arrows,
     enumerate_balanced,
     invariant_arrows,
-    is_lex_positive,
     l_class,
     multipartition_count,
 )
 from eqhilb import coloring, tangent
-from oracles import brute_force_balanced, gottsche_l_class
+from oracles import brute_force_balanced, cotangent_weights, gottsche_l_class, is_lex_positive
 
 
 def numeric_cell_dimension(g, lam, q=1):
