@@ -58,24 +58,6 @@ class Abacus:
         """Bead positions inside the window (everything below the window is a bead)."""
         return frozenset(self.offset + p for p, x in enumerate(self.word) if x)
 
-    def charge(self) -> int:
-        """Beads at nonnegative positions minus gaps at negative positions."""
-        # with all of (-inf, offset) beaded this telescopes to a closed form
-        return self.offset + sum(self.word)
-
-    def canonical(self) -> "Abacus":
-        """Trim to the window from the first 0 to the last 1."""
-        word = list(self.word)
-        offset = self.offset
-        while word and word[0] == 1:
-            word.pop(0)
-            offset += 1
-        while word and word[-1] == 0:
-            word.pop()
-        if not word:
-            return Abacus((), offset)
-        return Abacus(tuple(word), offset)
-
     def __str__(self) -> str:
         return "...11|" + "".join(str(x) for x in self.word) + "|00..."
 

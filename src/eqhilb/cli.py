@@ -130,7 +130,7 @@ def _cmd_enumerate(args) -> int:
     g = _group(args)
     found = coloring.enumerate_balanced(g, args.r)
     entries = [
-        {"partition": str(lam), "betti": tangent.betti_statistic(g, lam)}
+        {"partition": str(lam), "betti": tangent._cell_dimension(g.a, g.b, g.n, lam)}
         for lam in found
     ]
     if args.render == "svg":

@@ -16,6 +16,7 @@ everything here is safe to share and to memoize on.
 from __future__ import annotations
 
 import functools
+import operator
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .errors import PreconditionError
@@ -41,12 +42,14 @@ class Partition:
     __slots__ = ("rows", "size", "_hash")
 
     def __init__(self, rows: Iterable[int] = ()):
-        rows = tuple(int(r) for r in rows)
-        for t, r in enumerate(rows):
-            if r < 1:
-                raise ValueError(f"row lengths must be positive integers, got {r}")
-            if t and rows[t - 1] < r:
-                raise ValueError(f"rows must be weakly decreasing, got {rows}")
+        given = tuple(rows)
+        rows = tuple(map(int, given))
+        if rows != given or (rows and rows[-1] < 1) or any(map(operator.lt, rows, rows[1:])):
+            for t, (r, x) in enumerate(zip(rows, given)):
+                if r != x or r < 1:
+                    raise ValueError(f"row lengths must be positive integers, got {x}")
+                if t and rows[t - 1] < r:
+                    raise ValueError(f"rows must be weakly decreasing, got {rows}")
         self.rows = rows
         self.size = sum(rows)
         self._hash = hash(rows)
@@ -86,10 +89,7 @@ class Partition:
 
     def conjugate(self) -> "Partition":
         """Transpose of the diagram: (i, j) belongs iff (j, i) belongs here."""
-        if not self.rows:
-            return Partition()
-        width = self.rows[0]
-        return Partition(sum(1 for r in self.rows if r > i) for i in range(width))
+        return Partition(_column_heights(self.rows))
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Partition) and self.rows == other.rows
@@ -107,6 +107,14 @@ class Partition:
 
     def __str__(self) -> str:
         return ",".join(str(r) for r in self.rows) if self.rows else EMPTY_TEXT
+
+
+def _column_heights(rows) -> list[int]:
+    """Heights of the columns of the weakly decreasing ``rows``, column 0 first."""
+    heights: list[int] = []
+    for j in range(len(rows) - 1, -1, -1):
+        heights.extend([j + 1] * (rows[j] - len(heights)))
+    return heights
 
 
 def partitions_of(m: int) -> Iterator[Partition]:

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from .coloring import GroupParams, _require_balanced, color, enumerate_balanced, is_balanced
 from .errors import InvariantViolationError, PreconditionError
-from .partitions import Box, Partition
+from .partitions import Box, Partition, _column_heights
 from .tangent import betti_statistic, l_class
 
 
@@ -97,7 +97,7 @@ def psi(g: GroupParams, r: int, lam: Partition) -> Partition:
     g = _positive_weights(g)
     a, b, n = g.a, g.b, g.n
     i0, j0 = _anchor(g, r, lam)
-    heights = [lam.col_height(i) for i in range(i0)]
+    heights = _column_heights(lam.rows)[:i0]
     rows = [lam.row_len(j) for j in range(j0)]
     for box in lam.boxes():
         k = color(g, box)

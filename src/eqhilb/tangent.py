@@ -14,7 +14,9 @@ weights ``p >> q > 0`` counts the fixed weights that are
 lexicographically positive: every box with ``a*(arm+1) = b*leg mod n``,
 plus every row-end box (``arm = 0``) with ``b*(leg+1) = 0 mod n``.  The
 level sets of this hook count over the balanced diagrams are the
-compactly supported Betti numbers, summed up by ``l_class``.
+compactly supported Betti numbers, summed up by ``l_class``.  The box
+condition compares a key of its column with a key of its row, so the
+count makes one pass over the column heights and then one per row.
 
 ``Arrow`` spells the same weights out as lattice arrows that hug the
 boundary of the diagram (``D``: tail ``(l(j), j)``, head ``(i, c(i)-1)``;
@@ -32,7 +34,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .coloring import GroupParams, _MEMO_SIZE, _balanced_family, _family_key, _require_balanced
-from .partitions import Box, Partition
+from .partitions import Box, Partition, _column_heights
 
 ARROW_D = "D"
 ARROW_U = "U"
@@ -57,7 +59,7 @@ class Arrow:
 
 def distinguished_arrows(lam: Partition) -> tuple[Arrow, ...]:
     """The 2*size(lam) distinguished arrows, two per box, row-major."""
-    heights = lam.conjugate().rows
+    heights = _column_heights(lam.rows)
     arrows: list[Arrow] = []
     for j, length in enumerate(lam.rows):
         for i in range(length):
@@ -85,14 +87,15 @@ def _cell_dimension(a: int, b: int, n: int, lam: Partition) -> int:
     """The hook count of the module docstring; ``lam`` must be balanced.
 
     Every condition is a congruence mod ``n``, so ``(a, b)`` may be any
-    representatives of the weights' residues.
+    representatives of the weights' residues.  For box ``(i, j)`` the hook
+    condition reads ``a*i + b*(h_i - 1) = a*l_j + b*j`` (``h`` column
+    heights, ``l`` row lengths): one key per column, counted row by row.
     """
-    heights = lam.conjugate().rows
+    heights = _column_heights(lam.rows)
+    key = [(a * i + b * (h - 1)) % n for i, h in enumerate(heights)]
     dim = 0
     for j, length in enumerate(lam.rows):
-        for arm1, height in zip(range(length, 0, -1), heights):
-            if (a * arm1 - b * (height - 1 - j)) % n == 0:
-                dim += 1
+        dim += key[:length].count((a * length + b * j) % n)
         if b * (heights[length - 1] - j) % n == 0:
             dim += 1
     return dim

@@ -3,6 +3,7 @@
 import functools
 
 from eqhilb import (
+    Abacus,
     Box,
     Partition,
     PreconditionError,
@@ -91,6 +92,38 @@ def cotangent_weights(g, lam):
 def is_lex_positive(weight):
     """Positivity under any torus direction with p >> q > 0."""
     return weight[0] > 0 or (weight[0] == 0 and weight[1] > 0)
+
+
+def cell_dimension_by_boxes(a, b, n, lam):
+    """The hook count box by box: every box with a*(arm+1) = b*leg mod n,
+    plus every row-end box with b*(leg+1) = 0 mod n."""
+    heights = lam.conjugate().rows
+    dim = 0
+    for j, length in enumerate(lam.rows):
+        for arm1, height in zip(range(length, 0, -1), heights):
+            if (a * arm1 - b * (height - 1 - j)) % n == 0:
+                dim += 1
+        if b * (heights[length - 1] - j) % n == 0:
+            dim += 1
+    return dim
+
+
+def abacus_charge(ab):
+    """Beads at nonnegative positions minus gaps at negative positions; with
+    all of (-inf, offset) beaded this telescopes to offset + beads in the word."""
+    return ab.offset + sum(ab.word)
+
+
+def abacus_canonical(ab):
+    """The same abacus trimmed to the window from the first 0 to the last 1."""
+    word = list(ab.word)
+    offset = ab.offset
+    while word and word[0] == 1:
+        word.pop(0)
+        offset += 1
+    while word and word[-1] == 0:
+        word.pop()
+    return Abacus(tuple(word), offset)
 
 
 def core_by_hook_removal(lam, n):

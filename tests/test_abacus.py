@@ -16,14 +16,14 @@ from eqhilb import (
     runners,
     to_abacus,
 )
-from oracles import core_by_hook_removal
+from oracles import abacus_canonical, abacus_charge, core_by_hook_removal
 
 
 def test_to_abacus_golden():
     ab = to_abacus(Partition((4, 2, 2, 1)))
     assert "".join(str(x) for x in ab.word) == "01011001"
     assert ab.offset == -4
-    assert ab.charge() == 0
+    assert abacus_charge(ab) == 0
     assert str(ab) == "...11|01011001|00..."
 
 
@@ -51,10 +51,10 @@ def test_from_abacus_translation_class():
 
 def test_abacus_canonical():
     ab = Abacus((1, 1, 0, 1, 0, 0), -3)
-    canon = ab.canonical()
+    canon = abacus_canonical(ab)
     assert canon.word == (0, 1)
     assert canon.offset == -1
-    assert canon.charge() == ab.charge()
+    assert abacus_charge(canon) == abacus_charge(ab)
 
 
 def test_runners_golden():

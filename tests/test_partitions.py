@@ -52,10 +52,14 @@ def test_conjugate_transposes_membership():
 
 
 def test_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^row lengths must be positive integers, got 0$"):
+        Partition((0, 3))
+    with pytest.raises(ValueError, match=r"^rows must be weakly decreasing, got \(1, 2\)$"):
         Partition((1, 2))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^row lengths must be positive integers, got 0$"):
         Partition((2, 0))
+    with pytest.raises(ValueError, match=r"^row lengths must be positive integers, got 2\.5$"):
+        Partition((2.5, 1))
 
 
 def test_membership_via_profiles():

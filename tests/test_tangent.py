@@ -18,9 +18,16 @@ from eqhilb import (
     invariant_arrows,
     l_class,
     multipartition_count,
+    partitions_of,
 )
 from eqhilb import coloring, tangent
-from oracles import brute_force_balanced, cotangent_weights, gottsche_l_class, is_lex_positive
+from oracles import (
+    brute_force_balanced,
+    cell_dimension_by_boxes,
+    cotangent_weights,
+    gottsche_l_class,
+    is_lex_positive,
+)
 
 
 def numeric_cell_dimension(g, lam, q=1):
@@ -211,6 +218,17 @@ def test_l_class_matches_gottsche_product():
 
 
 GRID_WEIGHTS = [(1, 1), (1, 2), (2, 3), (1, -1), (1, -2), (2, -3), (1, 3)]
+
+
+def test_cell_dimension_matches_box_by_box_count():
+    """The per-row count of column keys equals the hook count taken box by
+    box, on every diagram of at most 14 boxes, balanced or not."""
+    diagrams = [lam for m in range(15) for lam in partitions_of(m)]
+    for a, b in GRID_WEIGHTS:
+        for n in range(1, 9):
+            for lam in diagrams:
+                assert tangent._cell_dimension(a, b, n, lam) == \
+                    cell_dimension_by_boxes(a, b, n, lam), (a, b, n, lam)
 
 
 def test_l_class_invariant_under_unit_scaling():
