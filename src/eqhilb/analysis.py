@@ -161,6 +161,15 @@ class Quasipolynomial:
     valid_from: int
     class_validated: tuple[bool | None, ...]
 
+    def __post_init__(self):
+        if self.period < 1:
+            raise PreconditionError(f"period must be >= 1, got {self.period}")
+        if not len(self.polys) == len(self.class_validated) == self.period:
+            raise PreconditionError(
+                f"needs one polynomial and one flag per residue mod {self.period}, "
+                f"got {len(self.polys)} and {len(self.class_validated)}"
+            )
+
     def evaluate(self, n: int) -> Fraction:
         poly = self.polys[n % self.period]
         if poly is None:
@@ -233,10 +242,11 @@ def _lagrange(points: list[tuple[int, int]]) -> tuple[Fraction, ...]:
 def fit_quasipolynomial(samples, period: int, degree_bound: int) -> Quasipolynomial:
     """Interpolate one polynomial per residue class and validate it.
 
-    Within each class the largest-n sample is held out.  A polynomial of
-    degree at most ``degree_bound`` is interpolated through the last
-    ``degree_bound + 1`` training points, and the class validates only
-    if it reproduces every training point and the held-out one.
+    Each order may appear once.  Within each class the largest-n sample
+    is held out.  A polynomial of degree at most ``degree_bound`` is
+    interpolated through the last ``degree_bound + 1`` training points,
+    and the class validates only if it reproduces every training point
+    and the held-out one.
     Validation failures are reported in the result, never silently accepted.
     """
     if period < 1:
@@ -248,6 +258,9 @@ def fit_quasipolynomial(samples, period: int, degree_bound: int) -> Quasipolynom
         by_class.setdefault(n % period, []).append((n, value))
     if not by_class:
         raise InsufficientSamplesError("no samples given")
+    orders = sorted(n for pts in by_class.values() for n, _ in pts)
+    if len(set(orders)) < len(orders):
+        raise PreconditionError(f"samples repeat an order: {orders}")
     polys: list[tuple[Fraction, ...] | None] = [None] * period
     flags: list[bool | None] = [None] * period
     for residue, pts in sorted(by_class.items()):
@@ -261,28 +274,21 @@ def fit_quasipolynomial(samples, period: int, degree_bound: int) -> Quasipolynom
         poly = _lagrange(train[-(degree_bound + 1):])
         polys[residue] = poly
         flags[residue] = all(_evaluate(poly, n) == v for n, v in pts)
-    valid_from = min(n for pts in by_class.values() for n, _ in pts)
-    return Quasipolynomial(period, tuple(polys), valid_from, tuple(flags))
+    return Quasipolynomial(period, tuple(polys), orders[0], tuple(flags))
 
 
-def verify_quasipolynomial(
-    g: GroupParams,
-    r: int,
-    n_from: int,
-    n_to: int,
-    use_reduction: bool = False,
-) -> dict:
+def verify_quasipolynomial(g: GroupParams, r: int, n_from: int, n_to: int) -> dict:
     """Desk check of quasipolynomiality for mixed-sign weights.
 
     Counts balanced partitions over the orders from ``n_from >= 1`` to
     ``n_to`` that are coprime to both weights, fits a quasipolynomial of
     period ``|a*b|`` and degree at most ``r``, and demands successful
     extrapolation to the two largest orders of each residue class, which
-    the fit does not see.  The smallest order from which the fit
-    extrapolates is discovered by retrying on suffixes and reported as
-    ``valid_from``.  With ``use_reduction`` the skipped non-coprime
-    orders are counted through their normalized parameters and reported
-    alongside.
+    the fit does not see.  Each class is interpolated through the points
+    just below its largest fitted order, so every suffix of the fitted
+    orders that leaves each class enough points gives the same fit: one
+    fit on all of them names the last order it misses, ``valid_from`` is
+    the next fitted order, and the fit from there is reported.
     """
     if g.a * g.b >= 0:
         raise PreconditionError(f"requires weights of opposite sign, got ({g.a}, {g.b})")
@@ -295,13 +301,6 @@ def verify_quasipolynomial(
         if math.gcd(n, g.a) == 1 and math.gcd(n, g.b) == 1
     ]
     counts = {n: len(enumerate_balanced(g.with_n(n), r)) for n in coprime}
-    reduced = {}
-    if use_reduction:
-        for n in range(n_from, n_to + 1):
-            if n in counts:
-                continue
-            gn = normalize_group(g.with_n(n))
-            reduced[n] = len(enumerate_balanced(gn, r))
     by_class: dict[int, list[int]] = {}
     for n in coprime:
         by_class.setdefault(n % period, []).append(n)
@@ -314,32 +313,34 @@ def verify_quasipolynomial(
         "degree_bound": r,
         "counts": {n: counts[n] for n in coprime},
         "skipped_not_coprime": [n for n in range(n_from, n_to + 1) if n not in counts],
-        "reduced_counts": reduced,
+        "reduced_counts": {},
         "holdout": sorted(extrap_ns),
     }
-    for start in sorted(set(fit_ns)):
+
+    def fit_from(start: int) -> Quasipolynomial | None:
+        """The fit on the fitted orders from ``start``; None if a class runs short."""
         sub = [(n, counts[n]) for n in fit_ns if n >= start]
-        present = {n % period for n, _ in sub}
-        if present != set(by_class):
-            break  # a residue class ran out of training data
+        if {n % period for n, _ in sub} != set(by_class):
+            return None
         try:
-            qp = fit_quasipolynomial(sub, period, r)
+            return fit_quasipolynomial(sub, period, r)
         except InsufficientSamplesError:
-            break
-        if not qp.all_validated():
-            continue
-        extrapolation = [
-            {"n": n, "expected": counts[n], "predicted": str(qp.evaluate(n))}
-            for n in sorted(extrap_ns)
-        ]
-        if all(qp.evaluate(n) == counts[n] for n in extrap_ns):
+            return None
+
+    qp = fit_from(n_from)
+    if qp is not None and all(qp.evaluate(n) == counts[n] for n in extrap_ns):
+        qp = fit_from(1 + max((n for n in fit_ns if qp.evaluate(n) != counts[n]), default=0))
+        if qp is not None:
             result.update(
                 {
                     "ok": True,
-                    "valid_from": start,
+                    "valid_from": qp.valid_from,
                     "observed_degree": qp.degree(),
                     "quasipolynomial": qp.to_json(),
-                    "extrapolation": extrapolation,
+                    "extrapolation": [
+                        {"n": n, "expected": counts[n], "predicted": str(qp.evaluate(n))}
+                        for n in sorted(extrap_ns)
+                    ],
                 }
             )
             return result

@@ -81,12 +81,6 @@ class Partition:
             raise ValueError("row index must be nonnegative")
         return self.rows[j] if j < len(self.rows) else 0
 
-    def col_height(self, i: int) -> int:
-        """Height of column ``i``; zero outside the diagram."""
-        if i < 0:
-            raise ValueError("column index must be nonnegative")
-        return sum(1 for r in self.rows if r > i)
-
     def conjugate(self) -> "Partition":
         """Transpose of the diagram: (i, j) belongs iff (j, i) belongs here."""
         return Partition(_column_heights(self.rows))

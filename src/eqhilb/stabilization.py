@@ -22,7 +22,7 @@ from __future__ import annotations
 from .coloring import GroupParams, _require_balanced, color, enumerate_balanced, is_balanced
 from .errors import InvariantViolationError, PreconditionError
 from .partitions import Box, Partition, _column_heights
-from .tangent import betti_statistic, l_class
+from .tangent import _cell_dimension, l_class
 
 
 def _positive_weights(g: GroupParams) -> GroupParams:
@@ -56,8 +56,10 @@ def _anchor(g: GroupParams, r: int, lam: Partition) -> Box:
     """The off-diagram point of diagonal ``r*a*b`` with the smallest ``i``.
 
     ``g`` has positive weights.  Preconditions are reported distinctly:
-    ``n > r*a*b``, and ``lam`` balanced with multiplicity ``r``.
+    ``r >= 0``, ``n > r*a*b``, and ``lam`` balanced with multiplicity ``r``.
     """
+    if r < 0:
+        raise PreconditionError(f"multiplicity must be nonnegative, got {r}")
     rab = r * g.a * g.b
     if g.n <= rab:
         raise PreconditionError(f"requires n > r*a*b, got n={g.n} <= {rab}")
@@ -171,17 +173,15 @@ def verify_period(g: GroupParams, r: int, n_from: int, n_to: int) -> dict:
         gm = g.with_n(n + period)
         here = l_class(gn, r)
         there = l_class(gm, r)
-        balanced_n = enumerate_balanced(gn, r)
-        balanced_m = set(enumerate_balanced(gm, r))
-        pairs = [(lam, psi(gn, r, lam)) for lam in balanced_n]
-        images = [mu for _, mu in pairs]
-        image_ok = len(set(images)) == len(images) and set(images) == balanced_m
+        pairs = [(lam, psi(gn, r, lam)) for lam in enumerate_balanced(gn, r)]
+        # the family is sorted without repeats: equal means injective and onto
+        image_ok = tuple(sorted(mu for _, mu in pairs)) == enumerate_balanced(gm, r)
         betti_rows = [
             {
                 "source": str(lam),
                 "image": str(mu),
-                "betti_source": betti_statistic(gn, lam),
-                "betti_image": betti_statistic(gm, mu),
+                "betti_source": _cell_dimension(g.a, g.b, n, lam),
+                "betti_image": _cell_dimension(g.a, g.b, n + period, mu),
             }
             for lam, mu in pairs
         ]

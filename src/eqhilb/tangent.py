@@ -123,11 +123,12 @@ class LPolynomial:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs=()):
-        coeffs = list(int(c) for c in coeffs)
+        given = list(coeffs)
+        coeffs = list(map(int, given))
+        if coeffs != given or any(c < 0 for c in coeffs):
+            raise ValueError(f"coefficients must be nonnegative integers, got {given}")
         while coeffs and coeffs[-1] == 0:
             coeffs.pop()
-        if any(c < 0 for c in coeffs):
-            raise ValueError(f"coefficients must be nonnegative, got {coeffs}")
         self.coeffs = tuple(coeffs)
 
     def coeff(self, k: int) -> int:

@@ -5,10 +5,12 @@ import functools
 from eqhilb import (
     Abacus,
     Box,
+    InsufficientSamplesError,
     Partition,
     PreconditionError,
     color,
     enumerate_balanced,
+    fit_quasipolynomial,
     invariant_arrows,
     partitions_of,
     psi,
@@ -32,6 +34,36 @@ def brute_force_balanced(g, r):
         return counts == [r] * g.n
 
     return tuple(sorted(lam for lam in _partitions(r * g.n) if balanced(lam)))
+
+
+def col_height(lam, i):
+    """Height of column i: the number of rows longer than i."""
+    return sum(1 for row in lam.rows if row > i)
+
+
+def valid_from_by_suffixes(counts, period, degree_bound):
+    """The quasipolynomial fit of ``verify_quasipolynomial``, found by search:
+    hold out the two largest orders of each residue class of ``counts``
+    (order -> value), refit on the remaining orders from each first order
+    in turn, and return the first fit that validates and extrapolates to
+    the held-out orders (its ``valid_from`` is that first order); None if a
+    residue class runs short of points first."""
+    by_class = {}
+    for n in counts:
+        by_class.setdefault(n % period, []).append(n)
+    holdout = {n for ns in by_class.values() for n in sorted(ns)[-2:]}
+    fit_ns = [n for n in counts if n not in holdout]
+    for start in sorted(set(fit_ns)):
+        sub = [(n, counts[n]) for n in fit_ns if n >= start]
+        if {n % period for n, _ in sub} != set(by_class):
+            return None
+        try:
+            qp = fit_quasipolynomial(sub, period, degree_bound)
+        except InsufficientSamplesError:
+            return None
+        if qp.all_validated() and all(qp.evaluate(n) == counts[n] for n in holdout):
+            return qp
+    return None
 
 
 def gottsche_l_class(n, r):

@@ -1,7 +1,9 @@
+import random
 from fractions import Fraction
 
 import pytest
 
+from eqhilb import analysis
 from eqhilb import (
     GroupParams,
     InsufficientSamplesError,
@@ -21,6 +23,8 @@ from eqhilb import (
     satisfies_star,
     verify_quasipolynomial,
 )
+
+from oracles import valid_from_by_suffixes
 
 
 def test_normalize_examples():
@@ -194,6 +198,23 @@ def test_fit_insufficient_samples():
         fit_quasipolynomial([(1, 1), (2, 2)], 1, 1)
 
 
+def test_fit_refuses_repeated_order():
+    with pytest.raises(PreconditionError, match=r"^samples repeat an order: \[1, 1, 2\]$"):
+        fit_quasipolynomial([(1, 1), (1, 1), (2, 2)], 1, 1)
+    with pytest.raises(PreconditionError, match="repeat an order"):
+        fit_quasipolynomial([(2, 4), (2, 4), (3, 9), (4, 16)], 1, 1)
+
+
+def test_quasipolynomial_needs_one_polynomial_and_flag_per_class():
+    qp = fit_quasipolynomial([(n, n) for n in range(1, 9)], 2, 1).to_json()
+    for key in ("polys", "class_validated"):
+        short = dict(qp, **{key: qp[key][:1]})
+        with pytest.raises(PreconditionError, match="one polynomial and one flag per residue"):
+            Quasipolynomial.from_json(short)
+    with pytest.raises(PreconditionError, match="period must be >= 1, got 0"):
+        Quasipolynomial.from_json(dict(qp, period=0, polys=[], class_validated=[]))
+
+
 def test_quasipolynomial_json_roundtrip():
     samples = [(n, multipartition_count(n, 2)) for n in range(2, 9)]
     qp = fit_quasipolynomial(samples, 1, 2)
@@ -219,12 +240,67 @@ def test_verify_quasipolynomial_period_two():
     assert len(report["extrapolation"]) == 2
 
 
-def test_verify_quasipolynomial_reduction_flag():
-    report = verify_quasipolynomial(GroupParams(1, -2, 3), 1, 3, 9, use_reduction=True)
-    # even orders are counted through their reduced parameters
-    for n, count in report["reduced_counts"].items():
-        g = normalize_group(GroupParams(1, -2, n))
-        assert count == len(enumerate_balanced(g, 1))
+@pytest.fixture
+def fit_calls(monkeypatch):
+    """Records one entry per call of fit_quasipolynomial from eqhilb.analysis."""
+    calls = []
+    fit = analysis.fit_quasipolynomial
+    monkeypatch.setattr(analysis, "fit_quasipolynomial", lambda *args: calls.append(args) or fit(*args))
+    return calls
+
+
+def _matches_suffix_search(fit_calls, a, b, r, n_from, n_to):
+    """Compare verify_quasipolynomial with the suffix search; returns
+    whether it passed with valid_from past the first coprime order."""
+    fit_calls.clear()
+    report = verify_quasipolynomial(GroupParams(a, b, n_from), r, n_from, n_to)
+    assert len(fit_calls) <= 2
+    expected = valid_from_by_suffixes(report["counts"], report["period"], r)
+    assert report["ok"] == (expected is not None), (a, b, r, n_from, n_to)
+    if expected is None:
+        assert report["valid_from"] is None
+        return False
+    assert report["valid_from"] == expected.valid_from, (a, b, r, n_from, n_to)
+    assert report["quasipolynomial"] == expected.to_json()
+    assert report["extrapolation"] == [
+        {"n": n, "expected": report["counts"][n], "predicted": str(expected.evaluate(n))}
+        for n in report["holdout"]
+    ]
+    return expected.valid_from > min(report["counts"])
+
+
+def test_verify_quasipolynomial_matches_suffix_search_on_random_tables(monkeypatch, fit_calls):
+    # per residue class an integer polynomial of degree up to r + 1, with
+    # noise added below a random order; one table in four is pure noise
+    rng = random.Random(2015)
+    table = {}
+    monkeypatch.setattr(analysis, "enumerate_balanced", lambda g, r: range(table[g.n]))
+    outcomes = []
+    for _ in range(400):
+        (a, b), r = rng.choice([(1, -1), (1, -2), (1, -3), (2, -3), (1, -4)]), rng.randint(0, 3)
+        period = -a * b
+        n_from = rng.randint(1, 5)
+        n_to = n_from + period * (r + rng.randint(3, 9))
+        tail = rng.randint(n_from, (n_from + n_to) // 2)
+        noise = rng.random() < 0.25
+        polys = [[rng.randint(0, 3) for _ in range(rng.randint(1, r + 2))] for _ in range(period)]
+        table.clear()
+        for n in range(n_from, n_to + 1):
+            value = sum(c * n**k for k, c in enumerate(polys[n % period]))
+            table[n] = rng.randint(0, 5) if noise else value + (n < tail) * rng.randint(1, 3)
+        outcomes.append(_matches_suffix_search(fit_calls, a, b, r, n_from, n_to))
+    assert sum(outcomes) > 50
+
+
+def test_verify_quasipolynomial_matches_suffix_search_on_real_families(fit_calls):
+    outcomes = [
+        _matches_suffix_search(fit_calls, a, b, r, n_from, n_to)
+        for a, b in [(1, -1), (1, -2), (1, -3), (2, -3)]
+        for r in range(4)
+        for n_from in (1, 2, 4)
+        for n_to in range(n_from, 36 // max(r, 1) + 1)
+    ]
+    assert any(outcomes)
 
 
 def test_verify_quasipolynomial_rejects_same_signs():

@@ -246,6 +246,15 @@ def test_precondition_named_in_message(capsys):
     assert "n > r*a*b" in err
 
 
+def test_negative_multiplicity_reported(capsys):
+    for extra in ([], ["--inverse"]):
+        code, out, err = run(capsys, "psi", "--a", "1", "--b", "1", "--n", "3", "--r", "-1",
+                             "--partition", "", *extra)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: multiplicity must be nonnegative, got -1")
+
+
 def test_bad_max_boxes_env_reported(monkeypatch, capsys):
     monkeypatch.setenv("EQHILB_MAX_BOXES", "abc")
     code, _, err = run(capsys, "enumerate", "--a", "1", "--b", "-1", "--n", "3", "--r", "1")

@@ -57,6 +57,9 @@ def test_psi_distinct_errors():
         psi(GroupParams(1, 1, 3), 1, Partition((2, 1)))
     with pytest.raises(UnbalancedPartitionError, match="multiplicity 1"):
         psi(GroupParams(1, 1, 3), 1, Partition((3, 3)))  # balanced, r = 2
+    for step in (psi, psi_inverse):
+        with pytest.raises(PreconditionError, match="^multiplicity must be nonnegative, got -1$"):
+            step(GroupParams(1, 1, 3), -1, Partition())
 
 
 def test_negated_weights_are_normalized():

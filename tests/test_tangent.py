@@ -300,3 +300,11 @@ def test_lpolynomial_api():
     assert LPolynomial([3, 0, 0]) == LPolynomial([3])
     with pytest.raises(ValueError):
         LPolynomial([-1])
+
+
+def test_lpolynomial_refuses_non_integral_coefficients():
+    message = r"^coefficients must be nonnegative integers, got "
+    with pytest.raises(ValueError, match=message + r"\[1\.5, 2\]$"):
+        LPolynomial([1.5, 2])
+    with pytest.raises(ValueError, match=message + r"\[0, 2\.9, 1\]$"):
+        LPolynomial.from_json('{"coeffs": [0, 2.9, 1]}')
