@@ -21,7 +21,11 @@ Bead ``x`` sits at level ``x // n`` on runner ``x % n``.  The levels on
 each runner form a beta-set of their own, whose partition is one
 component of the n-quotient; packing every runner's beads down to the
 levels ``0, 1, ...`` gives the beta-set of the n-core.  Together these
-satisfy ``|lam| = |core| + n * sum(|quotient parts|)``.
+satisfy ``|lam| = |core| + n * sum(|quotient parts|)``.  So the core
+needs only the tally of beads per runner: padded to ``k = n*ceil(m/n)``
+beads (``m`` parts), bead ``lam_t - t + k`` is on runner ``(lam_t - t) % n``,
+the padding beads ``0 .. k-m-1`` put one on each of runners ``0 .. k-m-1``,
+and the core is empty exactly when every runner holds ``k/n`` beads.
 
 The runners are labelled from the window start, which sits at
 ``-(number of parts)``, so the labels depend on the number of parts mod
@@ -37,6 +41,8 @@ from dataclasses import dataclass
 
 from .errors import AmbiguousQuotientError, InvariantViolationError, NotNCoreError, PreconditionError
 from .partitions import Partition
+
+_EMPTY = Partition()
 
 
 @dataclass(frozen=True)
@@ -54,10 +60,6 @@ class Abacus:
         if any(x not in (0, 1) for x in self.word):
             raise PreconditionError("abacus words contain only 0s and 1s")
 
-    def beads(self) -> frozenset[int]:
-        """Bead positions inside the window (everything below the window is a bead)."""
-        return frozenset(self.offset + p for p, x in enumerate(self.word) if x)
-
     def __str__(self) -> str:
         return "...11|" + "".join(str(x) for x in self.word) + "|00..."
 
@@ -68,19 +70,21 @@ def _beta(lam: Partition, k: int) -> list[int]:
     return [rows[t] + k - t - 1 for t in range(k)]
 
 
-def _from_beta(beads) -> Partition:
-    """The partition of a finite bead set: with ``x_1 > ... > x_k``, parts ``x_t - (k - t)``."""
-    xs = sorted(beads, reverse=True)
+def _from_beta(xs: list[int]) -> Partition:
+    """The partition of beads given largest first, ``x_1 > ... > x_k``: parts ``x_t - (k - t)``."""
     k = len(xs)
     return Partition(p for p in (x - k + t for t, x in enumerate(xs, 1)) if p > 0)
 
 
-def _runner_beads(beads, n: int) -> list[list[int]]:
-    """Bead ``x`` at level ``x // n`` on runner ``x % n``."""
-    levels = [[] for _ in range(n)]
-    for x in beads:
-        levels[x % n].append(x // n)
-    return levels
+def _tally(rows: tuple[int, ...], n: int) -> list[int]:
+    """The bead count of each runner, with the beta-set padded to ``k = n*ceil(m/n)`` beads."""
+    if n < 1:
+        raise PreconditionError(f"n must be >= 1, got {n}")
+    pad = -len(rows) % n
+    counts = [1] * pad + [0] * (n - pad)
+    for t, row in enumerate(rows, 1):
+        counts[(row - t) % n] += 1
+    return counts
 
 
 def to_abacus(lam: Partition) -> Abacus:
@@ -93,7 +97,7 @@ def to_abacus(lam: Partition) -> Abacus:
 
 def from_abacus(ab: Abacus) -> Partition:
     """Partition of an abacus; translates of the same word give the same one."""
-    return _from_beta(p - ab.offset for p in ab.beads())
+    return _from_beta([p for p in reversed(range(len(ab.word))) if ab.word[p]])
 
 
 @dataclass(frozen=True)
@@ -116,9 +120,6 @@ class MultiPartition:
     def total(self) -> int:
         return sum(p.size for p in self.parts)
 
-    def __len__(self) -> int:
-        return len(self.parts)
-
     def __str__(self) -> str:
         return "(" + ", ".join(str(p) for p in self.parts) + ")"
 
@@ -132,18 +133,19 @@ def runners(lam: Partition, n: int) -> tuple[MultiPartition, Partition]:
     quotient.  Packing every runner's beads down and reading the beads
     back yields the core.
     """
-    if n < 1:
-        raise PreconditionError(f"n must be >= 1, got {n}")
-    m = len(lam.rows)
-    levels = _runner_beads(_beta(lam, m), n)
-    parts = tuple(_from_beta(run) for run in levels)
-    core = _from_beta(i + n * t for i, run in enumerate(levels) for t in range(len(run)))
+    sizes = _tally(lam.rows, n)
+    levels = [[] for _ in range(n)]
+    for x in _beta(lam, len(lam.rows)):
+        levels[x % n].append(x // n)
+    # each runner's levels come largest first; a packed runner is the empty part
+    parts = tuple(_from_beta(run) if run and run[0] != len(run) - 1 else _EMPTY for run in levels)
+    core = _from_beta(sorted((s + n * t for s, c in enumerate(sizes) for t in range(c)), reverse=True))
     size_check = core.size + n * sum(p.size for p in parts)
     if size_check != lam.size:
         raise InvariantViolationError(
             f"size identity failed for {lam} at n={n}: {lam.size} != {size_check}"
         )
-    return MultiPartition(parts, alignment=-m % n), core
+    return MultiPartition(parts, alignment=-len(lam.rows) % n), core
 
 
 def from_core_quotient(core: Partition, quot: MultiPartition) -> Partition:
@@ -156,26 +158,24 @@ def from_core_quotient(core: Partition, quot: MultiPartition) -> Partition:
     ``AmbiguousQuotientError`` listing the candidates.
     """
     n = len(quot.parts)
-    # with k a multiple of n, runner s holds the absolute residue s
-    core_levels = _runner_beads(_beta(core, -(-len(core.rows) // n) * n), n)
-    if any(run and run[0] != len(run) - 1 for run in core_levels):
-        raise NotNCoreError(f"{core} is not an {n}-core")
+    sizes = _tally(core.rows, n)  # runner s holds the absolute residue s
     rotations = range(n) if quot.alignment is None else (quot.alignment % n,)
     matches = []
     for rho in rotations:
         abs_parts = [quot.parts[(s - rho) % n] for s in range(n)]
         # one more bead on every runner until each runner holds its part
-        extra = max(0, *(len(p.rows) - len(run) for p, run in zip(abs_parts, core_levels)))
-        candidate = _from_beta(
-            s + n * y
-            for s, (p, run) in enumerate(zip(abs_parts, core_levels))
-            for y in _beta(p, len(run) + extra)
-        )
+        extra = max(0, *(len(p.rows) - c for p, c in zip(abs_parts, sizes)))
+        candidate = _from_beta(sorted(
+            (s + n * y for s, (p, c) in enumerate(zip(abs_parts, sizes)) for y in _beta(p, c + extra)),
+            reverse=True))
         got_quot, got_core = runners(candidate, n)
         if got_core == core and got_quot.parts == quot.parts:
             matches.append(candidate)
     if len(matches) == 1:
         return matches[0]
+    # a match has an n-core by construction, so only a failed search tests the given core
+    if runners(core, n)[1] != core:
+        raise NotNCoreError(f"{core} is not an {n}-core")
     if not matches:
         raise PreconditionError(
             f"no partition has core {core} and quotient {quot} with the given alignment"
@@ -188,5 +188,5 @@ def from_core_quotient(core: Partition, quot: MultiPartition) -> Partition:
 
 
 def has_empty_core(lam: Partition, n: int) -> bool:
-    """True when the n-core vanishes, i.e. the diagram is (1,-1;n)-balanced."""
-    return runners(lam, n)[1].size == 0
+    """True when every runner holds ``k/n`` beads: the n-core vanishes, i.e. (1,-1;n)-balanced."""
+    return len(set(_tally(lam.rows, n))) == 1

@@ -313,7 +313,7 @@ def verify_quasipolynomial(g: GroupParams, r: int, n_from: int, n_to: int) -> di
         "degree_bound": r,
         "counts": {n: counts[n] for n in coprime},
         "skipped_not_coprime": [n for n in range(n_from, n_to + 1) if n not in counts],
-        "reduced_counts": {},
+        "reduced_counts": {},  # always empty; tests/cli_golden.json pins verify-qpoly JSON bytes
         "holdout": sorted(extrap_ns),
     }
 

@@ -158,6 +158,12 @@ def abacus_canonical(ab):
     return Abacus(tuple(word), offset)
 
 
+def hook_lengths(lam):
+    """The hook length ``arm + leg + 1`` of every box of ``lam``, box by box."""
+    return [length - i + col_height(lam, i) - j - 1
+            for j, length in enumerate(lam.rows) for i in range(length)]
+
+
 def core_by_hook_removal(lam, n):
     """The n-core of ``lam``: remove the rim hook of a box of hook length n
     while there is one.  For box ``(i, j)`` with leg ``leg``, rows

@@ -16,7 +16,7 @@ from eqhilb import (
     runners,
     to_abacus,
 )
-from oracles import abacus_canonical, abacus_charge, core_by_hook_removal
+from oracles import abacus_canonical, abacus_charge, core_by_hook_removal, hook_lengths
 
 
 def test_to_abacus_golden():
@@ -147,6 +147,32 @@ def test_empty_core_examples():
     assert has_empty_core(Partition(), 5)
     assert not has_empty_core(Partition((4, 2, 2, 1)), 3)
     assert not has_empty_core(Partition((7, 2)), 3)
+
+
+def test_empty_core_refuses_n_below_one():
+    for n in (0, -2):
+        with pytest.raises(PreconditionError, match=f"n must be >= 1, got {n}"):
+            has_empty_core(Partition((2, 1)), n)
+
+
+def test_empty_core_tally_matches_oracles():
+    for m in range(15):
+        for lam in partitions_of(m):
+            for n in range(1, 9):
+                empty = has_empty_core(lam, n)
+                assert empty == (core_by_hook_removal(lam, n) == Partition()), (lam, n)
+                assert empty == (runners(lam, n)[1].size == 0), (lam, n)
+
+
+def test_quotient_hook_lengths():
+    """The hook lengths of lam divisible by n, divided by n, are the hook
+    lengths of the n-quotient's parts."""
+    for m in range(15):
+        for lam in partitions_of(m):
+            for n in range(1, 7):
+                quot, _ = runners(lam, n)
+                want = sorted(h // n for h in hook_lengths(lam) if h % n == 0)
+                assert sorted(h for p in quot.parts for h in hook_lengths(p)) == want, (lam, n)
 
 
 def test_empty_core_iff_balanced():
