@@ -112,6 +112,17 @@ def _group(args) -> coloring.GroupParams:
     return coloring.GroupParams(args.a, args.b, args.n)
 
 
+def _partition(args) -> Partition:
+    """``--partition``, refused above the box ceiling, since every command
+    that reads it does work per box."""
+    lam = Partition.parse(args.partition)
+    ceiling = coloring._box_ceiling()
+    if lam.size > ceiling:
+        raise EqhilbError(f"--partition has {lam.size} boxes, more than the ceiling of "
+                          f"{ceiling} (raise {coloring.MAX_BOXES_ENV})")
+    return lam
+
+
 def _csv_rows(rows: list[list]) -> str:
     return "\n".join(",".join(str(x) for x in row) for row in rows)
 
@@ -155,7 +166,7 @@ def _cmd_enumerate(args) -> int:
 
 def _cmd_betti(args) -> int:
     g = _group(args)
-    lam = Partition.parse(args.partition)
+    lam = _partition(args)
     beta = tangent.betti_statistic(g, lam)
     arrows = tangent.invariant_arrows(g, lam)
     if args.render == "svg":
@@ -213,7 +224,7 @@ def _cmd_poincare(args) -> int:
 
 def _cmd_psi(args) -> int:
     g = _group(args)
-    lam = Partition.parse(args.partition)
+    lam = _partition(args)
     if args.inverse:
         result = stabilization.psi_inverse(g, args.r, lam)
         label = "preimage"
@@ -260,7 +271,7 @@ def _cmd_verify_qpoly(args) -> int:
 
 
 def _cmd_core_quotient(args) -> int:
-    lam = Partition.parse(args.partition)
+    lam = _partition(args)
     quot, core = ab.runners(lam, args.n)
     word = ab.to_abacus(lam)
     payload = {
@@ -302,7 +313,7 @@ def _cmd_check_star(args) -> int:
     if args.partition is not None and (args.n is not None or args.r is not None):
         raise EqhilbError("check-star takes --partition or --n and --r, not both")
     if args.partition is not None:
-        lam = Partition.parse(args.partition)
+        lam = _partition(args)
         ok = analysis.satisfies_star(lam, args.a, args.b)
         if args.format == "json":
             _emit(_jdump({"a": args.a, "b": args.b, "partition": str(lam),

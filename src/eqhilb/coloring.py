@@ -18,8 +18,9 @@ from dataclasses import dataclass
 from .errors import EnumerationLimitError, PreconditionError, UnbalancedPartitionError
 from .partitions import Box, Partition
 
-#: Default ceiling on r*n for enumerations and L-classes; the environment
-#: variable EQHILB_MAX_BOXES, read on every call, overrides it.
+#: Default ceiling on r*n for enumerations and L-classes, and on the size
+#: of a partition given at the command line; the environment variable
+#: EQHILB_MAX_BOXES, read on every call, overrides it.
 DEFAULT_MAX_BOXES = 80
 MAX_BOXES_ENV = "EQHILB_MAX_BOXES"
 
@@ -92,6 +93,18 @@ def _require_balanced(g: GroupParams, lam: Partition, r: int | None = None) -> i
     return mult
 
 
+def _box_ceiling() -> int:
+    """The ceiling on boxes: ``EQHILB_MAX_BOXES`` if set, else ``DEFAULT_MAX_BOXES``."""
+    value = os.environ.get(MAX_BOXES_ENV, DEFAULT_MAX_BOXES)
+    try:
+        ceiling = int(value)
+    except ValueError:
+        raise PreconditionError(f"{MAX_BOXES_ENV} must be an integer, got {value!r}") from None
+    if ceiling < 0:
+        raise PreconditionError(f"{MAX_BOXES_ENV} must be a nonnegative integer, got {value!r}")
+    return ceiling
+
+
 def _family_key(g: GroupParams, r: int) -> tuple[int, int, int, int]:
     """The memo key ``(a mod n, b mod n, n, r)`` of the balanced family of ``g``.
 
@@ -102,11 +115,7 @@ def _family_key(g: GroupParams, r: int) -> tuple[int, int, int, int]:
     """
     if r < 0:
         raise PreconditionError(f"multiplicity must be nonnegative, got {r}")
-    value = os.environ.get(MAX_BOXES_ENV, DEFAULT_MAX_BOXES)
-    try:
-        ceiling = int(value)
-    except ValueError:
-        raise PreconditionError(f"{MAX_BOXES_ENV} must be an integer, got {value!r}") from None
+    ceiling = _box_ceiling()
     total = r * g.n
     if total > ceiling:
         raise EnumerationLimitError(
@@ -125,10 +134,14 @@ def enumerate_balanced(g: GroupParams, r: int) -> tuple[Partition, ...]:
     color histogram.  Each later row puts one box in column 0, so the
     column-0 boxes the histogram can still take (no color above ``r``)
     bound the rows left, and the next row is at least the remaining
-    boxes over that count.  Each row is filled once, as far as the
-    histogram and the row above allow, and then shrunk one box at a time
-    down to that bound; every shorter row is a prefix, so it fits too.
-    The brute-force filter over all partitions of ``r*n`` is kept in the
+    boxes over that count.  That count only reads the histogram: column
+    0 repeats its colors every ``p = n // gcd(b, n)`` rows, so its
+    ``t``-th box has a color already visited ``t // p`` times.  Each row
+    is filled once, as far as the histogram and the row above allow,
+    and then shrunk one box at a time down to that bound; every shorter
+    row is a prefix, so it fits too.  The colors along each row and
+    column-0 walk are read from tables built once per family.  The
+    brute-force filter over all partitions of ``r*n`` is kept in the
     test suite as the oracle for this generator.
     """
     return _balanced_family(_family_key(g, r))
@@ -137,29 +150,18 @@ def enumerate_balanced(g: GroupParams, r: int) -> tuple[Partition, ...]:
 @functools.lru_cache(maxsize=_MEMO_SIZE)
 def _balanced_family(key: tuple[int, int, int, int]) -> tuple[Partition, ...]:
     am, bm, n, r = key
+    total = r * n
+    # the colors of a row and of column 0 from a box of color s; no walk
+    # here is longer than r*n boxes
+    row_walk = [[(s + am * t) % n for t in range(total)] for s in range(n)]
+    col_walk = [[(s + bm * t) % n for t in range(total)] for s in range(n)]
+    # column 0 repeats its colors every n // gcd(b, n) rows, so its t-th
+    # box has a color it has already visited laps[t] times
+    period = n // math.gcd(bm, n)
+    laps = [t // period for t in range(total)]
     counts = [0] * n
     rows: list[int] = []
     found: list[Partition] = []
-
-    def fill(s: int, step: int, limit: int) -> int:
-        """Add boxes of colors s, s+step, ... (mod n) while each color holds
-        fewer than r, at most ``limit`` of them; return how many were added."""
-        added = 0
-        while added < limit and counts[s] < r:
-            counts[s] += 1
-            added += 1
-            s += step
-            if s >= n:
-                s -= n
-        return added
-
-    def drain(s: int, step: int, k: int) -> None:
-        """Remove the first ``k`` boxes a ``fill(s, step, ...)`` added."""
-        for _ in range(k):
-            counts[s] -= 1
-            s += step
-            if s >= n:
-                s -= n
 
     def extend(remaining: int, max_row: int, j: int) -> None:
         if remaining == 0:
@@ -168,19 +170,29 @@ def _balanced_family(key: tuple[int, int, int, int]) -> tuple[Partition, ...]:
         # every row from j on puts one box in column 0, so row j, the
         # longest of the rest, holds at least remaining / rows_left
         start = (bm * j) % n
-        rows_left = fill(start, bm, remaining)
-        drain(start, bm, rows_left)
+        col = col_walk[start]
+        rows_left = remaining
+        for t in range(remaining):
+            if counts[col[t]] + laps[t] >= r:
+                rows_left = t
+                break
         if rows_left == 0:
             return
         shortest = -(-remaining // rows_left)
-        length = fill(start, am, min(max_row, remaining))
+        row = row_walk[start]
+        limit = min(max_row, remaining)
+        length = 0
+        while length < limit and counts[row[length]] < r:
+            counts[row[length]] += 1
+            length += 1
         while length >= shortest:
             rows.append(length)
             extend(remaining - length, length, j + 1)
             rows.pop()
-            counts[(start + am * (length - 1)) % n] -= 1
             length -= 1
-        drain(start, am, length)
+            counts[row[length]] -= 1
+        for c in row[:length]:
+            counts[c] -= 1
 
-    extend(r * n, r * n, 0)
+    extend(total, total, 0)
     return tuple(sorted(found))

@@ -256,10 +256,39 @@ def test_negative_multiplicity_reported(capsys):
 
 
 def test_bad_max_boxes_env_reported(monkeypatch, capsys):
-    monkeypatch.setenv("EQHILB_MAX_BOXES", "abc")
-    code, _, err = run(capsys, "enumerate", "--a", "1", "--b", "-1", "--n", "3", "--r", "1")
-    assert code == 1
-    assert err.startswith("error: EQHILB_MAX_BOXES must be an integer")
+    for value, message in (("abc", "error: EQHILB_MAX_BOXES must be an integer"),
+                           ("-1", "error: EQHILB_MAX_BOXES must be a nonnegative integer, "
+                                  "got '-1'")):
+        monkeypatch.setenv("EQHILB_MAX_BOXES", value)
+        for r in ("1", "0"):
+            code, out, err = run(capsys, "enumerate", "--a", "1", "--b", "-1", "--n", "3",
+                                 "--r", r)
+            assert code == 1
+            assert out == ""
+            assert err.startswith(message)
+
+
+def test_partition_above_box_ceiling_refused(monkeypatch, capsys):
+    commands = (["betti", "--a", "1", "--b", "1", "--n", "3"],
+                ["psi", "--a", "1", "--b", "1", "--n", "3", "--r", "1"],
+                ["psi", "--a", "1", "--b", "1", "--n", "3", "--r", "1", "--inverse"],
+                ["core-quotient", "--n", "3"],
+                ["check-star", "--a", "1", "--b", "-2"])
+    for argv in commands:
+        code, out, err = run(capsys, *argv, "--partition", "99999999999999999999")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: --partition has 99999999999999999999 boxes, "
+                              "more than the ceiling of 80")
+    monkeypatch.setenv("EQHILB_MAX_BOXES", "2")
+    for argv in commands:
+        code, out, err = run(capsys, *argv, "--partition", "2,1")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: --partition has 3 boxes, more than the ceiling of 2")
+    code, out, _ = run(capsys, "core-quotient", "--n", "3", "--partition", "1,1")
+    assert code == 0
+    assert out.startswith("abacus of 1,1:")
 
 
 def test_order_below_one_reported(capsys):

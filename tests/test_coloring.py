@@ -92,9 +92,14 @@ def test_enumerate_matches_brute_force_grid():
 
 
 def test_enumerate_matches_brute_force_beyond_grid():
-    """Larger families, where the column-0 bound prunes most of the search."""
+    """Larger families, where the column-0 bound prunes most of the search.
+
+    In the last three gcd(b, n) > 1, so column 0 repeats its colors every
+    n // gcd(b, n) rows and the bound must count each color's earlier visits.
+    """
     for a, b, n, r in [(1, 2, 10, 3), (1, 3, 13, 2), (3, 4, 15, 2),
-                       (2, 5, 14, 2), (1, -1, 15, 2), (1, -2, 10, 3)]:
+                       (2, 5, 14, 2), (1, -1, 15, 2), (1, -2, 10, 3),
+                       (2, 3, 9, 2), (3, 4, 8, 3), (1, 6, 12, 2)]:
         g = GroupParams(a, b, n)
         assert enumerate_balanced(g, r) == brute_force_balanced(g, r), (g, r)
 
