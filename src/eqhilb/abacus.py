@@ -20,9 +20,11 @@ that translates remain distinguishable.
 Bead ``x`` sits at level ``x // n`` on runner ``x % n``.  The levels on
 each runner form a beta-set of their own, whose partition is one
 component of the n-quotient; packing every runner's beads down to the
-levels ``0, 1, ...`` gives the beta-set of the n-core.  Together these
-satisfy ``|lam| = |core| + n * sum(|quotient parts|)``.  So the core
-needs only the tally of beads per runner: padded to ``k = n*ceil(m/n)``
+levels ``0, 1, ...`` gives the beta-set of the n-core, and
+``|lam| = |core| + n * sum(|quotient parts|)``.  One kernel reads both
+off the row tuple; ``runners`` wraps its output in partitions and
+``from_core_quotient`` re-decomposes each candidate with it.  The core
+alone needs only the tally of beads per runner: padded to ``k = n*ceil(m/n)``
 beads (``m`` parts), bead ``lam_t - t + k`` is on runner ``(lam_t - t) % n``,
 the padding beads ``0 .. k-m-1`` put one on each of runners ``0 .. k-m-1``,
 and the core is empty exactly when every runner holds ``k/n`` beads.
@@ -37,6 +39,7 @@ alike) and reconstruction refuses to guess.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 from .errors import AmbiguousQuotientError, InvariantViolationError, NotNCoreError, PreconditionError
@@ -64,16 +67,16 @@ class Abacus:
         return "...11|" + "".join(str(x) for x in self.word) + "|00..."
 
 
-def _beta(lam: Partition, k: int) -> list[int]:
-    """The ``k`` beta-numbers ``lam_t - t + k`` of ``lam``, largest first."""
-    rows = lam.rows + (0,) * (k - len(lam.rows))
+def _beta(rows: tuple[int, ...], k: int) -> list[int]:
+    """The ``k`` beta-numbers ``rows_t - t + k`` of a row tuple, largest first."""
+    rows = rows + (0,) * (k - len(rows))
     return [rows[t] + k - t - 1 for t in range(k)]
 
 
-def _from_beta(xs: list[int]) -> Partition:
-    """The partition of beads given largest first, ``x_1 > ... > x_k``: parts ``x_t - (k - t)``."""
-    k = len(xs)
-    return Partition(p for p in (x - k + t for t, x in enumerate(xs, 1)) if p > 0)
+def _rows_of_beta(xs: list[int]) -> tuple[int, ...]:
+    """The rows of the beads given largest first, ``x_1 > ... > x_k``: parts ``x_t - (k - t)``."""
+    rows = list(map(operator.sub, xs, range(len(xs) - 1, -1, -1)))
+    return tuple(rows[:rows.index(0)] if 0 in rows else rows)  # zero parts come last
 
 
 def _tally(rows: tuple[int, ...], n: int) -> list[int]:
@@ -90,14 +93,14 @@ def _tally(rows: tuple[int, ...], n: int) -> list[int]:
 def to_abacus(lam: Partition) -> Abacus:
     """Canonical (charge-0) abacus of a partition."""
     m = len(lam.rows)
-    beads = set(_beta(lam, m))
+    beads = set(_beta(lam.rows, m))
     word = tuple(int(x in beads) for x in range(max(beads, default=-1) + 1))
     return Abacus(word, -m)
 
 
 def from_abacus(ab: Abacus) -> Partition:
     """Partition of an abacus; translates of the same word give the same one."""
-    return _from_beta([p for p in reversed(range(len(ab.word))) if ab.word[p]])
+    return Partition._of(_rows_of_beta([p for p in reversed(range(len(ab.word))) if ab.word[p]]))
 
 
 @dataclass(frozen=True)
@@ -124,6 +127,27 @@ class MultiPartition:
         return "(" + ", ".join(str(p) for p in self.parts) + ")"
 
 
+def _decompose(rows: tuple[int, ...], n: int) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
+    """Row tuples of the n-quotient parts and of the n-core of ``rows`` (see :func:`runners`)."""
+    if n < 1:
+        raise PreconditionError(f"n must be >= 1, got {n}")
+    m = len(rows)
+    levels = [[] for _ in range(n)]
+    for t, row in enumerate(rows, 1):
+        level, s = divmod(row + m - t, n)
+        levels[s].append(level)
+    # each runner's levels come largest first; a packed runner is the empty part
+    parts = tuple([_rows_of_beta(run) if run and run[0] != len(run) - 1 else () for run in levels])
+    packed = [x for s, run in enumerate(levels) for x in range(s, s + n * len(run), n)]
+    core = _rows_of_beta(sorted(packed, reverse=True))
+    size, size_check = sum(rows), sum(core) + n * sum(map(sum, parts))
+    if size_check != size:
+        raise InvariantViolationError(
+            f"size identity failed for {Partition._of(rows)} at n={n}: {size} != {size_check}"
+        )
+    return parts, core
+
+
 def runners(lam: Partition, n: int) -> tuple[MultiPartition, Partition]:
     """Runner decomposition: the n-quotient and the n-core.
 
@@ -133,19 +157,9 @@ def runners(lam: Partition, n: int) -> tuple[MultiPartition, Partition]:
     quotient.  Packing every runner's beads down and reading the beads
     back yields the core.
     """
-    sizes = _tally(lam.rows, n)
-    levels = [[] for _ in range(n)]
-    for x in _beta(lam, len(lam.rows)):
-        levels[x % n].append(x // n)
-    # each runner's levels come largest first; a packed runner is the empty part
-    parts = tuple(_from_beta(run) if run and run[0] != len(run) - 1 else _EMPTY for run in levels)
-    core = _from_beta(sorted((s + n * t for s, c in enumerate(sizes) for t in range(c)), reverse=True))
-    size_check = core.size + n * sum(p.size for p in parts)
-    if size_check != lam.size:
-        raise InvariantViolationError(
-            f"size identity failed for {lam} at n={n}: {lam.size} != {size_check}"
-        )
-    return MultiPartition(parts, alignment=-len(lam.rows) % n), core
+    parts, core = _decompose(lam.rows, n)
+    quot = tuple(Partition._of(p) if p else _EMPTY for p in parts)
+    return MultiPartition(quot, alignment=-len(lam.rows) % n), Partition._of(core)
 
 
 def from_core_quotient(core: Partition, quot: MultiPartition) -> Partition:
@@ -160,21 +174,21 @@ def from_core_quotient(core: Partition, quot: MultiPartition) -> Partition:
     n = len(quot.parts)
     sizes = _tally(core.rows, n)  # runner s holds the absolute residue s
     rotations = range(n) if quot.alignment is None else (quot.alignment % n,)
+    want = (tuple(p.rows for p in quot.parts), core.rows)
     matches = []
     for rho in rotations:
-        abs_parts = [quot.parts[(s - rho) % n] for s in range(n)]
+        abs_parts = [quot.parts[(s - rho) % n].rows for s in range(n)]
         # one more bead on every runner until each runner holds its part
-        extra = max(0, *(len(p.rows) - c for p, c in zip(abs_parts, sizes)))
-        candidate = _from_beta(sorted(
-            (s + n * y for s, (p, c) in enumerate(zip(abs_parts, sizes)) for y in _beta(p, c + extra)),
+        extra = max(0, *(len(p) - c for p, c in zip(abs_parts, sizes)))
+        rows = _rows_of_beta(sorted(
+            [s + n * y for s, (p, c) in enumerate(zip(abs_parts, sizes)) for y in _beta(p, c + extra)],
             reverse=True))
-        got_quot, got_core = runners(candidate, n)
-        if got_core == core and got_quot.parts == quot.parts:
-            matches.append(candidate)
+        if _decompose(rows, n) == want:
+            matches.append(Partition._of(rows))
     if len(matches) == 1:
         return matches[0]
     # a match has an n-core by construction, so only a failed search tests the given core
-    if runners(core, n)[1] != core:
+    if _decompose(core.rows, n)[1] != core.rows:
         raise NotNCoreError(f"{core} is not an {n}-core")
     if not matches:
         raise PreconditionError(

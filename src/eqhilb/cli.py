@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import abacus as ab
@@ -272,6 +273,10 @@ def _cmd_verify_qpoly(args) -> int:
 
 def _cmd_core_quotient(args) -> int:
     lam = _partition(args)
+    ceiling = coloring._box_ceiling()
+    if args.n > ceiling + 1:  # the beads lie in 0..ceiling: more runners add only empty parts
+        raise EqhilbError(f"--n is {args.n}, more than one above the ceiling of {ceiling} "
+                          f"(raise {coloring.MAX_BOXES_ENV})")
     quot, core = ab.runners(lam, args.n)
     word = ab.to_abacus(lam)
     payload = {
@@ -456,9 +461,15 @@ def main(argv=None) -> int:
         if render == "ascii" and args.n > len(_DIGITS):
             raise EqhilbError(f"--render ascii shows at most {len(_DIGITS)} colors, "
                               f"got --n {args.n}")
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()  # a reader that went away shows here, not at exit
+        return status
     except EqhilbError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except BrokenPipeError:
+        # point stdout at devnull so that flushing the rest at exit does not raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
 
 

@@ -55,6 +55,13 @@ class Partition:
         self._hash = hash(rows)
 
     @classmethod
+    def _of(cls, rows: tuple[int, ...]) -> "Partition":
+        """``Partition(rows)`` unvalidated, for rows the package built decreasing and positive."""
+        lam = object.__new__(cls)
+        lam.rows, lam.size, lam._hash = rows, sum(rows), hash(rows)
+        return lam
+
+    @classmethod
     def parse(cls, text: str) -> "Partition":
         """Parse the text form: comma-separated rows, '' or '∅' for empty."""
         text = text.strip()

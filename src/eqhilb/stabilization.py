@@ -19,7 +19,7 @@ available ``i0`` is used for determinism.
 
 from __future__ import annotations
 
-from .coloring import GroupParams, _require_balanced, color, enumerate_balanced, is_balanced
+from .coloring import GroupParams, _require_balanced, enumerate_balanced, is_balanced
 from .errors import InvariantViolationError, PreconditionError
 from .partitions import Box, Partition, _column_heights
 from .tangent import _cell_dimension, l_class
@@ -101,12 +101,14 @@ def psi(g: GroupParams, r: int, lam: Partition) -> Partition:
     i0, j0 = _anchor(g, r, lam)
     heights = _column_heights(lam.rows)[:i0]
     rows = [lam.row_len(j) for j in range(j0)]
-    for box in lam.boxes():
-        k = color(g, box)
-        if k >= n - b and box.i < i0:
-            heights[box.i] += a
-        elif k >= n - a and box.i >= i0:
-            rows[box.j] += b  # box.j < j0: the anchor lies outside lam
+    for j, length in enumerate(lam.rows):
+        k = (b * j) % n  # the colors b*j + a*i along row j
+        for i in range(min(length, i0)):
+            if k >= n - b:
+                heights[i] += a
+            k = (k + a) % n
+        if length > i0:  # j < j0; as a < n, the colors from i0 on enter [n-a, n-1] once per wrap
+            rows[j] += b * ((k + a * (length - i0)) // n)
     result = _reassemble(rows, heights, j0)
     big = g.with_n(n + a * b)
     if is_balanced(big, result) != (True, r):
@@ -130,16 +132,19 @@ def psi_inverse(g: GroupParams, r: int, mu: Partition) -> Partition:
     rab = r * a * b
     if n <= rab:
         raise PreconditionError(f"requires n > r*a*b, got n={n} <= {rab}")
-    big = g.with_n(n + a * b)
-    i0, j0 = _anchor(big, r, mu)
+    m = n + a * b
+    i0, j0 = _anchor(g.with_n(m), r, mu)
     heights = [0] * i0
     rows = [0] * j0
-    for box in mu.boxes():
-        if color(big, box) < n:
-            if box.i < i0:
-                heights[box.i] += 1
-            if box.j < j0:
-                rows[box.j] += 1
+    for j, length in enumerate(mu.rows):
+        k = (b * j) % m
+        for i in range(length):
+            if k < n:
+                if i < i0:
+                    heights[i] += 1
+                if j < j0:
+                    rows[j] += 1
+            k = (k + a) % m
     lam = _reassemble(rows, heights, j0)
     if psi(g, r, lam) != mu:
         raise InvariantViolationError(

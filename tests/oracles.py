@@ -15,6 +15,7 @@ from eqhilb import (
     partitions_of,
     psi,
 )
+from eqhilb.stabilization import _anchor, _positive_weights, _reassemble
 
 
 @functools.cache
@@ -90,6 +91,42 @@ def psi_inverse_by_search(g, r, mu):
     """Preimage of ``mu`` under the insertion step, found by applying the
     insertion to every balanced diagram at order ``n``; None if there is none."""
     return next((lam for lam in enumerate_balanced(g, r) if psi(g, r, lam) == mu), None)
+
+
+def psi_by_boxes(g, r, lam):
+    """The insertion step box by box: per region-A box colored in [n-b, n-1]
+    its column gains a cells, per region-B box colored in [n-a, n-1] its row
+    gains b cells; unchecked."""
+    g = _positive_weights(g)
+    a, b, n = g.a, g.b, g.n
+    i0, j0 = _anchor(g, r, lam)
+    heights = [col_height(lam, i) for i in range(i0)]
+    rows = [lam.row_len(j) for j in range(j0)]
+    for box in lam.boxes():
+        k = color(g, box)
+        if k >= n - b and box.i < i0:
+            heights[box.i] += a
+        elif k >= n - a and box.i >= i0:
+            rows[box.j] += b  # box.j < j0: the anchor lies outside lam
+    return _reassemble(rows, heights, j0)
+
+
+def psi_inverse_by_boxes(g, r, mu):
+    """The preimage under the insertion step box by box: the boxes of mu
+    colored below n at order n + a*b, counted per column left of the anchor
+    and per row below it; unchecked."""
+    g = _positive_weights(g)
+    big = g.with_n(g.n + g.a * g.b)
+    i0, j0 = _anchor(big, r, mu)
+    heights = [0] * i0
+    rows = [0] * j0
+    for box in mu.boxes():
+        if color(big, box) < g.n:
+            if box.i < i0:
+                heights[box.i] += 1
+            if box.j < j0:
+                rows[box.j] += 1
+    return _reassemble(rows, heights, j0)
 
 
 def split_of_class(g, lam, anchor, k):

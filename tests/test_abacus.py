@@ -95,6 +95,19 @@ def test_core_quotient_roundtrip_exhaustive():
                 assert from_core_quotient(core, quot) == lam
 
 
+def test_unvalidated_partitions_match_validated_ones():
+    """The quotient parts, cores and preimages the abacus layer builds
+    without validation are the validated partitions of their rows."""
+    for m in range(15):
+        for lam in partitions_of(m):
+            for n in range(1, 9):
+                quot, core = runners(lam, n)
+                for p in (*quot.parts, core, from_core_quotient(core, quot)):
+                    assert Partition(p.rows) == p, (lam, n, p)
+                    assert p.size == sum(p.rows), (lam, n, p)
+                    assert hash(p) == hash(Partition(p.rows)), (lam, n, p)
+
+
 def test_from_core_quotient_golden():
     quot, core = runners(Partition((4, 2, 2, 1)), 3)
     assert from_core_quotient(core, quot) == Partition((4, 2, 2, 1))

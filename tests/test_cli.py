@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 
 import pytest
@@ -289,6 +292,45 @@ def test_partition_above_box_ceiling_refused(monkeypatch, capsys):
     code, out, _ = run(capsys, "core-quotient", "--n", "3", "--partition", "1,1")
     assert code == 0
     assert out.startswith("abacus of 1,1:")
+
+
+def test_core_quotient_refuses_n_above_box_ceiling(monkeypatch, capsys):
+    # a partition within the ceiling has its beads at positions 0..ceiling,
+    # so ceiling + 1 runners already hold one bead each
+    code, out, err = run(capsys, "core-quotient", "--n", "10000000", "--partition", "2,1")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: --n is 10000000, more than one above the ceiling of 80")
+    monkeypatch.setenv("EQHILB_MAX_BOXES", "4")
+    code, out, err = run(capsys, "core-quotient", "--n", "6", "--partition", "2,1")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: --n is 6, more than one above the ceiling of 4 "
+                          "(raise EQHILB_MAX_BOXES)")
+    code, out, _ = run(capsys, "core-quotient", "--n", "5", "--partition", "2,1")
+    assert code == 0
+    assert "5-quotient: (∅, ∅, ∅, ∅, ∅)" in out
+
+
+def test_closed_stdout_ends_without_traceback():
+    """A reader that has gone before the command writes: with buffered
+    stdout a long output breaks the pipe inside a command, a short one at
+    the final flush."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = src
+    for argv in (["betti", "--a", "1", "--b", "1", "--n", "1", "--partition", "80"],
+                 ["hj", "--n", "7", "--k", "3"]):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run([sys.executable, "-m", "eqhilb.cli", *argv], stdout=write_end,
+                                  stderr=subprocess.PIPE, env=env, timeout=60)
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 1, argv
+        assert b"Traceback" not in proc.stderr, proc.stderr
+        assert b"BrokenPipeError" not in proc.stderr, proc.stderr
 
 
 def test_order_below_one_reported(capsys):

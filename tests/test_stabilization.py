@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from eqhilb import (
@@ -15,7 +17,7 @@ from eqhilb import (
     verify_period,
 )
 from eqhilb.stabilization import _anchor
-from oracles import phi, psi_inverse_by_search, split_of_class
+from oracles import phi, psi_by_boxes, psi_inverse_by_boxes, psi_inverse_by_search, split_of_class
 
 
 def representable(k, rab, a, b):
@@ -155,6 +157,30 @@ def test_psi_worked_family_2_3_13():
         images.append(mu)
     assert len(set(images)) == len(images)
     assert sorted(images) == list(enumerate_balanced(big, 2))
+
+
+def test_row_walks_match_box_by_box_oracles():
+    """psi and psi_inverse walk the colors along each row; the per-box loops
+    give the same diagrams on every member of each equal-sign family with
+    a, b <= 4, n <= 16, r*n <= 24 and n > r*a*b, negated weights included."""
+    members = 0
+    for a in range(1, 5):
+        for b in range(1, 5):
+            if math.gcd(a, b) != 1:
+                continue
+            for n in range(1, 17):
+                for r in range(24 // n + 1):
+                    if n <= r * a * b:
+                        continue
+                    for sign in (1, -1):
+                        g = GroupParams(sign * a, sign * b, n)
+                        for lam in enumerate_balanced(g, r):
+                            mu = psi(g, r, lam)
+                            assert mu == psi_by_boxes(g, r, lam), (g, r, lam)
+                            assert psi_inverse(g, r, mu) == lam, (g, r, mu)
+                            assert psi_inverse_by_boxes(g, r, mu) == lam, (g, r, mu)
+                            members += 1
+    assert members == 3480
 
 
 def test_psi_inverse_examples():
