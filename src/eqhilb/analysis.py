@@ -61,10 +61,13 @@ def rectangle_map(g: GroupParams, lam: Partition) -> Partition:
 
 
 def satisfies_star(mu: Partition, a: int, b: int) -> bool:
-    """Membership test for the rectangle-map image: rows are multiples of ``a``
-    and every maximal run of equal rows has length a multiple of ``-b``."""
+    """Membership test for the rectangle-map image of coprime ``a > 0 > b``:
+    rows are multiples of ``a`` and every maximal run of equal rows has
+    length a multiple of ``-b``."""
     if not (a > 0 > b):
         raise PreconditionError(f"requires a > 0 > b, got ({a}, {b})")
+    if math.gcd(a, b) != 1:
+        raise PreconditionError(f"weights must be coprime, got ({a}, {b})")
     if any(row % a for row in mu.rows):
         return False
     for _, run in itertools.groupby(mu.rows):

@@ -138,8 +138,12 @@ def enumerate_balanced(g: GroupParams, r: int) -> tuple[Partition, ...]:
     0 repeats its colors every ``p = n // gcd(b, n)`` rows, so its
     ``t``-th box has a color already visited ``t // p`` times.  Each row
     is filled once, as far as the histogram and the row above allow,
-    and then shrunk one box at a time down to that bound; every shorter
-    row is a prefix, so it fits too.  The colors along each row and
+    and then shrunk one box at a time down to that bound, but not below
+    2; every shorter row is a prefix, so it fits too.  When the count
+    covers every remaining box, the rest of column 0 fits, so the
+    all-ones tail is balanced and is emitted at once as the last child.
+    The search thus emits rows in descending lexicographic order, and
+    the family is that order reversed.  The colors along each row and
     column-0 walk are read from tables built once per family.  The
     brute-force filter over all partitions of ``r*n`` is kept in the
     test suite as the oracle for this generator.
@@ -165,7 +169,7 @@ def _balanced_family(key: tuple[int, int, int, int]) -> tuple[Partition, ...]:
 
     def extend(remaining: int, max_row: int, j: int) -> None:
         if remaining == 0:
-            found.append(Partition(rows))
+            found.append(Partition._of(tuple(rows)))
             return
         # every row from j on puts one box in column 0, so row j, the
         # longest of the rest, holds at least remaining / rows_left
@@ -185,7 +189,7 @@ def _balanced_family(key: tuple[int, int, int, int]) -> tuple[Partition, ...]:
         while length < limit and counts[row[length]] < r:
             counts[row[length]] += 1
             length += 1
-        while length >= shortest:
+        while length > 1 and length >= shortest:
             rows.append(length)
             extend(remaining - length, length, j + 1)
             rows.pop()
@@ -193,6 +197,10 @@ def _balanced_family(key: tuple[int, int, int, int]) -> tuple[Partition, ...]:
             counts[row[length]] -= 1
         for c in row[:length]:
             counts[c] -= 1
+        if shortest == 1:
+            # every remaining column-0 box fits, so the all-ones tail closes
+            found.append(Partition._of(tuple(rows) + (1,) * remaining))
 
     extend(total, total, 0)
-    return tuple(sorted(found))
+    # the search emits rows in descending lexicographic order
+    return tuple(reversed(found))

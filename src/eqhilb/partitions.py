@@ -56,7 +56,10 @@ class Partition:
 
     @classmethod
     def _of(cls, rows: tuple[int, ...]) -> "Partition":
-        """``Partition(rows)`` unvalidated, for rows the package built decreasing and positive."""
+        """``Partition(rows)`` unvalidated, for rows the package built decreasing and positive.
+
+        Callers: the abacus layer and the balanced search in ``coloring``.
+        """
         lam = object.__new__(cls)
         lam.rows, lam.size, lam._hash = rows, sum(rows), hash(rows)
         return lam

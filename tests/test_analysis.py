@@ -61,6 +61,11 @@ def test_satisfies_star():
     assert not satisfies_star(Partition((3, 3, 3)), 2, -3)
 
 
+def test_satisfies_star_refuses_non_coprime_weights():
+    with pytest.raises(PreconditionError, match=r"weights must be coprime, got \(2, -2\)"):
+        satisfies_star(Partition((2, 2)), 2, -2)
+
+
 def test_star_characterizes_rectangle_image():
     g = GroupParams(1, -2, 3)
     image = {rectangle_map(g, lam) for m in range(13) for lam in partitions_of(m)}

@@ -137,6 +137,13 @@ def test_check_star_single(capsys):
     assert json.loads(out)["satisfies_star"] is True
 
 
+def test_check_star_refuses_non_coprime_weights(capsys):
+    for extra in (("--partition", "2,2"), ("--n", "4", "--r", "1")):
+        code, out, err = run(capsys, "check-star", "--a", "2", "--b", "-2", *extra)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: weights must be coprime, got (2, -2)")
+
+
 def test_check_star_report(capsys):
     code, out, _ = run(capsys, "check-star", "--a", "1", "--b", "-2", "--n", "5",
                        "--r", "1", "--format", "json")

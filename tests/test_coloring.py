@@ -1,4 +1,5 @@
 import math
+import operator
 
 import pytest
 
@@ -94,14 +95,46 @@ def test_enumerate_matches_brute_force_grid():
 def test_enumerate_matches_brute_force_beyond_grid():
     """Larger families, where the column-0 bound prunes most of the search.
 
-    In the last three gcd(b, n) > 1, so column 0 repeats its colors every
-    n // gcd(b, n) rows and the bound must count each color's earlier visits.
+    In (2,3;9,2), (3,4;8,3) and (1,6;12,2) gcd(b, n) > 1, so column 0
+    repeats its colors every n // gcd(b, n) rows and the bound must count
+    each color's earlier visits.  In the last three, all-ones tails longer
+    than n close, so that count decides which tails are emitted.
     """
     for a, b, n, r in [(1, 2, 10, 3), (1, 3, 13, 2), (3, 4, 15, 2),
                        (2, 5, 14, 2), (1, -1, 15, 2), (1, -2, 10, 3),
-                       (2, 3, 9, 2), (3, 4, 8, 3), (1, 6, 12, 2)]:
+                       (2, 3, 9, 2), (3, 4, 8, 3), (1, 6, 12, 2),
+                       (1, -1, 10, 3), (1, 2, 9, 3), (1, -2, 7, 4)]:
         g = GroupParams(a, b, n)
         assert enumerate_balanced(g, r) == brute_force_balanced(g, r), (g, r)
+
+
+def _sweep(r_from):
+    """Coprime a, b in -4..4 and n <= 12, each with every r from r_from to 24 // n."""
+    for a in range(-4, 5):
+        for b in range(-4, 5):
+            if math.gcd(a, b) == 1:
+                for n in range(1, 13):
+                    for r in range(r_from, 24 // n + 1):
+                        yield GroupParams(a, b, n), r
+
+
+def test_single_column_and_single_row_closed_form():
+    """One column of r*n boxes is balanced exactly when b generates Z/n, one row when a does.
+
+    The single column is the all-ones tail the search closes at its root.
+    """
+    for g, r in _sweep(1):
+        family = set(enumerate_balanced(g, r))
+        m = r * g.n
+        assert (Partition((1,) * m) in family) == (math.gcd(g.b, g.n) == 1), (g, r)
+        assert (Partition((m,)) in family) == (math.gcd(g.a, g.n) == 1), (g, r)
+
+
+def test_families_strictly_increasing():
+    """The search order, reversed, is the only thing that sorts a family."""
+    for g, r in _sweep(0):
+        family = enumerate_balanced(g, r)
+        assert all(map(operator.lt, family, family[1:])), (g, r)
 
 
 def test_negation_invariance():
