@@ -298,12 +298,13 @@ def verify_quasipolynomial(g: GroupParams, r: int, n_from: int, n_to: int) -> di
     if n_from < 1:
         raise PreconditionError(f"group orders start at 1, got n_from={n_from}")
     period = abs(g.a * g.b)
-    coprime = [
-        n
+    # walked lazily, so an order past the box ceiling stops a huge range early
+    counts = {
+        n: len(enumerate_balanced(g.with_n(n), r))
         for n in range(n_from, n_to + 1)
         if math.gcd(n, g.a) == 1 and math.gcd(n, g.b) == 1
-    ]
-    counts = {n: len(enumerate_balanced(g.with_n(n), r)) for n in coprime}
+    }
+    coprime = list(counts)
     by_class: dict[int, list[int]] = {}
     for n in coprime:
         by_class.setdefault(n % period, []).append(n)

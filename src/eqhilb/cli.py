@@ -1,11 +1,13 @@
 """Command-line front end.
 
-Every command prints deterministic output (identical invocations are
-byte-identical); ``--format json`` emits objects that parse back into
-the originating types, and ``--format csv`` emits one row per
-``(a, b, n, r)`` with the Euler characteristic and the compactly
-supported Betti numbers.  Exit status is 0 exactly when every requested
-check passed.
+Every command returns a ``_Report`` and prints nothing; ``main`` is the
+one place that picks the output form ``--format`` names, writes the
+``--render svg`` file before anything else, and prints.  Output is
+deterministic (identical invocations are byte-identical); ``--format
+json`` emits objects that parse back into the originating types, and
+``--format csv`` emits one row per ``(a, b, n, r)`` with the Euler
+characteristic and the compactly supported Betti numbers.  Exit status
+is 0 exactly when every requested check passed.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ import argparse
 import json
 import os
 import sys
+from typing import Callable, NamedTuple
 
 from . import abacus as ab
 from . import analysis
@@ -35,19 +38,24 @@ _PALETTE = [
 _CELL = 28
 
 
-def _emit(text: str) -> None:
-    sys.stdout.write(text if text.endswith("\n") else text + "\n")
+class _Report(NamedTuple):
+    """What a command answers, in every form it has: the JSON payload, the
+    text lines, the CSV rows (``enumerate`` and ``poincare``), the exit
+    status and, for ``enumerate`` and ``betti``, a function that draws the
+    SVG."""
 
-
-def _jdump(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True, ensure_ascii=True)
+    json: object
+    text: list[str]
+    csv: list[list] | None = None
+    status: int = 0
+    svg: Callable[[], str] | None = None
 
 
 def _colored_diagram(g: coloring.GroupParams, lam: Partition) -> str:
     return diagram(lam, cell=lambda box: _DIGITS[coloring.color(g, box)])
 
 
-def young_svg(lam: Partition, g: coloring.GroupParams | None = None, arrows=None) -> str:
+def young_svg(lam: Partition, g: coloring.GroupParams, arrows=None) -> str:
     """SVG rendering of a diagram: cells colored by residue, row 0 at the
     bottom, optional arrow overlay drawn tail to head; each cell is
     ``_CELL`` pixels wide."""
@@ -71,23 +79,17 @@ def young_svg(lam: Partition, g: coloring.GroupParams | None = None, arrows=None
         f'<rect width="{w}" height="{h}" fill="white"/>',
     ]
     for box in lam.boxes():
-        fill = "#dddddd"
-        label = ""
-        if g is not None:
-            s = coloring.color(g, box)
-            fill = _PALETTE[s % len(_PALETTE)]
-            label = str(s)
+        s = coloring.color(g, box)
         x, y = cx(box.i), cy(box.j)
         parts.append(
             f'<rect x="{x}" y="{y}" width="{_CELL}" height="{_CELL}" '
-            f'fill="{fill}" stroke="#333"/>'
+            f'fill="{_PALETTE[s % len(_PALETTE)]}" stroke="#333"/>'
         )
-        if label:
-            parts.append(
-                f'<text x="{x + _CELL // 2}" y="{y + _CELL // 2 + 4}" '
-                f'font-size="{_CELL // 2}" text-anchor="middle" '
-                f'fill="#111">{label}</text>'
-            )
+        parts.append(
+            f'<text x="{x + _CELL // 2}" y="{y + _CELL // 2 + 4}" '
+            f'font-size="{_CELL // 2}" text-anchor="middle" '
+            f'fill="#111">{s}</text>'
+        )
     for ar in arrows or ():
         x1 = cx(ar.tail.i) + _CELL // 2
         y1 = cy(ar.tail.j) + _CELL // 2
@@ -101,16 +103,12 @@ def young_svg(lam: Partition, g: coloring.GroupParams | None = None, arrows=None
     return "\n".join(parts)
 
 
-def _write_svg(args, svg: str) -> None:
-    try:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(svg)
-    except OSError as exc:
-        raise EqhilbError(f"cannot write {args.out}: {exc.strerror}") from None
-
-
 def _group(args) -> coloring.GroupParams:
     return coloring.GroupParams(args.a, args.b, args.n)
+
+
+def _group_json(g: coloring.GroupParams) -> dict:
+    return {"a": g.a, "b": g.b, "n": g.n}
 
 
 def _partition(args) -> Partition:
@@ -124,77 +122,48 @@ def _partition(args) -> Partition:
     return lam
 
 
-def _csv_rows(rows: list[list]) -> str:
-    return "\n".join(",".join(str(x) for x in row) for row in rows)
-
-
-def _poincare_csv(entries) -> str:
-    top = max((4 * r for _, r, _ in entries), default=0)
-    header = ["a", "b", "n", "r", "euler"] + [f"b_{i}" for i in range(top + 1)]
-    rows = [header]
-    for g, r, lc in entries:
-        betti = lc.betti_numbers(top)
-        rows.append([g.a, g.b, g.n, r, lc.euler(), *betti])
-    return _csv_rows(rows)
-
-
-def _cmd_enumerate(args) -> int:
+def _cmd_enumerate(args) -> _Report:
     g = _group(args)
     found = coloring.enumerate_balanced(g, args.r)
     entries = [
         {"partition": str(lam), "betti": tangent._cell_dimension(g.a, g.b, g.n, lam)}
         for lam in found
     ]
-    if args.render == "svg":
-        _write_svg(args, "\n".join(young_svg(lam, g) for lam in found))
-    if args.format == "json":
-        _emit(_jdump({"group": {"a": g.a, "b": g.b, "n": g.n}, "r": args.r,
-                      "partitions": entries}))
-    elif args.format == "csv":
-        rows = [["a", "b", "n", "r", "partition", "betti"]]
-        rows += [[g.a, g.b, g.n, args.r, f'"{e["partition"]}"', e["betti"]] for e in entries]
-        _emit(_csv_rows(rows))
-    else:
-        _emit(f"balanced partitions for {g}, r={args.r}: {len(entries)}")
-        for e in entries:
-            _emit(f"  {e['partition']}  betti={e['betti']}")
-        if args.render == "ascii":
-            for lam in found:
-                _emit("")
-                _emit(_colored_diagram(g, lam))
-    return 0
+    text = [f"balanced partitions for {g}, r={args.r}: {len(entries)}"]
+    text += [f"  {e['partition']}  betti={e['betti']}" for e in entries]
+    if args.render == "ascii":
+        for lam in found:
+            text += ["", _colored_diagram(g, lam)]
+    rows = [["a", "b", "n", "r", "partition", "betti"]]
+    rows += [[g.a, g.b, g.n, args.r, f'"{e["partition"]}"', e["betti"]] for e in entries]
+    return _Report({"group": _group_json(g), "r": args.r, "partitions": entries}, text, rows,
+                   svg=lambda: "\n".join(young_svg(lam, g) for lam in found))
 
 
-def _cmd_betti(args) -> int:
+def _cmd_betti(args) -> _Report:
     g = _group(args)
     lam = _partition(args)
     beta = tangent.betti_statistic(g, lam)
     arrows = tangent.invariant_arrows(g, lam)
-    if args.render == "svg":
-        _write_svg(args, young_svg(lam, g, arrows=arrows))
-    if args.format == "json":
-        _emit(_jdump({
-            "group": {"a": g.a, "b": g.b, "n": g.n},
-            "partition": str(lam),
-            "betti": beta,
-            "invariant_arrows": [
-                {"kind": ar.kind, "box": list(ar.box), "tail": list(ar.tail),
-                 "head": list(ar.head), "weight": list(ar.weight)}
-                for ar in arrows
-            ],
-        }))
-    else:
-        _emit(f"betti statistic of {lam} for {g}: {beta}")
-        _emit(f"invariant arrows ({len(arrows)}):")
-        for ar in arrows:
-            _emit(f"  {ar.kind} at {tuple(ar.box)}: tail {tuple(ar.tail)} -> "
-                  f"head {tuple(ar.head)}, weight {ar.weight}")
-        if args.render == "ascii":
-            _emit(_colored_diagram(g, lam))
-    return 0
+    text = [f"betti statistic of {lam} for {g}: {beta}", f"invariant arrows ({len(arrows)}):"]
+    text += [f"  {ar.kind} at {tuple(ar.box)}: tail {tuple(ar.tail)} -> "
+             f"head {tuple(ar.head)}, weight {ar.weight}" for ar in arrows]
+    if args.render == "ascii":
+        text.append(_colored_diagram(g, lam))
+    payload = {
+        "group": _group_json(g),
+        "partition": str(lam),
+        "betti": beta,
+        "invariant_arrows": [
+            {"kind": ar.kind, "box": list(ar.box), "tail": list(ar.tail),
+             "head": list(ar.head), "weight": list(ar.weight)}
+            for ar in arrows
+        ],
+    }
+    return _Report(payload, text, svg=lambda: young_svg(lam, g, arrows=arrows))
 
 
-def _cmd_poincare(args) -> int:
+def _cmd_poincare(args) -> _Report:
     if args.n is None and (args.n_from is None or args.n_to is None):
         raise EqhilbError("poincare needs --n or both --n-from and --n-to")
     if args.n is not None and (args.n_from is not None or args.n_to is not None):
@@ -202,28 +171,21 @@ def _cmd_poincare(args) -> int:
     if args.n is None and args.n_to < args.n_from:
         raise EqhilbError(f"--n-to {args.n_to} is below --n-from {args.n_from}")
     g0 = coloring.GroupParams(args.a, args.b, args.n_from if args.n is None else args.n)
-    ns = [args.n] if args.n is not None else list(range(args.n_from, args.n_to + 1))
-    entries = []
-    for n in ns:
-        g = g0.with_n(n)
-        entries.append((g, args.r, tangent.l_class(g, args.r)))
-    if args.format == "json":
-        _emit(_jdump([
-            {"group": {"a": g.a, "b": g.b, "n": g.n}, "r": r,
-             "l_class": lc.to_json(), "poincare": lc.poincare_str(),
-             "euler": lc.euler()}
-            for g, r, lc in entries
-        ]))
-    elif args.format == "csv":
-        _emit(_poincare_csv(entries))
-    else:
-        for g, r, lc in entries:
-            _emit(f"{g} r={r}: [H] = {lc}, P(z) = {lc.poincare_str()}, "
-                  f"euler = {lc.euler()}")
-    return 0
+    # a range, not a list: l_class stops a huge one at the first order past the box ceiling
+    ns = [args.n] if args.n is not None else range(args.n_from, args.n_to + 1)
+    r = args.r
+    entries = [(g, tangent.l_class(g, r)) for g in map(g0.with_n, ns)]
+    payload = [{"group": _group_json(g), "r": r, "l_class": lc.to_json(),
+                "poincare": lc.poincare_str(), "euler": lc.euler()} for g, lc in entries]
+    text = [f"{g} r={r}: [H] = {lc}, P(z) = {lc.poincare_str()}, euler = {lc.euler()}"
+            for g, lc in entries]
+    top = 4 * r
+    rows = [["a", "b", "n", "r", "euler"] + [f"b_{i}" for i in range(top + 1)]]
+    rows += [[g.a, g.b, g.n, r, lc.euler(), *lc.betti_numbers(top)] for g, lc in entries]
+    return _Report(payload, text, rows)
 
 
-def _cmd_psi(args) -> int:
+def _cmd_psi(args) -> _Report:
     g = _group(args)
     lam = _partition(args)
     if args.inverse:
@@ -232,46 +194,32 @@ def _cmd_psi(args) -> int:
     else:
         result = stabilization.psi(g, args.r, lam)
         label = "image"
-    if args.format == "json":
-        _emit(_jdump({
-            "group": {"a": g.a, "b": g.b, "n": g.n}, "r": args.r,
-            "partition": str(lam), label: str(result),
-        }))
-    else:
-        _emit(f"{label} of {lam} under the insertion map for {g}, r={args.r}: {result}")
-    return 0
+    payload = {"group": _group_json(g), "r": args.r, "partition": str(lam), label: str(result)}
+    return _Report(payload, [f"{label} of {lam} under the insertion map for {g}, "
+                             f"r={args.r}: {result}"])
 
 
-def _cmd_verify_period(args) -> int:
+def _cmd_verify_period(args) -> _Report:
     g = coloring.GroupParams(args.a, args.b, args.n_from)
     report = stabilization.verify_period(g, args.r, args.n_from, args.n_to)
     ok = report["all_equal"] and report["all_bijections_ok"]
-    if args.format == "json":
-        _emit(_jdump(report))
-    else:
-        for chk in report["checks"]:
-            verdict = "equal" if chk["equal"] else "UNEQUAL"
-            _emit(f"n={chk['n']} vs n={chk['n_next']}: {verdict}, "
-                  f"coeffs {chk['coeffs_n']} vs {chk['coeffs_next']}")
-        _emit("PASS" if ok else "FAIL")
-    return 0 if ok else 1
+    text = [f"n={chk['n']} vs n={chk['n_next']}: {'equal' if chk['equal'] else 'UNEQUAL'}, "
+            f"coeffs {chk['coeffs_n']} vs {chk['coeffs_next']}" for chk in report["checks"]]
+    return _Report(report, text + ["PASS" if ok else "FAIL"], status=0 if ok else 1)
 
 
-def _cmd_verify_qpoly(args) -> int:
+def _cmd_verify_qpoly(args) -> _Report:
     g = coloring.GroupParams(args.a, args.b, args.n_from)
     report = analysis.verify_quasipolynomial(g, args.r, args.n_from, args.n_to)
-    if args.format == "json":
-        _emit(_jdump(report))
-    else:
-        _emit(f"counts: {report['counts']}")
-        if report["ok"]:
-            _emit(f"quasipolynomial of period {report['period']} fits from "
-                  f"n={report['valid_from']}, degree {report['observed_degree']}")
-        _emit("PASS" if report["ok"] else "FAIL")
-    return 0 if report["ok"] else 1
+    text = [f"counts: {report['counts']}"]
+    if report["ok"]:
+        text.append(f"quasipolynomial of period {report['period']} fits from "
+                    f"n={report['valid_from']}, degree {report['observed_degree']}")
+    text.append("PASS" if report["ok"] else "FAIL")
+    return _Report(report, text, status=0 if report["ok"] else 1)
 
 
-def _cmd_core_quotient(args) -> int:
+def _cmd_core_quotient(args) -> _Report:
     lam = _partition(args)
     ceiling = coloring._box_ceiling()
     if args.n > ceiling + 1:  # the beads lie in 0..ceiling: more runners add only empty parts
@@ -279,6 +227,7 @@ def _cmd_core_quotient(args) -> int:
                           f"(raise {coloring.MAX_BOXES_ENV})")
     quot, core = ab.runners(lam, args.n)
     word = ab.to_abacus(lam)
+    holds = lam.size == core.size + args.n * quot.total()
     payload = {
         "partition": str(lam),
         "n": args.n,
@@ -290,62 +239,43 @@ def _cmd_core_quotient(args) -> int:
             "size": lam.size,
             "core_size": core.size,
             "quotient_total": quot.total(),
-            "holds": lam.size == core.size + args.n * quot.total(),
+            "holds": holds,
         },
     }
-    if args.format == "json":
-        _emit(_jdump(payload))
-    else:
-        _emit(f"abacus of {lam}: {word}")
-        _emit(f"{args.n}-core: {core}")
-        _emit(f"{args.n}-quotient: ({', '.join(payload['quotient'])})")
-        _emit(f"size identity: {lam.size} = {core.size} + {args.n}*{quot.total()}")
-    return 0 if payload["size_identity"]["holds"] else 1
+    text = [f"abacus of {lam}: {word}", f"{args.n}-core: {core}",
+            f"{args.n}-quotient: ({', '.join(payload['quotient'])})",
+            f"size identity: {lam.size} = {core.size} + {args.n}*{quot.total()}"]
+    return _Report(payload, text, status=0 if holds else 1)
 
 
-def _cmd_hj(args) -> int:
+def _cmd_hj(args) -> _Report:
     terms = analysis.hj_expand(args.n, args.k)
-    if args.format == "json":
-        _emit(_jdump({"n": args.n, "k": args.k, "terms": list(terms),
-                      "length": len(terms)}))
-    else:
-        _emit(f"{args.n}/{args.k} = [[{', '.join(str(t) for t in terms)}]], "
-              f"length {len(terms)}")
-    return 0
+    return _Report({"n": args.n, "k": args.k, "terms": list(terms), "length": len(terms)},
+                   [f"{args.n}/{args.k} = [[{', '.join(str(t) for t in terms)}]], "
+                    f"length {len(terms)}"])
 
 
-def _cmd_check_star(args) -> int:
+def _cmd_check_star(args) -> _Report:
     if args.partition is not None and (args.n is not None or args.r is not None):
         raise EqhilbError("check-star takes --partition or --n and --r, not both")
     if args.partition is not None:
         lam = _partition(args)
         ok = analysis.satisfies_star(lam, args.a, args.b)
-        if args.format == "json":
-            _emit(_jdump({"a": args.a, "b": args.b, "partition": str(lam),
-                          "satisfies_star": ok}))
-        else:
-            _emit(f"{lam} {'satisfies' if ok else 'violates'} the rectangle "
-                  f"condition for ({args.a},{args.b})")
-        return 0
+        return _Report({"a": args.a, "b": args.b, "partition": str(lam), "satisfies_star": ok},
+                       [f"{lam} {'satisfies' if ok else 'violates'} the rectangle "
+                        f"condition for ({args.a},{args.b})"])
     if args.n is None or args.r is None:
         raise EqhilbError("check-star needs either --partition or both --n and --r")
     report = analysis.check_rectangle_bijection(coloring.GroupParams(args.a, args.b, args.n), args.r)
-    if args.format == "json":
-        _emit(_jdump(report))
-    else:
-        _emit(f"rectangle map for {report['group']} r={report['r']}: "
-              f"{report['source_count']} sources vs {report['target_count']} targets, "
-              f"{'bijective' if report['bijective'] else 'MISMATCH'}")
-    return 0 if report["bijective"] else 1
+    return _Report(report, [f"rectangle map for {report['group']} r={report['r']}: "
+                            f"{report['source_count']} sources vs {report['target_count']} "
+                            f"targets, {'bijective' if report['bijective'] else 'MISMATCH'}"],
+                   status=0 if report["bijective"] else 1)
 
 
-def _cmd_normalize(args) -> int:
+def _cmd_normalize(args) -> _Report:
     g = analysis.normalize_group(_group(args))
-    if args.format == "json":
-        _emit(_jdump({"a": g.a, "b": g.b, "n": g.n}))
-    else:
-        _emit(f"normalized parameters: {g}")
-    return 0
+    return _Report(_group_json(g), [f"normalized parameters: {g}"])
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -461,9 +391,22 @@ def main(argv=None) -> int:
         if render == "ascii" and args.n > len(_DIGITS):
             raise EqhilbError(f"--render ascii shows at most {len(_DIGITS)} colors, "
                               f"got --n {args.n}")
-        status = args.func(args)
+        report = args.func(args)
+        if render == "svg":  # before stdout, so a failed write leaves it empty
+            try:
+                with open(args.out, "w", encoding="utf-8") as fh:
+                    fh.write(report.svg())
+            except OSError as exc:
+                raise EqhilbError(f"cannot write {args.out}: {exc.strerror}") from None
+        if args.format == "json":
+            lines = [json.dumps(report.json, indent=2, sort_keys=True, ensure_ascii=True)]
+        elif args.format == "csv":
+            lines = [",".join(str(x) for x in row) for row in report.csv]
+        else:
+            lines = report.text
+        sys.stdout.write("".join(line + "\n" for line in lines))
         sys.stdout.flush()  # a reader that went away shows here, not at exit
-        return status
+        return report.status
     except EqhilbError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

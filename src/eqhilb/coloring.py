@@ -77,8 +77,14 @@ def weight_vector(g: GroupParams, lam: Partition) -> tuple[int, ...]:
 def is_balanced(g: GroupParams, lam: Partition) -> tuple[bool, int | None]:
     """Whether every color appears equally often; returns the multiplicity.
 
-    The empty partition is balanced with multiplicity 0.
+    The empty partition is balanced with multiplicity 0.  A size that is
+    not a multiple of ``n`` is refused before the histogram of ``n``
+    counters is built, so a huge ``n`` costs nothing.
     """
+    if lam.size % g.n:
+        return (False, None)
+    if not lam.rows:
+        return (True, 0)
     counts = weight_vector(g, lam)
     r = counts[0]
     return (True, r) if counts.count(r) == g.n else (False, None)

@@ -1,5 +1,7 @@
+import argparse
 import json
 import os
+import resource
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
@@ -7,7 +9,7 @@ import xml.etree.ElementTree as ET
 import pytest
 
 from eqhilb import LPolynomial, Partition, Quasipolynomial
-from eqhilb.cli import main
+from eqhilb.cli import _build_parser, main
 
 
 def run(capsys, *argv):
@@ -317,6 +319,73 @@ def test_core_quotient_refuses_n_above_box_ceiling(monkeypatch, capsys):
     code, out, _ = run(capsys, "core-quotient", "--n", "5", "--partition", "2,1")
     assert code == 0
     assert "5-quotient: (∅, ∅, ∅, ∅, ∅)" in out
+
+
+#: one valid command line per subcommand, for the handler guard below
+HANDLER_ARGV = {
+    "enumerate": ["--a", "1", "--b", "-1", "--n", "3", "--r", "1", "--render", "svg"],
+    "betti": ["--a", "1", "--b", "-1", "--n", "3", "--partition", "2,1", "--render", "svg"],
+    "poincare": ["--a", "1", "--b", "2", "--n-from", "3", "--n-to", "5", "--r", "1",
+                 "--format", "csv"],
+    "psi": ["--a", "1", "--b", "1", "--n", "2", "--r", "1", "--partition", "2"],
+    "verify-period": ["--a", "1", "--b", "2", "--r", "1", "--n-from", "3", "--n-to", "6"],
+    "verify-qpoly": ["--a", "1", "--b", "-2", "--r", "1", "--n-from", "3", "--n-to", "15"],
+    "core-quotient": ["--n", "3", "--partition", "4,2,2,1"],
+    "hj": ["--n", "12", "--k", "5"],
+    "check-star": ["--a", "1", "--b", "-2", "--n", "5", "--r", "1"],
+    "normalize": ["--a", "2", "--b", "3", "--n", "4"],
+}
+
+
+def test_handlers_print_nothing(tmp_path, capsys):
+    """Only ``main`` writes: each subcommand's handler returns its report
+    and leaves stdout and the ``--out`` file alone."""
+    parser = _build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    assert set(sub.choices) == set(HANDLER_ARGV)
+    target = tmp_path / "x.svg"
+    for name, subparser in sub.choices.items():
+        handler = subparser.get_default("func")
+        argv = [name, *HANDLER_ARGV[name]]
+        if "svg" in argv:
+            argv += ["--out", str(target)]
+        args = parser.parse_args(argv)
+        assert args.func is handler
+        report = handler(args)
+        assert capsys.readouterr().out == "", name
+        assert report.status == 0, name
+        assert not target.exists(), name
+
+
+def _limited_address_space():
+    limit = 600 * 2**20
+    resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["betti", "--a", "1", "--b", "1", "--n", "100000000000", "--partition", "2,1"],
+     "error: 2,1 is not balanced for (1,1;100000000000)\n"),
+    (["psi", "--a", "1", "--b", "1", "--n", "100000000000", "--r", "1", "--partition", "2,1"],
+     "error: 2,1 is not balanced with multiplicity 1 for (1,1;100000000000)\n"),
+    (["poincare", "--a", "1", "--b", "2", "--r", "1", "--n-from", "3",
+      "--n-to", "100000000000"],
+     "error: enumerating balanced partitions of 81 boxes exceeds the ceiling of 80 "
+     "(raise EQHILB_MAX_BOXES)\n"),
+    (["verify-qpoly", "--a", "1", "--b", "-2", "--r", "1", "--n-from", "3",
+      "--n-to", "100000000000"],
+     "error: enumerating balanced partitions of 81 boxes exceeds the ceiling of 80 "
+     "(raise EQHILB_MAX_BOXES)\n"),
+], ids=["betti", "psi", "poincare", "verify-qpoly"])
+def test_huge_order_ends_with_error_not_memory_error(argv, message):
+    """A group order or an order range far past the box ceiling is refused
+    without allocating per order: run under a 600 MB address-space limit,
+    where a histogram of ``n`` counters or a list of the whole range fails."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = {k: v for k, v in os.environ.items() if k != "EQHILB_MAX_BOXES"}
+    env["PYTHONPATH"] = src
+    proc = subprocess.run([sys.executable, "-m", "eqhilb.cli", *argv], capture_output=True,
+                          text=True, env=env, timeout=60, preexec_fn=_limited_address_space)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", message)
 
 
 def test_closed_stdout_ends_without_traceback():

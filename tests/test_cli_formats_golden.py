@@ -21,6 +21,7 @@ import os
 import shlex
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -145,19 +146,11 @@ def replay(case: str, read_output) -> dict:
     words = shlex.split(case)
     env = dict(w.split("=", 1) for w in itertools.takewhile(lambda w: "=" in w, words))
     argv = words[len(env):]
-    saved = {name: os.environ.get(name) for name in [*env, "COLUMNS"]}
-    os.environ.update(env, COLUMNS="80")
-    try:
+    with mock.patch.dict(os.environ, env, COLUMNS="80"):
         try:
             code = main(argv)
         except SystemExit as exc:
             code = exc.code
-    finally:
-        for name, value in saved.items():
-            if value is None:
-                os.environ.pop(name, None)
-            else:
-                os.environ[name] = value
     out, err = read_output()
     record = {"case": case, "exit": code, "stdout": out, "stderr": err}
     if "--out" in argv:
