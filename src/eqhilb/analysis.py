@@ -17,8 +17,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .coloring import GroupParams, enumerate_balanced
-from .errors import InsufficientSamplesError, PreconditionError
+from .coloring import MAX_BOXES_ENV, GroupParams, _box_ceiling, _order_range, enumerate_balanced
+from .errors import EnumerationLimitError, InsufficientSamplesError, PreconditionError
 from .partitions import Partition
 
 #: Largest orders per residue class that ``verify_quasipolynomial`` holds out
@@ -33,20 +33,11 @@ def normalize_group(g: GroupParams) -> GroupParams:
     describe the same Hilbert scheme, hence the same L-class for every
     multiplicity (tested by enumeration at desk scale).
     """
-    a, b, n = g.a, g.b, g.n
-    while True:
-        d = math.gcd(a, n)
-        if d > 1:
-            a //= d
-            n //= d
-            continue
-        d = math.gcd(b, n)
-        if d > 1:
-            b //= d
-            n //= d
-            continue
-        break
-    return GroupParams(a, b, n)
+    # after the first division a is coprime to n, and n only shrinks after it
+    d = math.gcd(g.a, g.n)
+    a, n = g.a // d, g.n // d
+    e = math.gcd(g.b, n)
+    return GroupParams(a, g.b // e, n // e)
 
 
 def rectangle_map(g: GroupParams, lam: Partition) -> Partition:
@@ -136,16 +127,22 @@ def hj_expand(n: int, k: int) -> tuple[int, ...]:
     The unique expansion ``n/k = a1 - 1/(a2 - ...)`` with every term at
     least 2; its length is the middle Betti number of the minimal
     resolution of the corresponding cyclic quotient surface singularity.
+    One longer than the box ceiling is refused: ``n/(n-1)`` has ``n - 1`` terms.
     """
     if not (0 < k < n):
         raise PreconditionError(f"requires 0 < k < n, got n={n}, k={k}")
     if math.gcd(n, k) != 1:
         raise PreconditionError(f"requires gcd(n, k) = 1, got n={n}, k={k}")
+    ceiling = _box_ceiling()
     terms = []
-    while k:
-        q = -(-n // k)  # ceil
+    x, y = n, k
+    while y:
+        if len(terms) == ceiling:
+            raise EnumerationLimitError(f"the expansion of {n}/{k} has more than the ceiling "
+                                        f"of {ceiling} terms (raise {MAX_BOXES_ENV})")
+        q = -(-x // y)  # ceil
         terms.append(q)
-        n, k = k, q * k - n
+        x, y = y, q * y - x
     return tuple(terms)
 
 
@@ -298,25 +295,25 @@ def verify_quasipolynomial(g: GroupParams, r: int, n_from: int, n_to: int) -> di
     if n_from < 1:
         raise PreconditionError(f"group orders start at 1, got n_from={n_from}")
     period = abs(g.a * g.b)
+    orders = _order_range(r, n_from, n_to)
     # walked lazily, so an order past the box ceiling stops a huge range early
     counts = {
         n: len(enumerate_balanced(g.with_n(n), r))
-        for n in range(n_from, n_to + 1)
+        for n in orders
         if math.gcd(n, g.a) == 1 and math.gcd(n, g.b) == 1
     }
-    coprime = list(counts)
     by_class: dict[int, list[int]] = {}
-    for n in coprime:
+    for n in counts:
         by_class.setdefault(n % period, []).append(n)
     extrap_ns = {n for ns in by_class.values() for n in sorted(ns)[-_HOLDOUT:]}
-    fit_ns = [n for n in coprime if n not in extrap_ns]
+    fit_ns = [n for n in counts if n not in extrap_ns]
     result: dict = {
         "group": {"a": g.a, "b": g.b},
         "r": r,
         "period": period,
         "degree_bound": r,
-        "counts": {n: counts[n] for n in coprime},
-        "skipped_not_coprime": [n for n in range(n_from, n_to + 1) if n not in counts],
+        "counts": counts,
+        "skipped_not_coprime": [n for n in orders if n not in counts],
         "reduced_counts": {},  # always empty; tests/cli_golden.json pins verify-qpoly JSON bytes
         "holdout": sorted(extrap_ns),
     }

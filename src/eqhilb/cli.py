@@ -171,9 +171,8 @@ def _cmd_poincare(args) -> _Report:
     if args.n is None and args.n_to < args.n_from:
         raise EqhilbError(f"--n-to {args.n_to} is below --n-from {args.n_from}")
     g0 = coloring.GroupParams(args.a, args.b, args.n_from if args.n is None else args.n)
-    # a range, not a list: l_class stops a huge one at the first order past the box ceiling
-    ns = [args.n] if args.n is not None else range(args.n_from, args.n_to + 1)
     r = args.r
+    ns = [args.n] if args.n is not None else coloring._order_range(r, args.n_from, args.n_to)
     entries = [(g, tangent.l_class(g, r)) for g in map(g0.with_n, ns)]
     payload = [{"group": _group_json(g), "r": r, "l_class": lc.to_json(),
                 "poincare": lc.poincare_str(), "euler": lc.euler()} for g, lc in entries]

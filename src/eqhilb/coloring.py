@@ -18,8 +18,9 @@ from dataclasses import dataclass
 from .errors import EnumerationLimitError, PreconditionError, UnbalancedPartitionError
 from .partitions import Box, Partition
 
-#: Default ceiling on r*n for enumerations and L-classes, and on the size
-#: of a partition given at the command line; the environment variable
+#: Default ceiling on r*n for enumerations and L-classes, on the orders of
+#: an r = 0 range, on the terms of a Hirzebruch-Jung expansion and on the
+#: size of a partition given at the command line; the environment variable
 #: EQHILB_MAX_BOXES, read on every call, overrides it.
 DEFAULT_MAX_BOXES = 80
 MAX_BOXES_ENV = "EQHILB_MAX_BOXES"
@@ -109,6 +110,16 @@ def _box_ceiling() -> int:
     if ceiling < 0:
         raise PreconditionError(f"{MAX_BOXES_ENV} must be a nonnegative integer, got {value!r}")
     return ceiling
+
+
+def _order_range(r: int, n_from: int, n_to: int) -> range:
+    """The orders ``n_from..n_to`` of a range check.  For ``r >= 1`` the ceiling
+    on ``r*n`` stops the walk at the first order past it; every ``r = 0``
+    family is ``{empty}``, so a range of more orders than the ceiling is refused."""
+    if r == 0 and n_to - n_from >= (ceiling := _box_ceiling()):
+        raise EnumerationLimitError(f"a range of {n_to - n_from + 1} orders with r = 0 "
+                                    f"exceeds the ceiling of {ceiling} (raise {MAX_BOXES_ENV})")
+    return range(n_from, n_to + 1)
 
 
 def _family_key(g: GroupParams, r: int) -> tuple[int, int, int, int]:

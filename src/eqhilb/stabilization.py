@@ -15,11 +15,18 @@ every region-A box colored in ``[n-b, n-1]`` and ``b`` cells to the row
 of every region-B box colored in ``[n-a, n-1]``.  The induced splits of
 the color classes do not depend on the anchor choice, so the smallest
 available ``i0`` is used for determinism.
+
+As ``a*i`` and ``b*j + a*i0`` stay below ``r*a*b < n``, each range is
+met once per wrap past a multiple of ``n``: column ``i < i0`` of height
+``h`` becomes ``h + a*((a*i + b*h) // n)`` and row ``j < j0`` of length
+``l`` becomes ``l + b*((b*j + a*l) // n)``.  The inverse subtracts the
+same terms with wraps counted at ``m = n + a*b``, as ``h' = h + a*w``
+gives ``w*m <= a*i + b*h' < w*m + n``.
 """
 
 from __future__ import annotations
 
-from .coloring import GroupParams, _require_balanced, enumerate_balanced, is_balanced
+from .coloring import GroupParams, _order_range, _require_balanced, enumerate_balanced, is_balanced
 from .errors import InvariantViolationError, PreconditionError
 from .partitions import Box, Partition, _column_heights
 from .tangent import _cell_dimension, l_class
@@ -87,30 +94,29 @@ def _reassemble(rows: list[int], heights: list[int], j0: int) -> Partition:
         ) from exc
 
 
+def _shift(g: GroupParams, r: int, lam: Partition, sign: int) -> Partition:
+    """``lam`` cut at its anchor for ``g``, with ``sign`` times the wraps past
+    multiples of ``g.n`` added to each column left of it and each row below it."""
+    a, b, order = g.a, g.b, g.n
+    i0, j0 = _anchor(g, r, lam)
+    heights = [h + sign * a * ((a * i + b * h) // order)
+               for i, h in enumerate(_column_heights(lam.rows)[:i0])]
+    rows = [l + sign * b * ((b * j + a * l) // order)
+            for j, l in enumerate(map(lam.row_len, range(j0)))]
+    return _reassemble(rows, heights, j0)
+
+
 def psi(g: GroupParams, r: int, lam: Partition) -> Partition:
     """Insertion step: maps balanced diagrams at order n to order n + a*b.
 
-    Per region-A box colored in ``[n-b, n-1]`` its column gains ``a``
-    cells; per region-B box colored in ``[n-a, n-1]`` its row gains
-    ``b`` cells.  The result is balanced of ``r*(n+a*b)`` boxes with the
-    same Betti statistic; any failure of these guarantees raises, it is
-    never repaired.
+    Column ``i < i0`` of height ``h`` becomes ``h + a*((a*i + b*h) // n)``
+    and row ``j < j0`` of length ``l`` becomes ``l + b*((b*j + a*l) // n)``.
+    The result is balanced of ``r*(n+a*b)`` boxes with the same Betti
+    statistic; any failure of these guarantees raises, it is never repaired.
     """
     g = _positive_weights(g)
-    a, b, n = g.a, g.b, g.n
-    i0, j0 = _anchor(g, r, lam)
-    heights = _column_heights(lam.rows)[:i0]
-    rows = [lam.row_len(j) for j in range(j0)]
-    for j, length in enumerate(lam.rows):
-        k = (b * j) % n  # the colors b*j + a*i along row j
-        for i in range(min(length, i0)):
-            if k >= n - b:
-                heights[i] += a
-            k = (k + a) % n
-        if length > i0:  # j < j0; as a < n, the colors from i0 on enter [n-a, n-1] once per wrap
-            rows[j] += b * ((k + a * (length - i0)) // n)
-    result = _reassemble(rows, heights, j0)
-    big = g.with_n(n + a * b)
+    result = _shift(g, r, lam, 1)
+    big = g.with_n(g.n + g.a * g.b)
     if is_balanced(big, result) != (True, r):
         raise InvariantViolationError(
             f"insertion output {result} is not balanced of multiplicity {r} at {big}"
@@ -121,31 +127,17 @@ def psi(g: GroupParams, r: int, lam: Partition) -> Partition:
 def psi_inverse(g: GroupParams, r: int, mu: Partition) -> Partition:
     """The unique preimage of ``mu`` under the insertion step.
 
-    Splits ``mu`` at the anchor of the larger order, keeps the boxes
-    colored below ``n`` (those colored in ``[n, n+ab-1]`` are the ones the
-    insertion added), closes the gaps within the columns left of the
-    anchor and the rows below it, and reassembles the two profiles as the
-    insertion does.  The answer is verified by re-applying the insertion.
+    Splits ``mu`` at the anchor of the larger order ``m = n + a*b``: column
+    ``i < i0`` of height ``h`` becomes ``h - a*((a*i + b*h) // m)`` and row
+    ``j < j0`` of length ``l`` becomes ``l - b*((b*j + a*l) // m)``, which
+    drops the boxes colored in ``[n, m-1]`` that the insertion added.  The
+    answer is verified by re-applying the insertion.
     """
     g = _positive_weights(g)
-    a, b, n = g.a, g.b, g.n
-    rab = r * a * b
-    if n <= rab:
-        raise PreconditionError(f"requires n > r*a*b, got n={n} <= {rab}")
-    m = n + a * b
-    i0, j0 = _anchor(g.with_n(m), r, mu)
-    heights = [0] * i0
-    rows = [0] * j0
-    for j, length in enumerate(mu.rows):
-        k = (b * j) % m
-        for i in range(length):
-            if k < n:
-                if i < i0:
-                    heights[i] += 1
-                if j < j0:
-                    rows[j] += 1
-            k = (k + a) % m
-    lam = _reassemble(rows, heights, j0)
+    rab = r * g.a * g.b
+    if g.n <= rab:
+        raise PreconditionError(f"requires n > r*a*b, got n={g.n} <= {rab}")
+    lam = _shift(g.with_n(g.n + g.a * g.b), r, mu, -1)
     if psi(g, r, lam) != mu:
         raise InvariantViolationError(
             f"inverse {lam} of {mu} does not map back under insertion"
@@ -170,7 +162,7 @@ def verify_period(g: GroupParams, r: int, n_from: int, n_to: int) -> dict:
         raise PreconditionError(f"no order in {n_from}..{n_to} exceeds r*a*b = {rab}")
     checks = []
     skipped = []
-    for n in range(n_from, n_to + 1):
+    for n in _order_range(r, n_from, n_to):
         if n <= rab:
             skipped.append(n)
             continue

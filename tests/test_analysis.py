@@ -5,6 +5,7 @@ import pytest
 
 from eqhilb import analysis
 from eqhilb import (
+    EnumerationLimitError,
     GroupParams,
     InsufficientSamplesError,
     Partition,
@@ -31,6 +32,8 @@ def test_normalize_examples():
     assert normalize_group(GroupParams(2, 3, 4)) == GroupParams(1, 3, 2)
     assert normalize_group(GroupParams(1, 1, 5)) == GroupParams(1, 1, 5)
     assert normalize_group(GroupParams(3, -2, 9)) == GroupParams(1, -2, 3)
+    assert normalize_group(GroupParams(2, 3, 12)) == GroupParams(1, 1, 2)
+    assert normalize_group(GroupParams(4, 9, 36)) == GroupParams(1, 1, 1)
 
 
 def test_normalize_preserves_l_class():
@@ -135,6 +138,20 @@ def test_hj_expand_values():
     assert hj_expand(5, 2) == (3, 2)
     assert hj_expand(12, 5) == (3, 2, 3)
     assert hj_expand(5, 1) == (5,)
+
+
+def test_hj_expand_refuses_expansions_longer_than_ceiling(monkeypatch):
+    # n/(n-1) = [[2, ..., 2]] has n - 1 terms; the default ceiling is 80
+    monkeypatch.delenv("EQHILB_MAX_BOXES", raising=False)
+    assert hj_expand(81, 80) == (2,) * 80
+    with pytest.raises(EnumerationLimitError,
+                       match=r"of 82/81 has more than the ceiling of 80 terms "
+                             r"\(raise EQHILB_MAX_BOXES\)"):
+        hj_expand(82, 81)
+    monkeypatch.setenv("EQHILB_MAX_BOXES", "3")
+    assert hj_expand(12, 5) == (3, 2, 3)
+    with pytest.raises(EnumerationLimitError):
+        hj_expand(5, 4)
 
 
 def test_hj_expand_reconstructs_fraction():
@@ -306,6 +323,15 @@ def test_verify_quasipolynomial_matches_suffix_search_on_real_families(fit_calls
         for n_to in range(n_from, 36 // max(r, 1) + 1)
     ]
     assert any(outcomes)
+
+
+def test_verify_quasipolynomial_refuses_r0_range_longer_than_ceiling(monkeypatch):
+    # every r = 0 family is {empty}: the ceiling bounds the orders of the range
+    monkeypatch.setenv("EQHILB_MAX_BOXES", "6")
+    assert list(verify_quasipolynomial(GroupParams(1, -2, 3), 0, 3, 8)["counts"]) == [3, 5, 7]
+    with pytest.raises(EnumerationLimitError, match="a range of 7 orders with r = 0 exceeds "
+                                                    "the ceiling of 6"):
+        verify_quasipolynomial(GroupParams(1, -2, 3), 0, 3, 9)
 
 
 def test_verify_quasipolynomial_rejects_same_signs():

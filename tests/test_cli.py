@@ -375,11 +375,28 @@ def _limited_address_space():
       "--n-to", "100000000000"],
      "error: enumerating balanced partitions of 81 boxes exceeds the ceiling of 80 "
      "(raise EQHILB_MAX_BOXES)\n"),
-], ids=["betti", "psi", "poincare", "verify-qpoly"])
+    (["poincare", "--a", "1", "--b", "2", "--r", "0", "--n-from", "3",
+      "--n-to", "100000000000"],
+     "error: a range of 99999999998 orders with r = 0 exceeds the ceiling of 80 "
+     "(raise EQHILB_MAX_BOXES)\n"),
+    (["verify-qpoly", "--a", "1", "--b", "-2", "--r", "0", "--n-from", "3",
+      "--n-to", "100000000000"],
+     "error: a range of 99999999998 orders with r = 0 exceeds the ceiling of 80 "
+     "(raise EQHILB_MAX_BOXES)\n"),
+    (["verify-period", "--a", "1", "--b", "2", "--r", "0", "--n-from", "3",
+      "--n-to", "100000000000"],
+     "error: a range of 99999999998 orders with r = 0 exceeds the ceiling of 80 "
+     "(raise EQHILB_MAX_BOXES)\n"),
+    (["hj", "--n", "100000000000", "--k", "99999999999"],
+     "error: the expansion of 100000000000/99999999999 has more than the ceiling of 80 "
+     "terms (raise EQHILB_MAX_BOXES)\n"),
+], ids=["betti", "psi", "poincare", "verify-qpoly", "poincare-r0", "verify-qpoly-r0",
+        "verify-period-r0", "hj"])
 def test_huge_order_ends_with_error_not_memory_error(argv, message):
-    """A group order or an order range far past the box ceiling is refused
-    without allocating per order: run under a 600 MB address-space limit,
-    where a histogram of ``n`` counters or a list of the whole range fails."""
+    """A group order, an order range or a continued fraction far past the box
+    ceiling is refused without allocating per order or per term: run under a
+    600 MB address-space limit, where a histogram of ``n`` counters, a report
+    entry per order of the range or a list of ``n - 1`` terms fails."""
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env = {k: v for k, v in os.environ.items() if k != "EQHILB_MAX_BOXES"}
     env["PYTHONPATH"] = src

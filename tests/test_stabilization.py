@@ -4,6 +4,7 @@ import pytest
 
 from eqhilb import (
     Box,
+    EnumerationLimitError,
     GroupParams,
     Partition,
     PreconditionError,
@@ -245,3 +246,13 @@ def test_verify_period_refuses_ranges_with_nothing_to_check():
     rep = verify_period(GroupParams(1, 1, 2), 2, 1, 3)
     assert rep["skipped_below_threshold"] == [1, 2]
     assert [c["n"] for c in rep["checks"]] == [3]
+
+
+def test_verify_period_refuses_r0_range_longer_than_ceiling(monkeypatch):
+    # every r = 0 family is {empty}: the ceiling bounds the orders of the range
+    monkeypatch.setenv("EQHILB_MAX_BOXES", "6")
+    rep = verify_period(GroupParams(1, 2, 3), 0, 3, 8)
+    assert [c["n"] for c in rep["checks"]] == [3, 4, 5, 6, 7, 8] and rep["all_equal"]
+    with pytest.raises(EnumerationLimitError, match="a range of 7 orders with r = 0 exceeds "
+                                                    "the ceiling of 6"):
+        verify_period(GroupParams(1, 2, 3), 0, 3, 9)
