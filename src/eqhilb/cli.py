@@ -124,11 +124,8 @@ def _partition(args) -> Partition:
 
 def _cmd_enumerate(args) -> _Report:
     g = _group(args)
-    found = coloring.enumerate_balanced(g, args.r)
-    entries = [
-        {"partition": str(lam), "betti": tangent._cell_dimension(g.a, g.b, g.n, lam)}
-        for lam in found
-    ]
+    found, betti = coloring._balanced_family(coloring._family_key(g, args.r))
+    entries = [{"partition": str(lam), "betti": beta} for lam, beta in zip(found, betti)]
     text = [f"balanced partitions for {g}, r={args.r}: {len(entries)}"]
     text += [f"  {e['partition']}  betti={e['betti']}" for e in entries]
     if args.render == "ascii":

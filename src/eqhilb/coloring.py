@@ -161,37 +161,61 @@ def enumerate_balanced(g: GroupParams, r: int) -> tuple[Partition, ...]:
     all-ones tail is balanced and is emitted at once as the last child.
     The search thus emits rows in descending lexicographic order, and
     the family is that order reversed.  The colors along each row and
-    column-0 walk are read from tables built once per family.  The
-    brute-force filter over all partitions of ``r*n`` is kept in the
-    test suite as the oracle for this generator.
+    column-0 walk are read from tables built once per family.  While it
+    places rows, the search also folds in each diagram's attracting-cell
+    statistic (``tangent._cell_dimension``): the memo holds it next to
+    the family, for ``l_class``, ``verify_period`` and ``eqhilb
+    enumerate``.  The brute-force filter over all partitions of ``r*n``
+    is kept in the test suite as the oracle for this generator.
     """
-    return _balanced_family(_family_key(g, r))
+    return _balanced_family(_family_key(g, r))[0]
 
 
 @functools.lru_cache(maxsize=_MEMO_SIZE)
-def _balanced_family(key: tuple[int, int, int, int]) -> tuple[Partition, ...]:
+def _balanced_family(key: tuple[int, int, int, int]) -> tuple[tuple[Partition, ...], tuple[int, ...]]:
+    """The balanced family of ``key`` and, aligned with it, the statistic of
+    each member (``tangent._cell_dimension``, folded in as rows are placed)."""
     am, bm, n, r = key
     total = r * n
     # the colors of a row and of column 0 from a box of color s; no walk
-    # here is longer than r*n boxes
-    row_walk = [[(s + am * t) % n for t in range(total)] for s in range(n)]
+    # here is longer than r*n boxes, and a row walk's entry at a length is
+    # also the key of a row of that length
+    row_walk = [[(s + am * t) % n for t in range(total + 1)] for s in range(n)]
     col_walk = [[(s + bm * t) % n for t in range(total)] for s in range(n)]
+    # a row starting at color s: its column-0 walk, its row walk, the row
+    # walk of the row below it and the color the row above it starts at
+    walks = [(col_walk[s], row_walk[s], row_walk[(s - bm) % n], (s + bm) % n) for s in range(n)]
     # column 0 repeats its colors every n // gcd(b, n) rows, so its t-th
-    # box has a color it has already visited laps[t] times
+    # box has a color it has already visited laps[t] times; a run of k
+    # equal rows holds laps[k] row ends that count
     period = n // math.gcd(bm, n)
-    laps = [t // period for t in range(total)]
+    laps = [t // period for t in range(total + 1)]
     counts = [0] * n
+    # how many placed rows have each key a*l + b*j mod n; the root counts
+    # a row -1 of length r*n like every node counts its last row, so that
+    # phantom starts at -1
+    keys = [0] * n
+    keys[walks[0][2][total]] = -1
     rows: list[int] = []
     found: list[Partition] = []
+    dims: list[int] = []
 
-    def extend(remaining: int, max_row: int, j: int) -> None:
+    def extend(remaining: int, max_row: int, start: int, dim: int, run: int) -> None:
+        # rows 0..j-1 are placed and end in a run of run rows of length
+        # max_row, and dim counts their closed columns and ended runs; row
+        # j starts at color start, column i closes at height j with key
+        # below[i] = a*i + b*(j-1), and below[max_row] is the key of row j-1
         if remaining == 0:
+            # the open columns close, each matching the earlier rows and row j-1
+            below = walks[start][2]
+            cols = below[:max_row]
             found.append(Partition._of(tuple(rows)))
+            dims.append(dim + laps[run] + sum(map(keys.__getitem__, cols))
+                        + cols.count(below[max_row]))
             return
         # every row from j on puts one box in column 0, so row j, the
         # longest of the rest, holds at least remaining / rows_left
-        start = (bm * j) % n
-        col = col_walk[start]
+        col, row, below, after = walks[start]
         rows_left = remaining
         for t in range(remaining):
             if counts[col[t]] + laps[t] >= r:
@@ -200,24 +224,51 @@ def _balanced_family(key: tuple[int, int, int, int]) -> tuple[Partition, ...]:
         if rows_left == 0:
             return
         shortest = -(-remaining // rows_left)
-        row = row_walk[start]
         limit = min(max_row, remaining)
         length = 0
         while length < limit and counts[row[length]] < r:
             counts[row[length]] += 1
             length += 1
-        while length > 1 and length >= shortest:
-            rows.append(length)
-            extend(remaining - length, length, j + 1)
-            rows.pop()
-            length -= 1
-            counts[row[length]] -= 1
+        if length >= shortest:
+            # row j-1 joins the key histogram for this node and the nodes
+            # below it; a row j of length l ends the run above and closes
+            # columns l..max_row-1, and closed counts their matches down
+            # to length
+            last = below[max_row]
+            keys[last] += 1
+            closed = dim + laps[run]
+            # only the first child can repeat the row above
+            if length < max_row:
+                closed += sum(map(keys.__getitem__, below[length:max_row]))
+            if length > 1:
+                rows.append(length)
+                if length == max_row:
+                    extend(remaining - length, length, after, dim, run + 1)
+                else:
+                    extend(remaining - length, length, after, closed, 1)
+                length -= 1
+                counts[row[length]] -= 1
+                closed += keys[below[length]]
+                while length > 1 and length >= shortest:
+                    rows[-1] = length
+                    extend(remaining - length, length, after, closed, 1)
+                    length -= 1
+                    counts[row[length]] -= 1
+                    closed += keys[below[length]]
+                rows.pop()
+            if shortest == 1:
+                # every remaining column-0 box fits, so the all-ones tail
+                # closes: its run ends, and column 0 closes at height
+                # j + remaining, matching earlier rows and the tail rows
+                # j + t, keyed a + b*(j + t)
+                top = col[remaining - 1]
+                found.append(Partition._of(tuple(rows) + (1,) * remaining))
+                dims.append(closed + laps[remaining] + keys[top]
+                            + col[:remaining].count((top - am) % n))
+            keys[last] -= 1
         for c in row[:length]:
             counts[c] -= 1
-        if shortest == 1:
-            # every remaining column-0 box fits, so the all-ones tail closes
-            found.append(Partition._of(tuple(rows) + (1,) * remaining))
 
-    extend(total, total, 0)
+    extend(total, total, 0, 0, 0)
     # the search emits rows in descending lexicographic order
-    return tuple(reversed(found))
+    return tuple(reversed(found)), tuple(reversed(dims))

@@ -26,10 +26,11 @@ gives ``w*m <= a*i + b*h' < w*m + n``.
 
 from __future__ import annotations
 
-from .coloring import GroupParams, _order_range, _require_balanced, enumerate_balanced, is_balanced
+from .coloring import (GroupParams, _balanced_family, _family_key, _order_range,
+                       _require_balanced, is_balanced)
 from .errors import InvariantViolationError, PreconditionError
 from .partitions import Box, Partition, _column_heights
-from .tangent import _cell_dimension, l_class
+from .tangent import l_class
 
 
 def _positive_weights(g: GroupParams) -> GroupParams:
@@ -59,18 +60,22 @@ def diagonal(g: GroupParams, k: int) -> tuple[Box, ...]:
     return tuple(points)
 
 
-def _anchor(g: GroupParams, r: int, lam: Partition) -> Box:
-    """The off-diagram point of diagonal ``r*a*b`` with the smallest ``i``.
-
-    ``g`` has positive weights.  Preconditions are reported distinctly:
-    ``r >= 0``, ``n > r*a*b``, and ``lam`` balanced with multiplicity ``r``.
-    """
+def _require_insertable(g: GroupParams, r: int, lam: Partition) -> None:
+    """The preconditions of the insertion at ``g`` (positive weights),
+    reported distinctly: ``r >= 0``, ``n > r*a*b``, and ``lam`` balanced
+    with multiplicity ``r``."""
     if r < 0:
         raise PreconditionError(f"multiplicity must be nonnegative, got {r}")
     rab = r * g.a * g.b
     if g.n <= rab:
         raise PreconditionError(f"requires n > r*a*b, got n={g.n} <= {rab}")
     _require_balanced(g, lam, r)
+
+
+def _anchor(g: GroupParams, r: int, lam: Partition) -> Box:
+    """The off-diagram point of diagonal ``r*a*b`` with the smallest ``i``;
+    ``g`` has positive weights and ``r >= 0``."""
+    rab = r * g.a * g.b
     for pt in diagonal(g, rab):  # listed by ascending i
         if pt not in lam:
             return pt
@@ -115,6 +120,7 @@ def psi(g: GroupParams, r: int, lam: Partition) -> Partition:
     statistic; any failure of these guarantees raises, it is never repaired.
     """
     g = _positive_weights(g)
+    _require_insertable(g, r, lam)
     result = _shift(g, r, lam, 1)
     big = g.with_n(g.n + g.a * g.b)
     if is_balanced(big, result) != (True, r):
@@ -137,7 +143,9 @@ def psi_inverse(g: GroupParams, r: int, mu: Partition) -> Partition:
     rab = r * g.a * g.b
     if g.n <= rab:
         raise PreconditionError(f"requires n > r*a*b, got n={g.n} <= {rab}")
-    lam = _shift(g.with_n(g.n + g.a * g.b), r, mu, -1)
+    big = g.with_n(g.n + g.a * g.b)
+    _require_insertable(big, r, mu)
+    lam = _shift(big, r, mu, -1)
     if psi(g, r, lam) != mu:
         raise InvariantViolationError(
             f"inverse {lam} of {mu} does not map back under insertion"
@@ -170,17 +178,22 @@ def verify_period(g: GroupParams, r: int, n_from: int, n_to: int) -> dict:
         gm = g.with_n(n + period)
         here = l_class(gn, r)
         there = l_class(gm, r)
-        pairs = [(lam, psi(gn, r, lam)) for lam in enumerate_balanced(gn, r)]
+        family, betti = _balanced_family(_family_key(gn, r))
+        images, betti_images = _balanced_family(_family_key(gm, r))
+        # the members are balanced by construction, so the insertion is
+        # applied unchecked; its images are checked against the next family
+        pairs = [(lam, _shift(gn, r, lam, 1)) for lam in family]
         # the family is sorted without repeats: equal means injective and onto
-        image_ok = tuple(sorted(mu for _, mu in pairs)) == enumerate_balanced(gm, r)
+        image_ok = tuple(sorted(mu for _, mu in pairs)) == images
+        betti_of = dict(zip(images, betti_images))
         betti_rows = [
             {
                 "source": str(lam),
                 "image": str(mu),
-                "betti_source": _cell_dimension(g.a, g.b, n, lam),
-                "betti_image": _cell_dimension(g.a, g.b, n + period, mu),
+                "betti_source": beta,
+                "betti_image": betti_of.get(mu),
             }
-            for lam, mu in pairs
+            for (lam, mu), beta in zip(pairs, betti)
         ]
         betti_ok = all(row["betti_source"] == row["betti_image"] for row in betti_rows)
         checks.append(

@@ -17,6 +17,7 @@ from eqhilb import (
     psi_inverse,
     verify_period,
 )
+from eqhilb import stabilization
 from eqhilb.stabilization import _anchor
 from oracles import phi, psi_by_boxes, psi_inverse_by_boxes, psi_inverse_by_search, split_of_class
 
@@ -221,6 +222,20 @@ def test_verify_period_reports():
     rep = verify_period(GroupParams(1, 1, 2), 1, 2, 8)
     assert rep["all_equal"] and rep["all_bijections_ok"]
     assert rep["skipped_below_threshold"] == []
+
+
+def test_verify_period_reports_an_image_outside_the_family(monkeypatch):
+    """An insertion that leaves the family is reported, not raised: the
+    image has no statistic, so neither check passes."""
+    monkeypatch.setattr(stabilization, "_shift", lambda g, r, lam, sign: Partition((2, 1)))
+    rep = verify_period(GroupParams(1, 1, 2), 1, 2, 2)
+    (check,) = rep["checks"]
+    assert check["equal"]
+    assert not check["bijection"]["image_matches"]
+    assert not check["bijection"]["betti_preserved"]
+    assert {pair["image"] for pair in check["bijection"]["pairs"]} == {"2,1"}
+    assert all(pair["betti_image"] is None for pair in check["bijection"]["pairs"])
+    assert not rep["all_bijections_ok"]
 
 
 def test_verify_period_skips_below_threshold():

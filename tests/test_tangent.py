@@ -24,6 +24,7 @@ from eqhilb import coloring, tangent
 from oracles import (
     brute_force_balanced,
     cell_dimension_by_boxes,
+    cell_dimension_by_rows,
     cotangent_weights,
     gottsche_l_class,
     is_lex_positive,
@@ -229,6 +230,32 @@ def test_cell_dimension_matches_box_by_box_count():
             for lam in diagrams:
                 assert tangent._cell_dimension(a, b, n, lam) == \
                     cell_dimension_by_boxes(a, b, n, lam), (a, b, n, lam)
+
+
+def test_search_statistics_match_the_oracles():
+    """The statistics the balanced search folds in equal the hook count
+    box by box and row by row, for every coprime (a, b) in -6..6, n <= 12
+    and r*n <= 24.  Requests with one family key share one memo entry, so
+    each key is checked once, with the signed weights of its first request."""
+    seen = set()
+    checked = 0
+    for a in range(-6, 7):
+        for b in range(-6, 7):
+            if math.gcd(a, b) != 1:
+                continue
+            for n in range(1, 13):
+                for r in range(24 // n + 1):
+                    key = coloring._family_key(GroupParams(a, b, n), r)
+                    if key in seen:
+                        continue
+                    seen.add(key)
+                    family, dims = coloring._balanced_family(key)
+                    assert len(dims) == len(family)
+                    for lam, dim in zip(family, dims):
+                        assert dim == cell_dimension_by_boxes(a, b, n, lam) == \
+                            cell_dimension_by_rows(a, b, n, lam), (a, b, n, r, lam)
+                    checked += len(family)
+    assert checked > 40000
 
 
 def test_l_class_invariant_under_unit_scaling():
