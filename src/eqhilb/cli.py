@@ -124,7 +124,7 @@ def _partition(args) -> Partition:
 
 def _cmd_enumerate(args) -> _Report:
     g = _group(args)
-    found, betti = coloring._balanced_family(coloring._family_key(g, args.r))
+    found, betti = coloring._family_and_statistics(g, args.r)
     entries = [{"partition": str(lam), "betti": beta} for lam, beta in zip(found, betti)]
     text = [f"balanced partitions for {g}, r={args.r}: {len(entries)}"]
     text += [f"  {e['partition']}  betti={e['betti']}" for e in entries]

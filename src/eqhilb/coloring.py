@@ -168,13 +168,26 @@ def enumerate_balanced(g: GroupParams, r: int) -> tuple[Partition, ...]:
     enumerate``.  The brute-force filter over all partitions of ``r*n``
     is kept in the test suite as the oracle for this generator.
     """
-    return _balanced_family(_family_key(g, r))[0]
+    return _family_and_statistics(g, r)[0]
+
+
+def _family_and_statistics(g: GroupParams, r: int) -> tuple[tuple[Partition, ...], tuple[int, ...]]:
+    """The balanced family of ``g`` and ``r`` and, aligned with it, the
+    attracting-cell statistic of each member, both from the family memo."""
+    return _balanced_family(_family_key(g, r))
 
 
 @functools.lru_cache(maxsize=_MEMO_SIZE)
 def _balanced_family(key: tuple[int, int, int, int]) -> tuple[tuple[Partition, ...], tuple[int, ...]]:
     """The balanced family of ``key`` and, aligned with it, the statistic of
-    each member (``tangent._cell_dimension``, folded in as rows are placed)."""
+    each member (``tangent._cell_dimension``), folded in as rows are placed.
+
+    A box ``(i, j)`` counts when ``a*i + b*(h_i - 1) = a*l_j + b*j mod n``
+    (``h`` column heights, ``l`` row lengths), so a column adds, as it
+    closes, the earlier rows with its key.  A row-end box counts when
+    ``b*k = 0 mod n`` for the ``k`` rows from its own to the end of its
+    run of equal rows, so a run of ``k`` rows adds ``k // (n // gcd(b, n))``.
+    """
     am, bm, n, r = key
     total = r * n
     # the colors of a row and of column 0 from a box of color s; no walk

@@ -26,8 +26,8 @@ gives ``w*m <= a*i + b*h' < w*m + n``.
 
 from __future__ import annotations
 
-from .coloring import (GroupParams, _balanced_family, _family_key, _order_range,
-                       _require_balanced, is_balanced)
+from .coloring import (GroupParams, _family_and_statistics, _order_range, _require_balanced,
+                       is_balanced)
 from .errors import InvariantViolationError, PreconditionError
 from .partitions import Box, Partition, _column_heights
 from .tangent import l_class
@@ -178,8 +178,8 @@ def verify_period(g: GroupParams, r: int, n_from: int, n_to: int) -> dict:
         gm = g.with_n(n + period)
         here = l_class(gn, r)
         there = l_class(gm, r)
-        family, betti = _balanced_family(_family_key(gn, r))
-        images, betti_images = _balanced_family(_family_key(gm, r))
+        family, betti = _family_and_statistics(gn, r)
+        images, betti_images = _family_and_statistics(gm, r)
         # the members are balanced by construction, so the insertion is
         # applied unchecked; its images are checked against the next family
         pairs = [(lam, _shift(gn, r, lam, 1)) for lam in family]

@@ -16,17 +16,11 @@ plus every row-end box (``arm = 0``) with ``b*(leg+1) = 0 mod n``.  The
 level sets of this hook count over the balanced diagrams are the
 compactly supported Betti numbers, summed up by ``l_class``.
 
-The box condition reads ``a*i + b*(h_i - 1) = a*l_j + b*j mod n`` (``h``
-column heights, ``l`` row lengths): a key of its column equals a key of
-its row.  Placed longest first, rows fold the count in one pass.  When row
-``j`` is shorter than the row above, columns ``l_j, l_j + 1, ...`` of that
-row close at height ``j``, and each adds the number of earlier rows with
-its key, read from a histogram of row keys.  A row-end box counts when
-``b*k = 0 mod n`` for the ``k`` rows from its own to the end of its run of
-equal rows, so a run of ``k`` rows adds ``k // (n // gcd(b, n))``.  The
-last row closes the open columns at the number of rows.  The balanced
-search carries this fold along as it places rows, so ``l_class`` only
-counts the statistics its family memo holds.
+The box condition compares a key of its column with a key of its row,
+so ``_cell_dimension`` makes one pass over the column heights and then
+one per row.  The balanced search folds the same count in as it places
+rows (``coloring._balanced_family``), so ``l_class`` only counts the
+statistics its family memo holds.
 
 ``Arrow`` spells the same weights out as lattice arrows that hug the
 boundary of the diagram (``D``: tail ``(l(j), j)``, head ``(i, c(i)-1)``;
@@ -40,7 +34,6 @@ from __future__ import annotations
 
 import functools
 import json
-import math
 from collections import Counter
 from dataclasses import dataclass
 
@@ -95,24 +88,21 @@ def invariant_arrows(g: GroupParams, lam: Partition) -> tuple[Arrow, ...]:
 
 
 def _cell_dimension(a: int, b: int, n: int, lam: Partition) -> int:
-    """The hook count of the module docstring, folded over the rows of ``lam``.
+    """The hook count of the module docstring; ``lam`` must be balanced.
 
     Every condition is a congruence mod ``n``, so ``(a, b)`` may be any
-    representatives of the weights' residues.  The balanced search folds
-    the same sums in as it places rows (``coloring._balanced_family``).
+    representatives of the weights' residues.  For box ``(i, j)`` the hook
+    condition reads ``a*i + b*(h_i - 1) = a*l_j + b*j`` (``h`` column
+    heights, ``l`` row lengths): one key per column, counted row by row.
     """
-    period = n // math.gcd(b, n)
-    keys = [0] * n
-    dim = run = above = 0
+    heights = _column_heights(lam.rows)
+    key = [(a * i + b * (h - 1)) % n for i, h in enumerate(heights)]
+    dim = 0
     for j, length in enumerate(lam.rows):
-        if length < above:
-            dim += run // period + sum(keys[(a * i + b * (j - 1)) % n] for i in range(length, above))
-            run = 0
-        run += 1
-        keys[(a * length + b * j) % n] += 1
-        above = length
-    j = len(lam.rows)
-    return dim + run // period + sum(keys[(a * i + b * (j - 1)) % n] for i in range(above))
+        dim += key[:length].count((a * length + b * j) % n)
+        if b * (heights[length - 1] - j) % n == 0:
+            dim += 1
+    return dim
 
 
 def betti_statistic(g: GroupParams, lam: Partition) -> int:

@@ -177,20 +177,6 @@ def cell_dimension_by_boxes(a, b, n, lam):
     return dim
 
 
-def cell_dimension_by_rows(a, b, n, lam):
-    """The hook count row by row: box (i, j) counts when its column key
-    a*i + b*(h_i - 1) equals its row key a*l_j + b*j mod n, plus every
-    row-end box with b*(leg+1) = 0 mod n."""
-    heights = lam.conjugate().rows
-    key = [(a * i + b * (h - 1)) % n for i, h in enumerate(heights)]
-    dim = 0
-    for j, length in enumerate(lam.rows):
-        dim += key[:length].count((a * length + b * j) % n)
-        if b * (heights[length - 1] - j) % n == 0:
-            dim += 1
-    return dim
-
-
 def abacus_charge(ab):
     """Beads at nonnegative positions minus gaps at negative positions; with
     all of (-inf, offset) beaded this telescopes to offset + beads in the word."""

@@ -362,6 +362,14 @@ def _limited_address_space():
     resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
 
 
+def _run_limited(argv):
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = {k: v for k, v in os.environ.items() if k != "EQHILB_MAX_BOXES"}
+    env["PYTHONPATH"] = src
+    return subprocess.run([sys.executable, "-m", "eqhilb.cli", *argv], capture_output=True,
+                          text=True, env=env, timeout=60, preexec_fn=_limited_address_space)
+
+
 @pytest.mark.parametrize("argv, message", [
     (["betti", "--a", "1", "--b", "1", "--n", "100000000000", "--partition", "2,1"],
      "error: 2,1 is not balanced for (1,1;100000000000)\n"),
@@ -397,12 +405,17 @@ def test_huge_order_ends_with_error_not_memory_error(argv, message):
     ceiling is refused without allocating per order or per term: run under a
     600 MB address-space limit, where a histogram of ``n`` counters, a report
     entry per order of the range or a list of ``n - 1`` terms fails."""
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    env = {k: v for k, v in os.environ.items() if k != "EQHILB_MAX_BOXES"}
-    env["PYTHONPATH"] = src
-    proc = subprocess.run([sys.executable, "-m", "eqhilb.cli", *argv], capture_output=True,
-                          text=True, env=env, timeout=60, preexec_fn=_limited_address_space)
+    proc = _run_limited(argv)
     assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", message)
+
+
+def test_huge_order_on_the_empty_diagram_is_answered():
+    """The empty diagram is balanced for every order, and its statistic
+    needs no state of ``n`` entries: answered under the same 600 MB limit."""
+    proc = _run_limited(["betti", "--a", "1", "--b", "1", "--n", "100000000000",
+                         "--partition", ""])
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        0, "betti statistic of ∅ for (1,1;100000000000): 0\ninvariant arrows (0):\n", "")
 
 
 def test_closed_stdout_ends_without_traceback():

@@ -24,7 +24,6 @@ from eqhilb import coloring, tangent
 from oracles import (
     brute_force_balanced,
     cell_dimension_by_boxes,
-    cell_dimension_by_rows,
     cotangent_weights,
     gottsche_l_class,
     is_lex_positive,
@@ -234,9 +233,10 @@ def test_cell_dimension_matches_box_by_box_count():
 
 def test_search_statistics_match_the_oracles():
     """The statistics the balanced search folds in equal the hook count
-    box by box and row by row, for every coprime (a, b) in -6..6, n <= 12
-    and r*n <= 24.  Requests with one family key share one memo entry, so
-    each key is checked once, with the signed weights of its first request."""
+    box by box and row by row (``tangent._cell_dimension``), for every
+    coprime (a, b) in -6..6, n <= 12 and r*n <= 24.  Requests with one
+    family key share one memo entry, so each key is checked once, with the
+    signed weights of its first request."""
     seen = set()
     checked = 0
     for a in range(-6, 7):
@@ -253,7 +253,7 @@ def test_search_statistics_match_the_oracles():
                     assert len(dims) == len(family)
                     for lam, dim in zip(family, dims):
                         assert dim == cell_dimension_by_boxes(a, b, n, lam) == \
-                            cell_dimension_by_rows(a, b, n, lam), (a, b, n, r, lam)
+                            tangent._cell_dimension(a, b, n, lam), (a, b, n, r, lam)
                     checked += len(family)
     assert checked > 40000
 
