@@ -78,13 +78,13 @@ def check_rectangle_bijection(g: GroupParams, r: int) -> dict:
         raise PreconditionError(f"requires a > 0 > b, got ({g.a}, {g.b})")
     if math.gcd(g.a, g.n) != 1 or math.gcd(g.b, g.n) != 1:
         raise PreconditionError(f"requires weights coprime to n, got {g}")
+    # both families pass the box ceiling before any image is built
     source = enumerate_balanced(g, r)
-    mapped = [rectangle_map(g, lam) for lam in source]
-    target_r = -g.a * g.b * r
     flipped = GroupParams(1, -1, g.n)
     target = [
-        mu for mu in enumerate_balanced(flipped, target_r) if satisfies_star(mu, g.a, g.b)
+        mu for mu in enumerate_balanced(flipped, -g.a * g.b * r) if satisfies_star(mu, g.a, g.b)
     ]
+    mapped = [rectangle_map(g, lam) for lam in source]
     mapped_set, target_set = set(mapped), set(target)
     report = {
         "group": {"a": g.a, "b": g.b, "n": g.n},

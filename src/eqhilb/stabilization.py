@@ -22,6 +22,12 @@ met once per wrap past a multiple of ``n``: column ``i < i0`` of height
 ``l`` becomes ``l + b*((b*j + a*l) // n)``.  The inverse subtracts the
 same terms with wraps counted at ``m = n + a*b``, as ``h' = h + a*w``
 gives ``w*m <= a*i + b*h' < w*m + n``.
+
+``psi`` and ``psi_inverse`` share one checked step that checks each fact
+once: ``r >= 0``, ``n > r*a*b`` with ``n`` the smaller order, the input
+balanced at its own order, the output balanced at the other order and,
+for the inverse, the round trip.  A failed input check is the caller's
+error; a failed output check raises ``InvariantViolationError``.
 """
 
 from __future__ import annotations
@@ -58,18 +64,6 @@ def diagonal(g: GroupParams, k: int) -> tuple[Box, ...]:
         if rest % g.b == 0:
             points.append(Box(i, rest // g.b))
     return tuple(points)
-
-
-def _require_insertable(g: GroupParams, r: int, lam: Partition) -> None:
-    """The preconditions of the insertion at ``g`` (positive weights),
-    reported distinctly: ``r >= 0``, ``n > r*a*b``, and ``lam`` balanced
-    with multiplicity ``r``."""
-    if r < 0:
-        raise PreconditionError(f"multiplicity must be nonnegative, got {r}")
-    rab = r * g.a * g.b
-    if g.n <= rab:
-        raise PreconditionError(f"requires n > r*a*b, got n={g.n} <= {rab}")
-    _require_balanced(g, lam, r)
 
 
 def _anchor(g: GroupParams, r: int, lam: Partition) -> Box:
@@ -111,6 +105,27 @@ def _shift(g: GroupParams, r: int, lam: Partition, sign: int) -> Partition:
     return _reassemble(rows, heights, j0)
 
 
+def _insert(g: GroupParams, r: int, lam: Partition, sign: int) -> Partition:
+    """The checked insertion step for ``sign`` 1, its inverse for ``sign`` -1."""
+    g = _positive_weights(g)
+    if r < 0:
+        raise PreconditionError(f"multiplicity must be nonnegative, got {r}")
+    rab = r * g.a * g.b
+    if g.n <= rab:
+        raise PreconditionError(f"requires n > r*a*b, got n={g.n} <= {rab}")
+    big = g.with_n(g.n + g.a * g.b)
+    here, there = (g, big) if sign > 0 else (big, g)
+    _require_balanced(here, lam, r)
+    result = _shift(here, r, lam, sign)
+    if is_balanced(there, result) != (True, r):
+        raise InvariantViolationError(f"{'insertion' if sign > 0 else 'inverse'} output "
+                                      f"{result} is not balanced of multiplicity {r} at {there}")
+    if sign < 0 and _shift(g, r, result, 1) != lam:
+        raise InvariantViolationError(f"inverse {result} of {lam} does not map back "
+                                      "under insertion")
+    return result
+
+
 def psi(g: GroupParams, r: int, lam: Partition) -> Partition:
     """Insertion step: maps balanced diagrams at order n to order n + a*b.
 
@@ -119,15 +134,7 @@ def psi(g: GroupParams, r: int, lam: Partition) -> Partition:
     The result is balanced of ``r*(n+a*b)`` boxes with the same Betti
     statistic; any failure of these guarantees raises, it is never repaired.
     """
-    g = _positive_weights(g)
-    _require_insertable(g, r, lam)
-    result = _shift(g, r, lam, 1)
-    big = g.with_n(g.n + g.a * g.b)
-    if is_balanced(big, result) != (True, r):
-        raise InvariantViolationError(
-            f"insertion output {result} is not balanced of multiplicity {r} at {big}"
-        )
-    return result
+    return _insert(g, r, lam, 1)
 
 
 def psi_inverse(g: GroupParams, r: int, mu: Partition) -> Partition:
@@ -139,18 +146,7 @@ def psi_inverse(g: GroupParams, r: int, mu: Partition) -> Partition:
     drops the boxes colored in ``[n, m-1]`` that the insertion added.  The
     answer is verified by re-applying the insertion.
     """
-    g = _positive_weights(g)
-    rab = r * g.a * g.b
-    if g.n <= rab:
-        raise PreconditionError(f"requires n > r*a*b, got n={g.n} <= {rab}")
-    big = g.with_n(g.n + g.a * g.b)
-    _require_insertable(big, r, mu)
-    lam = _shift(big, r, mu, -1)
-    if psi(g, r, lam) != mu:
-        raise InvariantViolationError(
-            f"inverse {lam} of {mu} does not map back under insertion"
-        )
-    return lam
+    return _insert(g, r, mu, -1)
 
 
 def verify_period(g: GroupParams, r: int, n_from: int, n_to: int) -> dict:
@@ -166,14 +162,11 @@ def verify_period(g: GroupParams, r: int, n_from: int, n_to: int) -> dict:
         raise PreconditionError(f"group orders start at 1, got n_from={n_from}")
     period = g.a * g.b
     rab = r * period
-    if max(n_from, rab + 1) > n_to:
+    first = max(n_from, rab + 1)
+    if first > n_to:
         raise PreconditionError(f"no order in {n_from}..{n_to} exceeds r*a*b = {rab}")
     checks = []
-    skipped = []
-    for n in _order_range(r, n_from, n_to):
-        if n <= rab:
-            skipped.append(n)
-            continue
+    for n in _order_range(r, first, n_to):
         gn = g.with_n(n)
         gm = g.with_n(n + period)
         here = l_class(gn, r)
@@ -215,7 +208,7 @@ def verify_period(g: GroupParams, r: int, n_from: int, n_to: int) -> dict:
         "r": r,
         "period": period,
         "threshold": rab,
-        "skipped_below_threshold": skipped,
+        "skipped_below_threshold": list(range(n_from, first)),
         "checks": checks,
         "all_equal": all(c["equal"] for c in checks),
         "all_bijections_ok": all(

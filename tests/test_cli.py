@@ -395,11 +395,18 @@ def _run_limited(argv):
       "--n-to", "100000000000"],
      "error: a range of 99999999998 orders with r = 0 exceeds the ceiling of 80 "
      "(raise EQHILB_MAX_BOXES)\n"),
+    (["verify-period", "--a", "1", "--b", "100000000000", "--r", "1", "--n-from", "1",
+      "--n-to", "1000000000000"],
+     "error: enumerating balanced partitions of 100000000001 boxes exceeds the ceiling of 80 "
+     "(raise EQHILB_MAX_BOXES)\n"),
+    (["check-star", "--a", "1", "--b", "-100000000000", "--n", "3", "--r", "1"],
+     "error: enumerating balanced partitions of 300000000000 boxes exceeds the ceiling of 80 "
+     "(raise EQHILB_MAX_BOXES)\n"),
     (["hj", "--n", "100000000000", "--k", "99999999999"],
      "error: the expansion of 100000000000/99999999999 has more than the ceiling of 80 "
      "terms (raise EQHILB_MAX_BOXES)\n"),
 ], ids=["betti", "psi", "poincare", "verify-qpoly", "poincare-r0", "verify-qpoly-r0",
-        "verify-period-r0", "hj"])
+        "verify-period-r0", "verify-period", "check-star", "hj"])
 def test_huge_order_ends_with_error_not_memory_error(argv, message):
     """A group order, an order range or a continued fraction far past the box
     ceiling is refused without allocating per order or per term: run under a

@@ -6,6 +6,7 @@ from eqhilb import (
     Box,
     EnumerationLimitError,
     GroupParams,
+    InvariantViolationError,
     Partition,
     PreconditionError,
     UnbalancedPartitionError,
@@ -208,6 +209,35 @@ def test_psi_inverse_rejects_bad_input():
         psi_inverse(g, 1, Partition((3, 3)))  # balanced at order 3, r = 2
     with pytest.raises(PreconditionError):
         psi_inverse(GroupParams(1, 1, 1), 1, Partition((2,)))
+    with pytest.raises(PreconditionError, match=r"^requires n > r\*a\*b, got n=1 <= 1$"):
+        psi_inverse(GroupParams(1, 1, 1), 1, Partition((3,)))  # names the smaller order
+
+
+def _shift_wrong_when(monkeypatch, wrong_sign, wrong):
+    """Patch the insertion's ``_shift`` to return ``wrong`` in one direction."""
+    shift = stabilization._shift
+    monkeypatch.setattr(stabilization, "_shift", lambda g, r, lam, sign: (
+        wrong if sign == wrong_sign else shift(g, r, lam, sign)))
+
+
+def test_psi_inverse_reports_an_unbalanced_preimage(monkeypatch):
+    # the preimage is the inverse's own result, so the caller is not blamed
+    _shift_wrong_when(monkeypatch, -1, Partition((2, 1)))
+    with pytest.raises(InvariantViolationError, match="^inverse output 2,1 is not balanced"):
+        psi_inverse(GroupParams(1, 1, 2), 1, Partition((3,)))
+
+
+def test_psi_inverse_reports_a_preimage_that_does_not_map_back(monkeypatch):
+    # (1,1) is balanced at order 2, but the insertion takes it to (1,1,1)
+    _shift_wrong_when(monkeypatch, -1, Partition((1, 1)))
+    with pytest.raises(InvariantViolationError, match="^inverse 1,1 of 3 does not map back"):
+        psi_inverse(GroupParams(1, 1, 2), 1, Partition((3,)))
+
+
+def test_psi_reports_an_unbalanced_output(monkeypatch):
+    _shift_wrong_when(monkeypatch, 1, Partition((2, 1)))
+    with pytest.raises(InvariantViolationError, match="^insertion output 2,1 is not balanced"):
+        psi(GroupParams(1, 1, 2), 1, Partition((2,)))
 
 
 def test_verify_period_reports():

@@ -1,12 +1,20 @@
-"""Fingerprint of every balanced family and L-class on a fixed request sweep.
+"""Fingerprint of every balanced family, L-class and insertion on fixed sweeps.
 
 Requests: coprime weights ``(a, b)`` with ``a, b`` in -6..6, orders ``n``
 in 1..20 and multiplicities ``r`` from 0 with ``r*n <= 40``, 15,168 in
-all.  The script prints the request count and one SHA-256 over, per
+all.  The first line holds the request count and one SHA-256 over, per
 request in that order, the request, the row tuples of its family and the
-coefficients of its L-class.  Two trees that print the same line give the
-same families and classes on every request; run it once per tree, each in
-its own interpreter:
+coefficients of its L-class.
+
+The second line holds the count of insertion calls and one SHA-256 over
+``psi`` of every member and ``psi_inverse`` of its image, for coprime
+``a, b`` in 1..4, ``r <= 3``, ``n`` in 1..40 with ``n > r*a*b`` and
+``r*(n + a*b) <= 40``; then the class and message of each refusal on
+fixed bad inputs in both directions; then the JSON reports of
+``verify_period`` over fixed ranges, some starting below the threshold.
+
+Two trees that print the same lines give the same results on every
+request; run it once per tree, each in its own interpreter:
 
     PYTHONPATH=src python3 tools/identity_sweep.py
 
@@ -17,13 +25,41 @@ takes about two minutes on one core.
 from __future__ import annotations
 
 import hashlib
+import json
 import math
 
-from eqhilb import GroupParams, enumerate_balanced, l_class
+from eqhilb import (EqhilbError, GroupParams, Partition, enumerate_balanced, l_class, psi,
+                    psi_inverse, verify_period)
 
 WEIGHTS = range(-6, 7)
 MAX_ORDER = 20
 MAX_BOXES = 40
+INSERTION_WEIGHTS = range(1, 5)
+MAX_INSERTION_R = 3
+
+#: (a, b, n), r, rows: unbalanced, wrong multiplicity, n <= r*a*b, r < 0
+#: and mixed signs; each is given to psi and to psi_inverse.
+BAD_INSERTIONS = [
+    ((1, 1, 3), 1, (2, 1)),
+    ((1, 1, 2), 1, (2, 1)),
+    ((1, 1, 3), 1, (3, 3)),
+    ((1, 1, 2), 1, (3, 3)),
+    ((1, 1, 2), 2, (3, 1)),
+    ((1, 1, 1), 1, (2,)),
+    ((1, 1, 3), -1, ()),
+    ((1, -1, 5), 1, (5,)),
+]
+
+#: (a, b), r, n_from, n_to
+PERIOD_RANGES = [
+    ((1, 1), 2, 1, 8),
+    ((1, 1), 1, 2, 8),
+    ((1, 2), 1, 3, 12),
+    ((1, 3), 2, 4, 10),
+    ((2, 3), 1, 1, 12),
+    ((-1, -2), 1, 1, 9),
+    ((1, 2), 0, 1, 6),
+]
 
 
 def requests():
@@ -36,6 +72,40 @@ def requests():
                     yield GroupParams(a, b, n), r
 
 
+def insertion_requests():
+    for a in INSERTION_WEIGHTS:
+        for b in INSERTION_WEIGHTS:
+            if math.gcd(a, b) != 1:
+                continue
+            for n in range(1, MAX_BOXES + 1):
+                for r in range(MAX_INSERTION_R + 1):
+                    if n > r * a * b and r * (n + a * b) <= MAX_BOXES:
+                        yield GroupParams(a, b, n), r
+
+
+def insertion_digest() -> tuple[int, str]:
+    digest = hashlib.sha256()
+    calls = 0
+    for g, r in insertion_requests():
+        for lam in enumerate_balanced(g, r):
+            mu = psi(g, r, lam)
+            digest.update(repr((g.a, g.b, g.n, r, lam.rows, mu.rows, psi_inverse(g, r, mu).rows))
+                          .encode())
+            calls += 2
+    for (a, b, n), r, rows in BAD_INSERTIONS:
+        for step in (psi, psi_inverse):
+            try:
+                step(GroupParams(a, b, n), r, Partition(rows))
+            except EqhilbError as exc:
+                digest.update(f"{step.__name__} {type(exc).__name__}: {exc}".encode())
+            else:
+                raise AssertionError(f"{step.__name__} accepted {(a, b, n, r, rows)}")
+    for (a, b), r, n_from, n_to in PERIOD_RANGES:
+        report = verify_period(GroupParams(a, b, n_from), r, n_from, n_to)
+        digest.update(json.dumps(report, sort_keys=True).encode())
+    return calls, digest.hexdigest()
+
+
 def main() -> None:
     digest = hashlib.sha256()
     count = 0
@@ -45,6 +115,8 @@ def main() -> None:
         digest.update(repr((g.a, g.b, g.n, r, rows, coeffs)).encode())
         count += 1
     print(f"{count} requests sha256 {digest.hexdigest()}")
+    calls, insertions = insertion_digest()
+    print(f"{calls} insertion calls sha256 {insertions}")
 
 
 if __name__ == "__main__":
