@@ -30,9 +30,11 @@ from .analysis import (
 )
 from .coloring import (
     GroupParams,
+    LPolynomial,
     color,
     enumerate_balanced,
     is_balanced,
+    l_class,
     weight_vector,
 )
 from .errors import (
@@ -54,11 +56,9 @@ from .stabilization import (
 )
 from .tangent import (
     Arrow,
-    LPolynomial,
     betti_statistic,
     distinguished_arrows,
     invariant_arrows,
-    l_class,
 )
 
 __all__ = [

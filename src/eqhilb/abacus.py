@@ -168,14 +168,14 @@ def from_core_quotient(core: Partition, quot: MultiPartition) -> Partition:
     When ``quot`` carries its alignment (every value produced by
     :func:`runners` does), the preimage is unique and this inverts the
     decomposition.  A bare tuple without alignment is reconstructed only
-    if exactly one alignment is consistent; otherwise the call raises
-    ``AmbiguousQuotientError`` listing the candidates.
+    if the consistent alignments rebuild one partition; otherwise the
+    call raises ``AmbiguousQuotientError`` listing the candidates.
     """
     n = len(quot.parts)
     sizes = _tally(core.rows, n)  # runner s holds the absolute residue s
     rotations = range(n) if quot.alignment is None else (quot.alignment % n,)
     want = (tuple(p.rows for p in quot.parts), core.rows)
-    matches = []
+    matches = set()  # alignments that rebuild one partition give one preimage
     for rho in rotations:
         abs_parts = [quot.parts[(s - rho) % n].rows for s in range(n)]
         # one more bead on every runner until each runner holds its part
@@ -184,9 +184,9 @@ def from_core_quotient(core: Partition, quot: MultiPartition) -> Partition:
             [s + n * y for s, (p, c) in enumerate(zip(abs_parts, sizes)) for y in _beta(p, c + extra)],
             reverse=True))
         if _decompose(rows, n) == want:
-            matches.append(Partition._of(rows))
+            matches.add(Partition._of(rows))
     if len(matches) == 1:
-        return matches[0]
+        return matches.pop()
     # a match has an n-core by construction, so only a failed search tests the given core
     if _decompose(core.rows, n)[1] != core.rows:
         raise NotNCoreError(f"{core} is not an {n}-core")

@@ -124,8 +124,9 @@ def _partition(args) -> Partition:
 
 def _cmd_enumerate(args) -> _Report:
     g = _group(args)
-    found, betti = coloring._family_and_statistics(g, args.r)
-    entries = [{"partition": str(lam), "betti": beta} for lam, beta in zip(found, betti)]
+    record = coloring._family_record(g, args.r)
+    found = record.members
+    entries = [{"partition": str(lam), "betti": beta} for lam, beta in zip(found, record.statistics)]
     text = [f"balanced partitions for {g}, r={args.r}: {len(entries)}"]
     text += [f"  {e['partition']}  betti={e['betti']}" for e in entries]
     if args.render == "ascii":
@@ -170,7 +171,7 @@ def _cmd_poincare(args) -> _Report:
     g0 = coloring.GroupParams(args.a, args.b, args.n_from if args.n is None else args.n)
     r = args.r
     ns = [args.n] if args.n is not None else coloring._order_range(r, args.n_from, args.n_to)
-    entries = [(g, tangent.l_class(g, r)) for g in map(g0.with_n, ns)]
+    entries = [(g, coloring.l_class(g, r)) for g in map(g0.with_n, ns)]
     payload = [{"group": _group_json(g), "r": r, "l_class": lc.to_json(),
                 "poincare": lc.poincare_str(), "euler": lc.euler()} for g, lc in entries]
     text = [f"{g} r={r}: [H] = {lc}, P(z) = {lc.poincare_str()}, euler = {lc.euler()}"

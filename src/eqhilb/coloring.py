@@ -6,14 +6,20 @@ is balanced when every residue appears the same number ``r`` of times;
 the balanced diagrams of ``r*n`` boxes index the torus fixed points of
 the associated equivariant Hilbert scheme and carry all of its
 topological invariants.
+
+One memo entry per coloring key holds what is computed per family: the
+members, the attracting-cell statistic of each one and their L-class.
 """
 
 from __future__ import annotations
 
 import functools
+import json
 import math
 import os
+from collections import Counter
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import EnumerationLimitError, PreconditionError, UnbalancedPartitionError
 from .partitions import Box, Partition
@@ -25,8 +31,7 @@ from .partitions import Box, Partition
 DEFAULT_MAX_BOXES = 80
 MAX_BOXES_ENV = "EQHILB_MAX_BOXES"
 
-#: Entries kept by each memo keyed on ``_family_key`` (families here,
-#: L-classes in ``tangent``), so a long-lived process holds bounded memory.
+#: Records kept by the family memo (one per ``_family_key``), so memory stays bounded.
 _MEMO_SIZE = 256
 
 
@@ -144,6 +149,90 @@ def _family_key(g: GroupParams, r: int) -> tuple[int, int, int, int]:
     return (g.a % g.n, g.b % g.n, g.n, r)
 
 
+class LPolynomial:
+    """Polynomial in L with nonnegative integer coefficients.
+
+    Simultaneously the motivic class (L the class of the affine line)
+    and, via ``L = z^2``, the compactly supported Poincare polynomial;
+    evaluation at ``L = 1`` is the Euler characteristic.
+    """
+
+    __slots__ = ("coeffs",)
+
+    def __init__(self, coeffs=()):
+        given = list(coeffs)
+        coeffs = list(map(int, given))
+        if coeffs != given or any(c < 0 for c in coeffs):
+            raise ValueError(f"coefficients must be nonnegative integers, got {given}")
+        while coeffs and coeffs[-1] == 0:
+            coeffs.pop()
+        self.coeffs = tuple(coeffs)
+
+    def coeff(self, k: int) -> int:
+        return self.coeffs[k] if 0 <= k < len(self.coeffs) else 0
+
+    def degree(self) -> int:
+        """Degree in L; -1 for the zero polynomial."""
+        return len(self.coeffs) - 1
+
+    def euler(self) -> int:
+        """Evaluation at L = 1: the Euler characteristic."""
+        return sum(self.coeffs)
+
+    def betti_numbers(self, top: int | None = None) -> tuple[int, ...]:
+        """Compactly supported Betti numbers b_0..b_top (odd ones vanish)."""
+        if top is None:
+            top = 2 * max(self.degree(), 0)
+        return tuple(self.coeff(i // 2) if i % 2 == 0 else 0 for i in range(top + 1))
+
+    def _format(self, monomial) -> str:
+        """Nonzero terms in descending degree, ``monomial(k)`` naming ``L^k`` for k >= 1."""
+        terms = []
+        for k in range(len(self.coeffs) - 1, -1, -1):
+            c = self.coeffs[k]
+            if c == 0:
+                continue
+            if k == 0:
+                terms.append(str(c))
+            else:
+                mono = monomial(k)
+                terms.append(mono if c == 1 else f"{c}{mono}")
+        return " + ".join(terms) if terms else "0"
+
+    def poincare_str(self) -> str:
+        """Poincare polynomial in z, printed in descending degree."""
+        return self._format(lambda k: f"z^{2 * k}")
+
+    def to_json(self) -> dict:
+        return {"coeffs": list(self.coeffs)}
+
+    @classmethod
+    def from_json(cls, data) -> "LPolynomial":
+        if isinstance(data, str):
+            data = json.loads(data)
+        return cls(data["coeffs"])
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, LPolynomial) and self.coeffs == other.coeffs
+
+    def __hash__(self) -> int:
+        return hash(self.coeffs)
+
+    def __repr__(self) -> str:
+        return f"LPolynomial({list(self.coeffs)!r})"
+
+    def __str__(self) -> str:
+        return self._format(lambda k: "L" if k == 1 else f"L^{k}")
+
+
+class _FamilyRecord(NamedTuple):
+    """One memo entry: the sorted family, each member's statistic, their L-class."""
+
+    members: tuple[Partition, ...]
+    statistics: tuple[int, ...]
+    l_class: LPolynomial
+
+
 def enumerate_balanced(g: GroupParams, r: int) -> tuple[Partition, ...]:
     """All balanced partitions of ``r*n`` for the coloring ``g``, sorted.
 
@@ -161,26 +250,33 @@ def enumerate_balanced(g: GroupParams, r: int) -> tuple[Partition, ...]:
     all-ones tail is balanced and is emitted at once as the last child.
     The search thus emits rows in descending lexicographic order, and
     the family is that order reversed.  The colors along each row and
-    column-0 walk are read from tables built once per family.  While it
-    places rows, the search also folds in each diagram's attracting-cell
-    statistic (``tangent._cell_dimension``): the memo holds it next to
-    the family, for ``l_class``, ``verify_period`` and ``eqhilb
-    enumerate``.  The brute-force filter over all partitions of ``r*n``
-    is kept in the test suite as the oracle for this generator.
+    column-0 walk are read from tables built once per family, and each
+    diagram's attracting-cell statistic (``tangent._cell_dimension``) is
+    folded in as its rows are placed.  The brute-force filter over all
+    partitions of ``r*n`` is the test suite's oracle for this generator.
     """
-    return _family_and_statistics(g, r)[0]
+    return _family_record(g, r).members
 
 
-def _family_and_statistics(g: GroupParams, r: int) -> tuple[tuple[Partition, ...], tuple[int, ...]]:
-    """The balanced family of ``g`` and ``r`` and, aligned with it, the
-    attracting-cell statistic of each member, both from the family memo."""
+def l_class(g: GroupParams, r: int) -> LPolynomial:
+    """Motivic class of the fixed-point family: sum of L^beta over balanced diagrams.
+
+    Coefficient of ``L^k`` counts the balanced partitions with statistic
+    ``k``; its evaluation at 1 is the number of balanced partitions.
+    It is built and memoised with the family.
+    """
+    return _family_record(g, r).l_class
+
+
+def _family_record(g: GroupParams, r: int) -> _FamilyRecord:
+    """The memo entry of the balanced family of ``g`` and ``r``."""
     return _balanced_family(_family_key(g, r))
 
 
 @functools.lru_cache(maxsize=_MEMO_SIZE)
-def _balanced_family(key: tuple[int, int, int, int]) -> tuple[tuple[Partition, ...], tuple[int, ...]]:
-    """The balanced family of ``key`` and, aligned with it, the statistic of
-    each member (``tangent._cell_dimension``), folded in as rows are placed.
+def _balanced_family(key: tuple[int, int, int, int]) -> _FamilyRecord:
+    """The record of ``key``; the statistic of each member
+    (``tangent._cell_dimension``) is folded in as rows are placed.
 
     A box ``(i, j)`` counts when ``a*i + b*(h_i - 1) = a*l_j + b*j mod n``
     (``h`` column heights, ``l`` row lengths), so a column adds, as it
@@ -283,5 +379,7 @@ def _balanced_family(key: tuple[int, int, int, int]) -> tuple[tuple[Partition, .
             counts[c] -= 1
 
     extend(total, total, 0, 0, 0)
+    by_dim = Counter(dims)
     # the search emits rows in descending lexicographic order
-    return tuple(reversed(found)), tuple(reversed(dims))
+    return _FamilyRecord(tuple(reversed(found)), tuple(reversed(dims)),
+                         LPolynomial(by_dim[k] for k in range(max(by_dim, default=-1) + 1)))

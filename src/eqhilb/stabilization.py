@@ -32,11 +32,9 @@ error; a failed output check raises ``InvariantViolationError``.
 
 from __future__ import annotations
 
-from .coloring import (GroupParams, _family_and_statistics, _order_range, _require_balanced,
-                       is_balanced)
+from .coloring import GroupParams, _family_record, _order_range, _require_balanced, is_balanced
 from .errors import InvariantViolationError, PreconditionError
 from .partitions import Box, Partition, _column_heights
-from .tangent import l_class
 
 
 def _positive_weights(g: GroupParams) -> GroupParams:
@@ -169,16 +167,14 @@ def verify_period(g: GroupParams, r: int, n_from: int, n_to: int) -> dict:
     for n in _order_range(r, first, n_to):
         gn = g.with_n(n)
         gm = g.with_n(n + period)
-        here = l_class(gn, r)
-        there = l_class(gm, r)
-        family, betti = _family_and_statistics(gn, r)
-        images, betti_images = _family_and_statistics(gm, r)
+        here = _family_record(gn, r)
+        there = _family_record(gm, r)
         # the members are balanced by construction, so the insertion is
         # applied unchecked; its images are checked against the next family
-        pairs = [(lam, _shift(gn, r, lam, 1)) for lam in family]
+        pairs = [(lam, _shift(gn, r, lam, 1)) for lam in here.members]
         # the family is sorted without repeats: equal means injective and onto
-        image_ok = tuple(sorted(mu for _, mu in pairs)) == images
-        betti_of = dict(zip(images, betti_images))
+        image_ok = tuple(sorted(mu for _, mu in pairs)) == there.members
+        betti_of = dict(zip(there.members, there.statistics))
         betti_rows = [
             {
                 "source": str(lam),
@@ -186,16 +182,16 @@ def verify_period(g: GroupParams, r: int, n_from: int, n_to: int) -> dict:
                 "betti_source": beta,
                 "betti_image": betti_of.get(mu),
             }
-            for (lam, mu), beta in zip(pairs, betti)
+            for (lam, mu), beta in zip(pairs, here.statistics)
         ]
         betti_ok = all(row["betti_source"] == row["betti_image"] for row in betti_rows)
         checks.append(
             {
                 "n": n,
                 "n_next": n + period,
-                "coeffs_n": list(here.coeffs),
-                "coeffs_next": list(there.coeffs),
-                "equal": here == there,
+                "coeffs_n": list(here.l_class.coeffs),
+                "coeffs_next": list(there.l_class.coeffs),
+                "equal": here.l_class == there.l_class,
                 "bijection": {
                     "image_matches": image_ok,
                     "betti_preserved": betti_ok,

@@ -1,4 +1,4 @@
-"""The attracting-cell statistic, L-polynomial classes, and distinguished arrows.
+"""The attracting-cell statistic and distinguished arrows, per diagram.
 
 Write ``arm`` and ``leg`` for the number of boxes of a diagram to the
 right of and above a box.  The torus weights of the tangent space at the
@@ -14,13 +14,12 @@ weights ``p >> q > 0`` counts the fixed weights that are
 lexicographically positive: every box with ``a*(arm+1) = b*leg mod n``,
 plus every row-end box (``arm = 0``) with ``b*(leg+1) = 0 mod n``.  The
 level sets of this hook count over the balanced diagrams are the
-compactly supported Betti numbers, summed up by ``l_class``.
+compactly supported Betti numbers, summed up by ``coloring.l_class``.
 
 The box condition compares a key of its column with a key of its row,
 so ``_cell_dimension`` makes one pass over the column heights and then
-one per row.  The balanced search folds the same count in as it places
-rows (``coloring._balanced_family``), so ``l_class`` only counts the
-statistics its family memo holds.
+one per row; the balanced search folds the same count in as it places
+rows (``coloring._balanced_family``).
 
 ``Arrow`` spells the same weights out as lattice arrows that hug the
 boundary of the diagram (``D``: tail ``(l(j), j)``, head ``(i, c(i)-1)``;
@@ -32,12 +31,9 @@ independent oracle for the hook count; the statistic never builds one.
 
 from __future__ import annotations
 
-import functools
-import json
-from collections import Counter
 from dataclasses import dataclass
 
-from .coloring import GroupParams, _MEMO_SIZE, _balanced_family, _family_key, _require_balanced
+from .coloring import GroupParams, _require_balanced
 from .partitions import Box, Partition, _column_heights
 
 ARROW_D = "D"
@@ -114,95 +110,3 @@ def betti_statistic(g: GroupParams, lam: Partition) -> int:
     """
     _require_balanced(g, lam)
     return _cell_dimension(g.a, g.b, g.n, lam)
-
-
-class LPolynomial:
-    """Polynomial in L with nonnegative integer coefficients.
-
-    Simultaneously the motivic class (L the class of the affine line)
-    and, via ``L = z^2``, the compactly supported Poincare polynomial;
-    evaluation at ``L = 1`` is the Euler characteristic.
-    """
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs=()):
-        given = list(coeffs)
-        coeffs = list(map(int, given))
-        if coeffs != given or any(c < 0 for c in coeffs):
-            raise ValueError(f"coefficients must be nonnegative integers, got {given}")
-        while coeffs and coeffs[-1] == 0:
-            coeffs.pop()
-        self.coeffs = tuple(coeffs)
-
-    def coeff(self, k: int) -> int:
-        return self.coeffs[k] if 0 <= k < len(self.coeffs) else 0
-
-    def degree(self) -> int:
-        """Degree in L; -1 for the zero polynomial."""
-        return len(self.coeffs) - 1
-
-    def euler(self) -> int:
-        """Evaluation at L = 1: the Euler characteristic."""
-        return sum(self.coeffs)
-
-    def betti_numbers(self, top: int | None = None) -> tuple[int, ...]:
-        """Compactly supported Betti numbers b_0..b_top (odd ones vanish)."""
-        if top is None:
-            top = 2 * max(self.degree(), 0)
-        return tuple(self.coeff(i // 2) if i % 2 == 0 else 0 for i in range(top + 1))
-
-    def _format(self, monomial) -> str:
-        """Nonzero terms in descending degree, ``monomial(k)`` naming ``L^k`` for k >= 1."""
-        terms = []
-        for k in range(len(self.coeffs) - 1, -1, -1):
-            c = self.coeffs[k]
-            if c == 0:
-                continue
-            if k == 0:
-                terms.append(str(c))
-            else:
-                mono = monomial(k)
-                terms.append(mono if c == 1 else f"{c}{mono}")
-        return " + ".join(terms) if terms else "0"
-
-    def poincare_str(self) -> str:
-        """Poincare polynomial in z, printed in descending degree."""
-        return self._format(lambda k: f"z^{2 * k}")
-
-    def to_json(self) -> dict:
-        return {"coeffs": list(self.coeffs)}
-
-    @classmethod
-    def from_json(cls, data) -> "LPolynomial":
-        if isinstance(data, str):
-            data = json.loads(data)
-        return cls(data["coeffs"])
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, LPolynomial) and self.coeffs == other.coeffs
-
-    def __hash__(self) -> int:
-        return hash(self.coeffs)
-
-    def __repr__(self) -> str:
-        return f"LPolynomial({list(self.coeffs)!r})"
-
-    def __str__(self) -> str:
-        return self._format(lambda k: "L" if k == 1 else f"L^{k}")
-
-
-def l_class(g: GroupParams, r: int) -> LPolynomial:
-    """Motivic class of the fixed-point family: sum of L^beta over balanced diagrams.
-
-    Coefficient of ``L^k`` counts the balanced partitions with statistic
-    ``k``; its evaluation at 1 is the number of balanced partitions.
-    Memoised per coloring key, like the family itself.
-    """
-    return _l_class(_family_key(g, r))
-
-
-@functools.lru_cache(maxsize=_MEMO_SIZE)
-def _l_class(key: tuple[int, int, int, int]) -> LPolynomial:
-    counts = Counter(_balanced_family(key)[1])
-    return LPolynomial(counts[k] for k in range(max(counts, default=-1) + 1))

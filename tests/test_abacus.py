@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from eqhilb import (
@@ -153,6 +155,27 @@ def test_bare_quotient_unique_case_is_accepted():
     assert from_core_quotient(core, bare) == lam
 
 
+def test_bare_quotient_preimages_match_brute_force():
+    """A bare quotient has as preimages the partitions whose runners give
+    that core and quotient, each once however many alignments rebuild it;
+    the search groups every partition of at most 10 boxes by that pair."""
+    for n in range(1, 5):
+        preimages = {}
+        for m in range(11):
+            for lam in partitions_of(m):
+                quot, core = runners(lam, n)
+                preimages.setdefault((core, quot.parts), []).append(lam)
+        for (core, parts), found in preimages.items():
+            bare = MultiPartition(parts)
+            if len(found) == 1:
+                assert from_core_quotient(core, bare) == found[0], (n, core, parts)
+                continue
+            listed = ", ".join(str(lam) for lam in sorted(found))
+            with pytest.raises(AmbiguousQuotientError,
+                               match=re.escape(f"has {len(found)} preimages ({listed});")):
+                from_core_quotient(core, bare)
+
+
 def test_empty_core_examples():
     assert has_empty_core(Partition((3,)), 3)
     assert has_empty_core(Partition((2, 1)), 3)
@@ -166,6 +189,8 @@ def test_empty_core_refuses_n_below_one():
     for n in (0, -2):
         with pytest.raises(PreconditionError, match=f"n must be >= 1, got {n}"):
             has_empty_core(Partition((2, 1)), n)
+        with pytest.raises(PreconditionError, match=f"^n must be >= 1, got {n}$"):
+            runners(Partition((2, 1)), n)
 
 
 def test_empty_core_tally_matches_oracles():
@@ -197,5 +222,7 @@ def test_empty_core_iff_balanced():
 
 
 def test_abacus_word_validation():
+    with pytest.raises(PreconditionError, match="^a multipartition has at least one component$"):
+        MultiPartition(())
     with pytest.raises(ValueError):
         Abacus((0, 2, 1), 0)

@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 
@@ -67,6 +68,8 @@ def test_satisfies_star():
 def test_satisfies_star_refuses_non_coprime_weights():
     with pytest.raises(PreconditionError, match=r"weights must be coprime, got \(2, -2\)"):
         satisfies_star(Partition((2, 2)), 2, -2)
+    with pytest.raises(PreconditionError, match=r"^requires a > 0 > b, got \(1, 2\)$"):
+        satisfies_star(Partition((2, 2)), 1, 2)
 
 
 def test_star_characterizes_rectangle_image():
@@ -115,6 +118,13 @@ def test_multipartition_count_values():
     assert multipartition_count(3, 1) == 3
     # matches the balanced family for the sign-flipped coloring
     assert multipartition_count(3, 1) == len(enumerate_balanced(GroupParams(1, -1, 3), 1))
+
+
+def test_multipartition_count_refuses_bad_arguments():
+    with pytest.raises(PreconditionError, match="^n must be >= 1, got 0$"):
+        multipartition_count(0, 1)
+    with pytest.raises(PreconditionError, match="^r must be nonnegative, got -1$"):
+        multipartition_count(3, -1)
 
 
 def test_multipartition_count_oracle():
@@ -206,6 +216,8 @@ def test_fit_period_two_linear():
     assert qp.all_validated()
     assert qp.polys[0] is None and qp.class_validated[0] is None
     assert qp.polys[1] == (Fraction(1, 2), Fraction(1, 2))
+    with pytest.raises(PreconditionError, match="^no polynomial fitted for residue 0$"):
+        qp.evaluate(4)
 
 
 def test_fit_flags_inconsistent_class():
@@ -218,6 +230,14 @@ def test_fit_flags_inconsistent_class():
 def test_fit_insufficient_samples():
     with pytest.raises(InsufficientSamplesError):
         fit_quasipolynomial([(1, 1), (2, 2)], 1, 1)
+
+
+def test_fit_refuses_bad_period_and_degree_bound():
+    samples = [(n, n) for n in range(1, 9)]
+    with pytest.raises(PreconditionError, match="^period must be >= 1, got 0$"):
+        fit_quasipolynomial(samples, 0, 1)
+    with pytest.raises(PreconditionError, match="^degree bound must be nonnegative, got -1$"):
+        fit_quasipolynomial(samples, 1, -1)
 
 
 def test_fit_refuses_repeated_order():
@@ -241,6 +261,7 @@ def test_quasipolynomial_json_roundtrip():
     samples = [(n, multipartition_count(n, 2)) for n in range(2, 9)]
     qp = fit_quasipolynomial(samples, 1, 2)
     assert Quasipolynomial.from_json(qp.to_json()) == qp
+    assert Quasipolynomial.from_json(json.dumps(qp.to_json())) == qp
 
 
 def test_verify_quasipolynomial_equal_weights():

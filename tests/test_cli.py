@@ -304,6 +304,10 @@ def test_partition_above_box_ceiling_refused(monkeypatch, capsys):
 
 
 def test_core_quotient_refuses_n_above_box_ceiling(monkeypatch, capsys):
+    code, out, err = run(capsys, "core-quotient", "--n", "0", "--partition", "2,1")
+    assert code == 1
+    assert out == ""
+    assert err == "error: n must be >= 1, got 0\n"
     # a partition within the ceiling has its beads at positions 0..ceiling,
     # so ceiling + 1 runners already hold one bead each
     code, out, err = run(capsys, "core-quotient", "--n", "10000000", "--partition", "2,1")

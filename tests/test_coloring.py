@@ -159,6 +159,8 @@ def test_n_equals_one_gives_all_partitions():
 
 
 def test_enumeration_ceiling(monkeypatch):
+    with pytest.raises(PreconditionError, match="^multiplicity must be nonnegative, got -1$"):
+        enumerate_balanced(GroupParams(1, 1, 3), -1)
     with pytest.raises(EnumerationLimitError):
         enumerate_balanced(GroupParams(1, 1, 10), 100)
     g = GroupParams(1, 0, 81)

@@ -40,6 +40,8 @@ def test_diagonal_values():
 def test_diagonal_rejects_mixed_signs():
     with pytest.raises(PreconditionError):
         diagonal(GroupParams(1, -1, 3), 2)
+    with pytest.raises(PreconditionError, match="^diagonal index must be nonnegative, got -1$"):
+        diagonal(GroupParams(1, 2, 3), -1)
 
 
 def test_anchor_examples():

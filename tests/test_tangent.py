@@ -168,12 +168,10 @@ def test_signed_weights_with_equal_residues_share_the_memo():
         for r in range(3):
             enumerate_balanced(GroupParams(*first), r)
             l_class(GroupParams(*first), r)
-            sizes = (coloring._balanced_family.cache_info().currsize,
-                     tangent._l_class.cache_info().currsize)
+            size = coloring._balanced_family.cache_info().currsize
             family = enumerate_balanced(g, r)
             lc = l_class(g, r)
-            assert sizes == (coloring._balanced_family.cache_info().currsize,
-                             tangent._l_class.cache_info().currsize)
+            assert size == coloring._balanced_family.cache_info().currsize
             assert family == brute_force_balanced(g, r), (g, r)
             counts = Counter(
                 sum(1 for ar in invariant_arrows(g, lam) if is_lex_positive(ar.weight))
@@ -183,12 +181,12 @@ def test_signed_weights_with_equal_residues_share_the_memo():
 
 
 def test_l_class_memo_holds_one_entry_per_coloring():
-    before = tangent._l_class.cache_info().currsize
+    before = coloring._balanced_family.cache_info().currsize
     for k in range(50):
         assert l_class(GroupParams(1, 1 + 3 * k, 3), 1) == LPolynomial([0, 1, 1])
     for n in range(1, 1001):
         assert l_class(GroupParams(1, 1, n), 0) == LPolynomial([1])
-    assert tangent._l_class.cache_info().currsize - before <= 2
+    assert coloring._balanced_family.cache_info().currsize - before <= 2
 
 
 def test_memos_are_bounded_and_recompute_evicted_keys():
@@ -201,12 +199,12 @@ def test_memos_are_bounded_and_recompute_evicted_keys():
     for g in groups:
         enumerate_balanced(g, 1)
         l_class(g, 1)
-    memos = (coloring._balanced_family, tangent._l_class)
-    assert all(memo.cache_info().currsize <= bound for memo in memos)
-    misses = [memo.cache_info().misses for memo in memos]
+    memo = coloring._balanced_family
+    assert memo.cache_info().currsize <= bound
+    misses = memo.cache_info().misses
     assert enumerate_balanced(first, 1) == family == brute_force_balanced(first, 1)
     assert l_class(first, 1) == lc
-    assert [memo.cache_info().misses for memo in memos] == [m + 1 for m in misses]
+    assert memo.cache_info().misses == misses + 1
 
 
 def test_l_class_matches_gottsche_product():
@@ -245,11 +243,13 @@ def test_search_statistics_match_the_oracles():
                 continue
             for n in range(1, 13):
                 for r in range(24 // n + 1):
-                    key = coloring._family_key(GroupParams(a, b, n), r)
+                    g = GroupParams(a, b, n)
+                    key = coloring._family_key(g, r)
                     if key in seen:
                         continue
                     seen.add(key)
-                    family, dims = coloring._balanced_family(key)
+                    record = coloring._family_record(g, r)
+                    family, dims = record.members, record.statistics
                     assert len(dims) == len(family)
                     for lam, dim in zip(family, dims):
                         assert dim == cell_dimension_by_boxes(a, b, n, lam) == \

@@ -13,21 +13,30 @@ The second line holds the count of insertion calls and one SHA-256 over
 fixed bad inputs in both directions; then the JSON reports of
 ``verify_period`` over fixed ranges, some starting below the threshold.
 
+The third line holds the request count and one SHA-256 over the output
+of ``eqhilb enumerate --format csv`` (through ``eqhilb.cli.main``) for
+every request of the first line.  That output carries the statistic of
+each member, so a statistic moved from one member to another changes
+it, while the histogram the first line hashes stays the same.
+
 Two trees that print the same lines give the same results on every
 request; run it once per tree, each in its own interpreter:
 
     PYTHONPATH=src python3 tools/identity_sweep.py
 
-It uses only the public API, so it runs unchanged on older trees.  A run
-takes about two minutes on one core.
+It uses only the public API and the command-line entry point, so it
+runs unchanged on older trees.  A run takes about six minutes on one core.
 """
 
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 import math
+from contextlib import redirect_stdout
 
+from eqhilb import cli
 from eqhilb import (EqhilbError, GroupParams, Partition, enumerate_balanced, l_class, psi,
                     psi_inverse, verify_period)
 
@@ -106,6 +115,22 @@ def insertion_digest() -> tuple[int, str]:
     return calls, digest.hexdigest()
 
 
+def enumerate_csv_digest() -> tuple[int, str]:
+    digest = hashlib.sha256()
+    count = 0
+    for g, r in requests():
+        argv = ["enumerate", "--a", str(g.a), "--b", str(g.b), "--n", str(g.n), "--r", str(r),
+                "--format", "csv"]
+        out = io.StringIO()
+        with redirect_stdout(out):
+            code = cli.main(argv)
+        if code != 0:
+            raise AssertionError(f"eqhilb {' '.join(argv)} exited with {code}")
+        digest.update(out.getvalue().encode())
+        count += 1
+    return count, digest.hexdigest()
+
+
 def main() -> None:
     digest = hashlib.sha256()
     count = 0
@@ -117,6 +142,8 @@ def main() -> None:
     print(f"{count} requests sha256 {digest.hexdigest()}")
     calls, insertions = insertion_digest()
     print(f"{calls} insertion calls sha256 {insertions}")
+    outputs, csv = enumerate_csv_digest()
+    print(f"{outputs} enumerate --format csv outputs sha256 {csv}")
 
 
 if __name__ == "__main__":
