@@ -17,7 +17,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .coloring import MAX_BOXES_ENV, GroupParams, _box_ceiling, _order_range, enumerate_balanced
+from .coloring import (MAX_BOXES_ENV, GroupParams, _box_ceiling, _order_range, _stretch,
+                       enumerate_balanced)
 from .errors import EnumerationLimitError, InsufficientSamplesError, PreconditionError
 from .partitions import Partition
 
@@ -31,7 +32,10 @@ def normalize_group(g: GroupParams) -> GroupParams:
 
     The resulting parameters have both weights coprime to the order and
     describe the same Hilbert scheme, hence the same L-class for every
-    multiplicity (tested by enumeration at desk scale).
+    multiplicity: the common factors act as pseudo-reflections, and the
+    balanced family of ``g`` is that of the result with each box stretched
+    into a block, each statistic kept.  The family search
+    (``coloring._balanced_family``) runs on that identity.
     """
     # after the first division a is coprime to n, and n only shrinks after it
     d = math.gcd(g.a, g.n)
@@ -48,7 +52,7 @@ def rectangle_map(g: GroupParams, lam: Partition) -> Partition:
     """
     if not (g.a > 0 > g.b):
         raise PreconditionError(f"requires a > 0 > b, got ({g.a}, {g.b})")
-    return Partition(g.a * row for row in lam.rows for _ in range(-g.b))
+    return Partition(_stretch(lam.rows, g.a, -g.b))
 
 
 def satisfies_star(mu: Partition, a: int, b: int) -> bool:

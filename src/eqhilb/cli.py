@@ -13,6 +13,7 @@ is 0 exactly when every requested check passed.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -275,7 +276,10 @@ def _cmd_normalize(args) -> _Report:
     return _Report(_group_json(g), [f"normalized parameters: {g}"])
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand, built once per process: parsing leaves
+    it unchanged, and help is formatted only when printed."""
     parser = argparse.ArgumentParser(
         prog="eqhilb",
         description="Topological invariants of equivariant Hilbert schemes "

@@ -236,21 +236,28 @@ class _FamilyRecord(NamedTuple):
 def enumerate_balanced(g: GroupParams, r: int) -> tuple[Partition, ...]:
     """All balanced partitions of ``r*n`` for the coloring ``g``, sorted.
 
-    Diagrams are built row by row (largest row first) while tracking the
-    color histogram.  Each later row puts one box in column 0, so the
-    column-0 boxes the histogram can still take (no color above ``r``)
-    bound the rows left, and the next row is at least the remaining
+    Common factors of a weight and ``n`` act as pseudo-reflections: the
+    family is that of the smaller group whose weights are units mod its
+    order, with each box stretched into a block, so only that group is
+    searched.  Diagrams are built row by row (largest row first) while
+    tracking the color histogram.  Each later row puts one box in column
+    0, so the column-0 boxes the histogram can still take (no color above
+    ``r``) bound the rows left, and the next row is at least the remaining
     boxes over that count.  That count only reads the histogram: column
     0 repeats its colors every ``p = n // gcd(b, n)`` rows, so its
-    ``t``-th box has a color already visited ``t // p`` times.  Each row
-    is filled once, as far as the histogram and the row above allow,
-    and then shrunk one box at a time down to that bound, but not below
-    2; every shorter row is a prefix, so it fits too.  When the count
-    covers every remaining box, the rest of column 0 fits, so the
-    all-ones tail is balanced and is emitted at once as the last child.
-    The search thus emits rows in descending lexicographic order, and
-    the family is that order reversed.  The colors along each row and
-    column-0 walk are read from tables built once per family, and each
+    ``t``-th box has a color already visited ``t // p`` times.  The boxes
+    beyond one per row lie in the rows that reach column 1, so the
+    column-1 boxes the histogram can take raise that bound in the same
+    way; when ``a + b = 0 mod n`` column 1 repeats column 0 one row lower
+    and is not read.  Each row is filled once, as far as the histogram
+    and the row above allow, and then shrunk one box at a time down to
+    that bound, but not below 2; every shorter row is a prefix, so it
+    fits too.  When the count covers every remaining box, the rest of
+    column 0 fits, so the all-ones tail is balanced and is emitted at
+    once as the last child.  The search thus emits rows in descending
+    lexicographic order, and the family is that order reversed; a
+    stretch keeps that order.  The colors along each row and column
+    walk are read from tables built once per family, and each
     diagram's attracting-cell statistic (``tangent._cell_dimension``) is
     folded in as its rows are placed.  The brute-force filter over all
     partitions of ``r*n`` is the test suite's oracle for this generator.
@@ -273,10 +280,42 @@ def _family_record(g: GroupParams, r: int) -> _FamilyRecord:
     return _balanced_family(_family_key(g, r))
 
 
+def _stretch(rows: tuple[int, ...], wide: int, tall: int) -> tuple[int, ...]:
+    """The rows of the diagram whose every box becomes a ``wide x tall`` block:
+    each row ``wide`` times as long, repeated ``tall`` times."""
+    return tuple(wide * row for row in rows for _ in range(tall))
+
+
 @functools.lru_cache(maxsize=_MEMO_SIZE)
 def _balanced_family(key: tuple[int, int, int, int]) -> _FamilyRecord:
-    """The record of ``key``; the statistic of each member
-    (``tangent._cell_dimension``) is folded in as rows are placed.
+    """The record of ``key``, searched on the key with its pseudo-reflections
+    divided out.
+
+    With ``g = gcd(b, n)``, the subgroup of order ``g`` acts on ``x`` alone
+    and ``A^2`` over it is again ``A^2``: the balanced diagrams of
+    ``(a, b; n)`` are those of ``(a, b/g; n/g)`` with every row ``g`` times
+    as long, and each keeps its statistic (``analysis.normalize_group``
+    divides the same way).  With ``h = gcd(a, n/g)`` the same holds for
+    columns, each row repeated ``h`` times.  After both divisions the
+    weights are units mod the order; ``_search`` runs on that key, and its
+    members are stretched while its statistics and L-class are kept.
+    """
+    am, bm, n, r = key
+    wide = math.gcd(bm, n)
+    n //= wide
+    tall = math.gcd(am, n)
+    n //= tall
+    record = _search((am // tall % n, bm // wide % n, n, r))
+    if wide == tall == 1:
+        return record
+    return record._replace(members=tuple(Partition._of(_stretch(lam.rows, wide, tall))
+                                         for lam in record.members))
+
+
+def _search(key: tuple[int, int, int, int]) -> _FamilyRecord:
+    """The record of ``key`` by the row search of ``enumerate_balanced``;
+    the statistic of each member (``tangent._cell_dimension``) is folded in
+    as rows are placed.
 
     A box ``(i, j)`` counts when ``a*i + b*(h_i - 1) = a*l_j + b*j mod n``
     (``h`` column heights, ``l`` row lengths), so a column adds, as it
@@ -286,19 +325,24 @@ def _balanced_family(key: tuple[int, int, int, int]) -> _FamilyRecord:
     """
     am, bm, n, r = key
     total = r * n
-    # the colors of a row and of column 0 from a box of color s; no walk
+    # the colors of a row and of a column from a box of color s; no walk
     # here is longer than r*n boxes, and a row walk's entry at a length is
     # also the key of a row of that length
     row_walk = [[(s + am * t) % n for t in range(total + 1)] for s in range(n)]
     col_walk = [[(s + bm * t) % n for t in range(total)] for s in range(n)]
     # a row starting at color s: its column-0 walk, its row walk, the row
-    # walk of the row below it and the color the row above it starts at
-    walks = [(col_walk[s], row_walk[s], row_walk[(s - bm) % n], (s + bm) % n) for s in range(n)]
-    # column 0 repeats its colors every n // gcd(b, n) rows, so its t-th
-    # box has a color it has already visited laps[t] times; a run of k
-    # equal rows holds laps[k] row ends that count
+    # walk of the row below it, the color the row above it starts at and
+    # its column-1 walk
+    walks = [(col_walk[s], row_walk[s], row_walk[(s - bm) % n], (s + bm) % n,
+              col_walk[(s + am) % n]) for s in range(n)]
+    # columns repeat their colors every n // gcd(b, n) rows, so the t-th
+    # box of a column walk has a color it has already visited laps[t]
+    # times; a run of k equal rows holds laps[k] row ends that count
     period = n // math.gcd(bm, n)
     laps = [t // period for t in range(total + 1)]
+    # when a + b = 0 mod n, column 1 repeats column 0 one row lower; on
+    # the (1,-1) families its scan pruned no node and only cost time
+    scan_col1 = (am + bm) % n != 0
     counts = [0] * n
     # how many placed rows have each key a*l + b*j mod n; the root counts
     # a row -1 of length r*n like every node counts its last row, so that
@@ -324,7 +368,7 @@ def _balanced_family(key: tuple[int, int, int, int]) -> _FamilyRecord:
             return
         # every row from j on puts one box in column 0, so row j, the
         # longest of the rest, holds at least remaining / rows_left
-        col, row, below, after = walks[start]
+        col, row, below, after, col1 = walks[start]
         rows_left = remaining
         for t in range(remaining):
             if counts[col[t]] + laps[t] >= r:
@@ -333,6 +377,18 @@ def _balanced_family(key: tuple[int, int, int, int]) -> _FamilyRecord:
         if rows_left == 0:
             return
         shortest = -(-remaining // rows_left)
+        excess = remaining - rows_left
+        if excess and scan_col1:
+            # the excess boxes lie past column 0, in the first rows from j
+            # on, those that reach column 1; if wide boxes of column 1 fit,
+            # row j holds at least 1 + excess / wide, which beats shortest
+            # only while wide * (shortest - 1) < excess
+            for wide in range(-(-excess // (shortest - 1))):
+                if counts[col1[wide]] + laps[wide] >= r:
+                    if wide == 0:
+                        return
+                    shortest = 1 - (-excess // wide)
+                    break
         limit = min(max_row, remaining)
         length = 0
         while length < limit and counts[row[length]] < r:

@@ -1,5 +1,6 @@
 import math
 import operator
+import sys
 
 import pytest
 
@@ -15,6 +16,7 @@ from eqhilb import (
     partitions_of,
     weight_vector,
 )
+from eqhilb import coloring
 from oracles import brute_force_balanced
 
 
@@ -95,10 +97,12 @@ def test_enumerate_matches_brute_force_grid():
 def test_enumerate_matches_brute_force_beyond_grid():
     """Larger families, where the column-0 bound prunes most of the search.
 
-    In (2,3;9,2), (3,4;8,3) and (1,6;12,2) gcd(b, n) > 1, so column 0
-    repeats its colors every n // gcd(b, n) rows and the bound must count
-    each color's earlier visits.  In the last three, all-ones tails longer
-    than n close, so that count decides which tails are emitted.
+    In (2,3;9,2), (3,4;8,3) and (1,6;12,2) gcd(b, n) > 1, so the search
+    runs on the reduced key and its rows are stretched; the search on the
+    whole key, where column 0 repeats its colors every n // gcd(b, n) rows,
+    is checked against it in ``test_tangent``.  In the last three, all-ones
+    tails longer than n close, so the column-0 count decides which tails
+    are emitted.
     """
     for a, b, n, r in [(1, 2, 10, 3), (1, 3, 13, 2), (3, 4, 15, 2),
                        (2, 5, 14, 2), (1, -1, 15, 2), (1, -2, 10, 3),
@@ -150,6 +154,68 @@ def test_conjugation_swaps_weights():
         for r in range(3):
             image = tuple(sorted(lam.conjugate() for lam in enumerate_balanced(g, r)))
             assert image == enumerate_balanced(swapped, r)
+
+
+def test_pseudo_reflections_stretch_the_brute_force_family():
+    """With g = gcd(b, n) and h = gcd(a, n/g), every balanced diagram of
+    (a, b; n) has rows that are multiples of g and, once they are divided
+    out, column heights that are multiples of h; dividing those out too
+    gives the balanced diagrams of (a/h, b/g; n/(g*h)).  Brute force on
+    both sides, for coprime a, b in -4..4, n <= 12 and r*n <= 18."""
+    checked = 0
+    for a in range(-4, 5):
+        for b in range(-4, 5):
+            if math.gcd(a, b) != 1:
+                continue
+            for n in range(2, 13):
+                wide = math.gcd(b, n)
+                tall = math.gcd(a, n // wide)
+                if wide == tall == 1:
+                    continue
+                small = GroupParams(a // tall, b // wide, n // (wide * tall))
+                for r in range(1, 18 // n + 1):
+                    reduced = []
+                    for lam in brute_force_balanced(GroupParams(a, b, n), r):
+                        assert all(row % wide == 0 for row in lam.rows), (a, b, n, r, lam)
+                        heights = Partition(row // wide for row in lam.rows).conjugate().rows
+                        assert all(h % tall == 0 for h in heights), (a, b, n, r, lam)
+                        reduced.append(Partition(h // tall for h in heights).conjugate())
+                    assert sorted(reduced) == list(brute_force_balanced(small, r)), (a, b, n, r)
+                    checked += 1
+    assert checked > 200
+
+
+def _search_nodes(g, r):
+    """Nodes the search visits for the family of ``(g, r)``: the calls of
+    its inner ``extend``, counted by a profile hook, past the memo."""
+    nodes = 0
+
+    def hook(frame, event, arg):
+        nonlocal nodes
+        code = frame.f_code
+        if event == "call" and code.co_name == "extend" and code.co_filename == coloring.__file__:
+            nodes += 1
+
+    sys.setprofile(hook)
+    try:
+        coloring._balanced_family.__wrapped__(coloring._family_key(g, r))
+    finally:
+        sys.setprofile(None)
+    return nodes
+
+
+def test_search_nodes_stay_within_the_recorded_counts():
+    """The bounds on each row prune as far as when they were recorded, on
+    large families of the benchmark's deep workload.  The search of
+    (1,2;20,4) runs on (1,1;10,4), each row stretched by 2, and that of
+    (3,4;30,2) on (1,2;5,2), stretched by 2 x 3; on the whole key with the
+    column-0 bound alone they visit 23,585 and 2,377 nodes.  The column-1
+    bound takes (1,5;36,2) from 12,590 to 2,445 nodes and (1,-2;15,3)
+    from 11,238 to 7,467; it is not read for (1,-1;40,2)."""
+    recorded = {(1, 2, 20, 4): 2573, (3, 4, 30, 2): 33, (1, 5, 36, 2): 2445,
+                (1, -2, 15, 3): 7467, (1, -1, 40, 2): 10740}
+    for (a, b, n, r), most in recorded.items():
+        assert _search_nodes(GroupParams(a, b, n), r) <= most, (a, b, n, r)
 
 
 def test_n_equals_one_gives_all_partitions():

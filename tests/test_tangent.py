@@ -229,14 +229,10 @@ def test_cell_dimension_matches_box_by_box_count():
                     cell_dimension_by_boxes(a, b, n, lam), (a, b, n, lam)
 
 
-def test_search_statistics_match_the_oracles():
-    """The statistics the balanced search folds in equal the hook count
-    box by box and row by row (``tangent._cell_dimension``), for every
-    coprime (a, b) in -6..6, n <= 12 and r*n <= 24.  Requests with one
-    family key share one memo entry, so each key is checked once, with the
-    signed weights of its first request."""
+def _statistics_sweep():
+    """The first request ``(g, r)`` of each family key, with its key, for
+    every coprime (a, b) in -6..6, n <= 12 and r*n <= 24."""
     seen = set()
-    checked = 0
     for a in range(-6, 7):
         for b in range(-6, 7):
             if math.gcd(a, b) != 1:
@@ -245,17 +241,57 @@ def test_search_statistics_match_the_oracles():
                 for r in range(24 // n + 1):
                     g = GroupParams(a, b, n)
                     key = coloring._family_key(g, r)
-                    if key in seen:
-                        continue
-                    seen.add(key)
-                    record = coloring._family_record(g, r)
-                    family, dims = record.members, record.statistics
-                    assert len(dims) == len(family)
-                    for lam, dim in zip(family, dims):
-                        assert dim == cell_dimension_by_boxes(a, b, n, lam) == \
-                            tangent._cell_dimension(a, b, n, lam), (a, b, n, r, lam)
-                    checked += len(family)
+                    if key not in seen:
+                        seen.add(key)
+                        yield g, r, key
+
+
+def test_search_statistics_match_the_oracles():
+    """The statistics the balanced search folds in equal the hook count
+    box by box and row by row (``tangent._cell_dimension``).  Requests
+    with one family key share one memo entry, so each key is checked once,
+    with the signed weights of its first request."""
+    checked = 0
+    for g, r, _ in _statistics_sweep():
+        record = coloring._family_record(g, r)
+        family, dims = record.members, record.statistics
+        assert len(dims) == len(family)
+        for lam, dim in zip(family, dims):
+            assert dim == cell_dimension_by_boxes(g.a, g.b, g.n, lam) == \
+                tangent._cell_dimension(g.a, g.b, g.n, lam), (g, r, lam)
+        checked += len(family)
     assert checked > 40000
+
+
+def test_stretched_families_match_the_search_on_the_whole_key():
+    """On every key of the sweep above with a weight that shares a factor
+    with n, the search run on the key itself (the oracle) and the search
+    run on the reduced key, stretched, give the same members in the same
+    order, the same statistics and the same L-class."""
+    checked = 0
+    for _, _, key in _statistics_sweep():
+        am, bm, n, _ = key
+        if math.gcd(am, n) == math.gcd(bm, n) == 1:
+            continue
+        assert coloring._search(key) == coloring._balanced_family(key), key
+        checked += 1
+    assert checked > 100
+
+
+def test_pseudo_reflection_groups_have_the_class_of_hilb_of_the_plane():
+    """A group acting on one coordinate alone is made of pseudo-reflections,
+    so its quotient is the plane again and the class is that of Hilb^r(A^2),
+    the sum over partitions lam of r of L^(r + len(lam)) (Ellingsrud-Stromme);
+    for n <= 10 and r <= 7, with every unit u mod n as the weight on the
+    other coordinate."""
+    for r in range(8):
+        counts = Counter(r + len(lam.rows) for lam in partitions_of(r))
+        expected = LPolynomial(counts[k] for k in range(2 * r + 1))
+        for n in range(1, 11):
+            for u in range(-n, n + 1):
+                if math.gcd(u, n) == 1:
+                    for a, b in [(u, n), (n, u)]:
+                        assert l_class(GroupParams(a, b, n), r) == expected, (a, b, n, r)
 
 
 def test_l_class_invariant_under_unit_scaling():
