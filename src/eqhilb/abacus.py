@@ -23,11 +23,7 @@ component of the n-quotient; packing every runner's beads down to the
 levels ``0, 1, ...`` gives the beta-set of the n-core, and
 ``|lam| = |core| + n * sum(|quotient parts|)``.  One kernel reads both
 off the row tuple; ``runners`` wraps its output in partitions and
-``from_core_quotient`` re-decomposes each candidate with it.  The core
-alone needs only the tally of beads per runner: padded to ``k = n*ceil(m/n)``
-beads (``m`` parts), bead ``lam_t - t + k`` is on runner ``(lam_t - t) % n``,
-the padding beads ``0 .. k-m-1`` put one on each of runners ``0 .. k-m-1``,
-and the core is empty exactly when every runner holds ``k/n`` beads.
+``from_core_quotient`` re-decomposes each candidate with it.
 
 The runners are labelled from the window start, which sits at
 ``-(number of parts)``, so the labels depend on the number of parts mod
@@ -42,6 +38,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 
+from .coloring import _tallies_match
 from .errors import AmbiguousQuotientError, InvariantViolationError, NotNCoreError, PreconditionError
 from .partitions import Partition
 
@@ -77,17 +74,6 @@ def _rows_of_beta(xs: list[int]) -> tuple[int, ...]:
     """The rows of the beads given largest first, ``x_1 > ... > x_k``: parts ``x_t - (k - t)``."""
     rows = list(map(operator.sub, xs, range(len(xs) - 1, -1, -1)))
     return tuple(rows[:rows.index(0)] if 0 in rows else rows)  # zero parts come last
-
-
-def _tally(rows: tuple[int, ...], n: int) -> list[int]:
-    """The bead count of each runner, with the beta-set padded to ``k = n*ceil(m/n)`` beads."""
-    if n < 1:
-        raise PreconditionError(f"n must be >= 1, got {n}")
-    pad = -len(rows) % n
-    counts = [1] * pad + [0] * (n - pad)
-    for t, row in enumerate(rows, 1):
-        counts[(row - t) % n] += 1
-    return counts
 
 
 def to_abacus(lam: Partition) -> Abacus:
@@ -149,14 +135,8 @@ def _decompose(rows: tuple[int, ...], n: int) -> tuple[tuple[tuple[int, ...], ..
 
 
 def runners(lam: Partition, n: int) -> tuple[MultiPartition, Partition]:
-    """Runner decomposition: the n-quotient and the n-core.
-
-    Runner ``i`` holds the beads ``x`` of the beta-set with ``x % n == i``,
-    counted from the window start (the first 0); the levels ``x // n`` on
-    it are a beta-set whose partition is component ``i`` of the
-    quotient.  Packing every runner's beads down and reading the beads
-    back yields the core.
-    """
+    """Runner decomposition: the n-quotient and the n-core, with runner ``i``
+    the beads ``x % n == i`` counted from the window start (module docstring)."""
     parts, core = _decompose(lam.rows, n)
     quot = tuple(Partition._of(p) if p else _EMPTY for p in parts)
     return MultiPartition(quot, alignment=-len(lam.rows) % n), Partition._of(core)
@@ -172,7 +152,9 @@ def from_core_quotient(core: Partition, quot: MultiPartition) -> Partition:
     call raises ``AmbiguousQuotientError`` listing the candidates.
     """
     n = len(quot.parts)
-    sizes = _tally(core.rows, n)  # runner s holds the absolute residue s
+    sizes = [0] * n  # beads of the core on runner s (residue s), padded to a multiple of n
+    for x in _beta(core.rows, -(-len(core.rows) // n) * n):
+        sizes[x % n] += 1
     rotations = range(n) if quot.alignment is None else (quot.alignment % n,)
     want = (tuple(p.rows for p in quot.parts), core.rows)
     matches = set()  # alignments that rebuild one partition give one preimage
@@ -202,5 +184,7 @@ def from_core_quotient(core: Partition, quot: MultiPartition) -> Partition:
 
 
 def has_empty_core(lam: Partition, n: int) -> bool:
-    """True when every runner holds ``k/n`` beads: the n-core vanishes, i.e. (1,-1;n)-balanced."""
-    return len(set(_tally(lam.rows, n))) == 1
+    """True when the n-core vanishes: ``lam`` is balanced for ``(1, -1; n)``."""
+    if n < 1:
+        raise PreconditionError(f"n must be >= 1, got {n}")
+    return lam.size % n == 0 and _tallies_match(1, -1, n, lam.rows)

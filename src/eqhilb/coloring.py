@@ -7,6 +7,13 @@ the balanced diagrams of ``r*n`` boxes index the torus fixed points of
 the associated equivariant Hilbert scheme and carry all of its
 topological invariants.
 
+Balance is read off the boundary.  Row ``j`` holds the colors ``b*j + a*i``
+for ``i`` below its length ``l_j``, so the histogram is invariant under
+adding ``a`` exactly when the row ends ``a*l_j + b*j`` and the ``b*j`` are
+one multiset of residues; likewise for ``b`` with the column ends
+``a*i + b*h_i`` and the ``a*i``.  As ``a`` and ``b`` are coprime, a histogram
+invariant under both is flat, and so is one invariant under a unit ``a``.
+
 One memo entry per coloring key holds what is computed per family: the
 members, the attracting-cell statistic of each one and their L-class.
 """
@@ -22,7 +29,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import EnumerationLimitError, PreconditionError, UnbalancedPartitionError
-from .partitions import Box, Partition
+from .partitions import Box, Partition, _column_heights
 
 #: Default ceiling on r*n for enumerations and L-classes, on the orders of
 #: an r = 0 range, on the terms of a Hirzebruch-Jung expansion and on the
@@ -67,7 +74,8 @@ def color(g: GroupParams, box: Box) -> int:
 
 
 def weight_vector(g: GroupParams, lam: Partition) -> tuple[int, ...]:
-    """Residue histogram of a colored diagram: entry ``s`` counts the boxes of color ``s``."""
+    """Residue histogram of a colored diagram: entry ``s`` counts the boxes of color ``s``;
+    the reference that the boundary tallies of ``is_balanced`` are tested against."""
     counts = [0] * g.n
     am, bm, n = g.a % g.n, g.b % g.n, g.n
     for j, length in enumerate(lam.rows):
@@ -83,17 +91,25 @@ def weight_vector(g: GroupParams, lam: Partition) -> tuple[int, ...]:
 def is_balanced(g: GroupParams, lam: Partition) -> tuple[bool, int | None]:
     """Whether every color appears equally often; returns the multiplicity.
 
-    The empty partition is balanced with multiplicity 0.  A size that is
-    not a multiple of ``n`` is refused before the histogram of ``n``
-    counters is built, so a huge ``n`` costs nothing.
+    The empty partition is balanced with multiplicity 0.  The size and the
+    boundary tallies decide, so a huge ``n`` costs nothing.
     """
-    if lam.size % g.n:
+    if lam.size % g.n or not _tallies_match(g.a, g.b, g.n, lam.rows):
         return (False, None)
-    if not lam.rows:
-        return (True, 0)
-    counts = weight_vector(g, lam)
-    r = counts[0]
-    return (True, r) if counts.count(r) == g.n else (False, None)
+    return (True, lam.size // g.n)
+
+
+def _tallies_match(a: int, b: int, n: int, rows: tuple[int, ...]) -> bool:
+    """Whether ``rows`` is balanced for ``(a, b; n)``: its row ends, and unless ``a``
+    is a unit mod ``n`` its column ends, take their residues (module docstring)."""
+    if (sorted([(a * length + b * j) % n for j, length in enumerate(rows)])
+            != sorted([b * j % n for j in range(len(rows))])):
+        return False
+    if math.gcd(a, n) == 1:
+        return True
+    heights = _column_heights(rows)
+    return (sorted([(a * i + b * h) % n for i, h in enumerate(heights)])
+            == sorted([a * i % n for i in range(len(heights))]))
 
 
 def _require_balanced(g: GroupParams, lam: Partition, r: int | None = None) -> int:

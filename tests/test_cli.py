@@ -366,11 +366,11 @@ def _limited_address_space():
     resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
 
 
-def _run_limited(argv):
+def _run_limited(argv, program=("-m", "eqhilb.cli")):
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env = {k: v for k, v in os.environ.items() if k != "EQHILB_MAX_BOXES"}
     env["PYTHONPATH"] = src
-    return subprocess.run([sys.executable, "-m", "eqhilb.cli", *argv], capture_output=True,
+    return subprocess.run([sys.executable, *program, *argv], capture_output=True,
                           text=True, env=env, timeout=60, preexec_fn=_limited_address_space)
 
 
@@ -427,6 +427,15 @@ def test_huge_order_on_the_empty_diagram_is_answered():
                          "--partition", ""])
     assert (proc.returncode, proc.stdout, proc.stderr) == (
         0, "betti statistic of ∅ for (1,1;100000000000): 0\ninvariant arrows (0):\n", "")
+
+
+def test_empty_core_at_a_huge_order_is_answered():
+    """``has_empty_core`` reads the boundary tallies of the diagram, with no
+    count per runner, so an order of 10**11 is answered under the same limit."""
+    proc = _run_limited([], program=("-c", "from eqhilb import Partition, has_empty_core; "
+                                     "print(has_empty_core(Partition((2, 1)), 10**11), "
+                                     "has_empty_core(Partition(), 10**11))"))
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "False True\n", "")
 
 
 def test_closed_stdout_ends_without_traceback():

@@ -54,6 +54,34 @@ def test_is_balanced():
     assert is_balanced(g, Partition()) == (True, 0)
     assert is_balanced(g, Partition((3, 3, 3))) == (True, 3)
     assert is_balanced(g, Partition((7, 2))) == (False, None)
+    # the row ends alone accept (4): its histogram is (2, 0, 2, 0), and 2 is no unit mod 4
+    assert is_balanced(GroupParams(2, 1, 4), Partition((4,))) == (False, None)
+
+
+def test_is_balanced_matches_the_histogram():
+    """The boundary tallies against the histogram of ``weight_vector``: every
+    coloring of order at most 12 (one coprime signed pair of weights per pair
+    of residues), every partition of at most 12 boxes and those of 13 or 14
+    boxes whose size the order divides; 150,737 pairs."""
+    pairs = 0
+    for n in range(1, 13):
+        colorings = []
+        for am in range(n):
+            for bm in range(n):
+                if math.gcd(am, bm, n) == 1:
+                    a, b = next((a, b) for a in (am, am - n)
+                                for b in range(bm - 3 * n, bm + 3 * n, n) if math.gcd(a, b) == 1)
+                    colorings.append(GroupParams(a, b, n))
+        for m in range(15):
+            if m > 12 and m % n:
+                continue
+            for lam in partitions_of(m):
+                for g in colorings:
+                    counts = weight_vector(g, lam)
+                    want = (True, m // n) if counts.count(counts[0]) == n else (False, None)
+                    assert is_balanced(g, lam) == want, (g, lam)
+                    pairs += 1
+    assert pairs == 150_737
 
 
 def test_enumerate_balanced_examples():

@@ -26,6 +26,10 @@ request; run it once per tree, each in its own interpreter:
 
 It uses only the public API and the command-line entry point, so it
 runs unchanged on older trees.  A run takes about six minutes on one core.
+
+``tools/identity_sweep.expected`` holds the lines this tree prints, and CI
+diffs a run against it; a change that alters a family, an L-class or an
+insertion on purpose updates that file in the same change.
 """
 
 from __future__ import annotations
