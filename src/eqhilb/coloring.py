@@ -261,14 +261,14 @@ def enumerate_balanced(g: GroupParams, r: int) -> tuple[Partition, ...]:
     ``r``) bound the rows left, and the next row is at least the remaining
     boxes over that count.  That count only reads the histogram: column
     0 repeats its colors every ``p = n // gcd(b, n)`` rows, so its
-    ``t``-th box has a color already visited ``t // p`` times.  The boxes
-    beyond one per row lie in the rows that reach column 1, so the
-    column-1 boxes the histogram can take raise that bound in the same
-    way; when ``a + b = 0 mod n`` column 1 repeats column 0 one row lower
-    and is not read.  Each row is filled once, as far as the histogram
-    and the row above allow, and then shrunk one box at a time down to
-    that bound, but not below 2; every shorter row is a prefix, so it
-    fits too.  When the count covers every remaining box, the rest of
+    ``t``-th box has a color already visited ``t // p`` times.  Each row
+    is filled once, as far as the histogram and the row above allow, and
+    then shrunk one box at a time down to that bound, but not below 2;
+    every shorter row is a prefix, so it fits too.  A row closes the
+    columns past its end, and a balanced diagram's column ends take the
+    residues ``a*i`` (module docstring), so the shrinking also stops at
+    the first row that closes a column whose end residue is used up.
+    When the count covers every remaining box, the rest of
     column 0 fits, so the all-ones tail is balanced and is emitted at
     once as the last child.  The search thus emits rows in descending
     lexicographic order, and the family is that order reversed; a
@@ -329,9 +329,9 @@ def _balanced_family(key: tuple[int, int, int, int]) -> _FamilyRecord:
 
 
 def _search(key: tuple[int, int, int, int]) -> _FamilyRecord:
-    """The record of ``key`` by the row search of ``enumerate_balanced``;
-    the statistic of each member (``tangent._cell_dimension``) is folded in
-    as rows are placed.
+    """The record of ``key`` by the row search of ``enumerate_balanced``,
+    pruned on the tally of open column ends; the statistic of each member
+    (``tangent._cell_dimension``) is folded in as rows are placed.
 
     A box ``(i, j)`` counts when ``a*i + b*(h_i - 1) = a*l_j + b*j mod n``
     (``h`` column heights, ``l`` row lengths), so a column adds, as it
@@ -347,19 +347,21 @@ def _search(key: tuple[int, int, int, int]) -> _FamilyRecord:
     row_walk = [[(s + am * t) % n for t in range(total + 1)] for s in range(n)]
     col_walk = [[(s + bm * t) % n for t in range(total)] for s in range(n)]
     # a row starting at color s: its column-0 walk, its row walk, the row
-    # walk of the row below it, the color the row above it starts at and
-    # its column-1 walk
-    walks = [(col_walk[s], row_walk[s], row_walk[(s - bm) % n], (s + bm) % n,
-              col_walk[(s + am) % n]) for s in range(n)]
+    # walk of the row below it and the color the row above it starts at
+    walks = [(col_walk[s], row_walk[s], row_walk[(s - bm) % n], (s + bm) % n)
+             for s in range(n)]
     # columns repeat their colors every n // gcd(b, n) rows, so the t-th
     # box of a column walk has a color it has already visited laps[t]
     # times; a run of k equal rows holds laps[k] row ends that count
     period = n // math.gcd(bm, n)
     laps = [t // period for t in range(total + 1)]
-    # when a + b = 0 mod n, column 1 repeats column 0 one row lower; on
-    # the (1,-1) families its scan pruned no node and only cost time
-    scan_col1 = (am + bm) % n != 0
     counts = [0] * n
+    # how many column ends still open have each key a*i + b*h_i mod n: a
+    # balanced diagram's take the a*i for i below its first row (module
+    # docstring), and the root closes phantom columns i >= l_0 at height 0
+    ends = [0] * n
+    for c in row_walk[0][:total]:
+        ends[c] += 1
     # how many placed rows have each key a*l + b*j mod n; the root counts
     # a row -1 of length r*n like every node counts its last row, so that
     # phantom starts at -1
@@ -384,7 +386,7 @@ def _search(key: tuple[int, int, int, int]) -> _FamilyRecord:
             return
         # every row from j on puts one box in column 0, so row j, the
         # longest of the rest, holds at least remaining / rows_left
-        col, row, below, after, col1 = walks[start]
+        col, row, below, after = walks[start]
         rows_left = remaining
         for t in range(remaining):
             if counts[col[t]] + laps[t] >= r:
@@ -393,18 +395,6 @@ def _search(key: tuple[int, int, int, int]) -> _FamilyRecord:
         if rows_left == 0:
             return
         shortest = -(-remaining // rows_left)
-        excess = remaining - rows_left
-        if excess and scan_col1:
-            # the excess boxes lie past column 0, in the first rows from j
-            # on, those that reach column 1; if wide boxes of column 1 fit,
-            # row j holds at least 1 + excess / wide, which beats shortest
-            # only while wide * (shortest - 1) < excess
-            for wide in range(-(-excess // (shortest - 1))):
-                if counts[col1[wide]] + laps[wide] >= r:
-                    if wide == 0:
-                        return
-                    shortest = 1 - (-excess // wide)
-                    break
         limit = min(max_row, remaining)
         length = 0
         while length < limit and counts[row[length]] < r:
@@ -421,22 +411,34 @@ def _search(key: tuple[int, int, int, int]) -> _FamilyRecord:
             # only the first child can repeat the row above
             if length < max_row:
                 closed += sum(map(keys.__getitem__, below[length:max_row]))
+            # columns shut..max_row-1 close at height j with the ends
+            # row[shut:max_row]; a shorter row closes more columns, so the
+            # first row whose end is no longer open ends the loop
+            shut = max_row
             if length > 1:
-                rows.append(length)
-                if length == max_row:
-                    extend(remaining - length, length, after, dim, run + 1)
-                else:
-                    extend(remaining - length, length, after, closed, 1)
-                length -= 1
-                counts[row[length]] -= 1
-                closed += keys[below[length]]
-                while length > 1 and length >= shortest:
-                    rows[-1] = length
-                    extend(remaining - length, length, after, closed, 1)
+                while shut > length and ends[row[shut - 1]]:
+                    shut -= 1
+                    ends[row[shut]] -= 1
+                if shut == length:
+                    rows.append(length)
+                    if length == max_row:
+                        extend(remaining - length, length, after, dim, run + 1)
+                    else:
+                        extend(remaining - length, length, after, closed, 1)
                     length -= 1
-                    counts[row[length]] -= 1
+                    end = row[length]
+                    counts[end] -= 1
                     closed += keys[below[length]]
-                rows.pop()
+                    while length > 1 and length >= shortest and ends[end]:
+                        ends[end] -= 1
+                        rows[-1] = length
+                        extend(remaining - length, length, after, closed, 1)
+                        length -= 1
+                        end = row[length]
+                        counts[end] -= 1
+                        closed += keys[below[length]]
+                    rows.pop()
+                    shut = length + 1
             if shortest == 1:
                 # every remaining column-0 box fits, so the all-ones tail
                 # closes: its run ends, and column 0 closes at height
@@ -446,6 +448,9 @@ def _search(key: tuple[int, int, int, int]) -> _FamilyRecord:
                 found.append(Partition._of(tuple(rows) + (1,) * remaining))
                 dims.append(closed + laps[remaining] + keys[top]
                             + col[:remaining].count((top - am) % n))
+            if shut < max_row:
+                for c in row[shut:max_row]:
+                    ends[c] += 1
             keys[last] -= 1
         for c in row[:length]:
             counts[c] -= 1

@@ -19,7 +19,7 @@ compactly supported Betti numbers, summed up by ``coloring.l_class``.
 The box condition compares a key of its column with a key of its row,
 so ``_cell_dimension`` makes one pass over the column heights and then
 one per row; the balanced search folds the same count in as it places
-rows (``coloring._balanced_family``).
+rows (``coloring._search``).
 
 ``Arrow`` spells the same weights out as lattice arrows that hug the
 boundary of the diagram (``D``: tail ``(l(j), j)``, head ``(i, c(i)-1)``;

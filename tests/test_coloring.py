@@ -1,3 +1,4 @@
+import hashlib
 import math
 import operator
 import sys
@@ -232,18 +233,38 @@ def _search_nodes(g, r):
     return nodes
 
 
-def test_search_nodes_stay_within_the_recorded_counts():
+def test_search_nodes_stay_within_the_recorded_counts(monkeypatch):
     """The bounds on each row prune as far as when they were recorded, on
     large families of the benchmark's deep workload.  The search of
     (1,2;20,4) runs on (1,1;10,4), each row stretched by 2, and that of
     (3,4;30,2) on (1,2;5,2), stretched by 2 x 3; on the whole key with the
-    column-0 bound alone they visit 23,585 and 2,377 nodes.  The column-1
-    bound takes (1,5;36,2) from 12,590 to 2,445 nodes and (1,-2;15,3)
-    from 11,238 to 7,467; it is not read for (1,-1;40,2)."""
+    column-0 bound alone they visit 23,585 and 2,377 nodes.  The tally of
+    open column ends takes the seven deep families from 41,049 nodes to
+    17,703, and (3,4;37,3), past the ceiling, from 1,575,662 to 19,699."""
     recorded = {(1, 2, 20, 4): 2573, (3, 4, 30, 2): 33, (1, 5, 36, 2): 2445,
                 (1, -2, 15, 3): 7467, (1, -1, 40, 2): 10740}
     for (a, b, n, r), most in recorded.items():
         assert _search_nodes(GroupParams(a, b, n), r) <= most, (a, b, n, r)
+    monkeypatch.setenv("EQHILB_MAX_BOXES", "111")
+    assert _search_nodes(GroupParams(3, 4, 37), 3) <= 19699
+
+
+def test_families_past_the_ceiling_keep_their_digests(monkeypatch):
+    """Families too large for the brute-force filter keep the members and
+    statistics that the search gave before the column-end tally pruned it:
+    one SHA-256 per key over ``[(member.rows, statistic), ...]``."""
+    recorded = {
+        (3, 4, 37, 3): "84d7b4db982869fe9584c08c9cf122f7e4a0d53443e8a15799e6828e858d64fe",
+        (3, 4, 49, 3): "d006c4ac81ffb26da374327a0f301b1058188e333ba475d5c705aef003acd048",
+        (2, 5, 31, 3): "60d0d2f8d1ad2235c39fd1a6fb28d1be958480241195c4320426a323e2617701",
+        (2, 5, 41, 3): "c19b6d3c1433ced9f463e2b4f25a33786e42fe157cfe7e829ac120804f7840df",
+        (2, -3, 37, 3): "a6ec9bf2d70373fc21b7e42963f7935b83092a75aadc3ec0b0e0b21f4a07c89c",
+    }
+    monkeypatch.setenv("EQHILB_MAX_BOXES", "147")
+    for (a, b, n, r), digest in recorded.items():
+        record = coloring._family_record(GroupParams(a, b, n), r)
+        pairs = [(lam.rows, stat) for lam, stat in zip(record.members, record.statistics)]
+        assert hashlib.sha256(repr(pairs).encode()).hexdigest() == digest, (a, b, n, r)
 
 
 def test_n_equals_one_gives_all_partitions():

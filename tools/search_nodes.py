@@ -1,0 +1,65 @@
+"""Search nodes against live prefixes on families past the box ceiling.
+
+For each key it prints the nodes the balanced row search visits (the
+calls of ``coloring._search``'s inner ``extend``, counted by the profile
+hook of ``tests/test_coloring.py``) and the live prefixes: the distinct
+row prefixes of the members, the empty one included, with every all-ones
+tail cut off, since the search emits such a tail at once.  Every live
+prefix is a node, so the difference is the work that finds nothing.  The
+keys have unit weights, so the search runs on the key itself.
+
+    PYTHONPATH=src python3 tools/search_nodes.py          # all keys below
+    PYTHONPATH=src python3 tools/search_nodes.py 37 49    # (3,4;n,3) only
+
+With no argument it covers ``(3,4;n,3)`` for ``n`` in 37, 49, 73 and 97
+and the keys of ``test_families_past_the_ceiling_keep_their_digests``.
+Output is one JSON object keyed by ``(a,b;n,r)``.  It raises
+``EQHILB_MAX_BOXES`` for its own run.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import sys
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
+
+from eqhilb import GroupParams, coloring  # noqa: E402
+from test_coloring import _search_nodes  # noqa: E402
+
+ORDERS = (37, 49, 73, 97)
+DIGEST_KEYS = ((3, 4, 37, 3), (3, 4, 49, 3), (2, 5, 31, 3), (2, 5, 41, 3), (2, -3, 37, 3))
+
+
+def live_prefixes(members) -> int:
+    """Distinct row prefixes of ``members`` up to the start of each all-ones tail."""
+    prefixes = set()
+    for lam in members:
+        rows = lam.rows
+        stem = len(rows)
+        while stem and rows[stem - 1] == 1:
+            stem -= 1
+        prefixes.update(rows[:k] for k in range(stem + 1))
+    return len(prefixes)
+
+
+def main(argv: list[str]) -> None:
+    orders = [int(arg) for arg in argv] or ORDERS
+    keys = [(3, 4, n, 3) for n in orders]
+    if not argv:
+        keys += [key for key in DIGEST_KEYS if key not in keys]
+    os.environ[coloring.MAX_BOXES_ENV] = str(max(r * n for _, _, n, r in keys))
+    report = {}
+    for a, b, n, r in keys:
+        g = GroupParams(a, b, n)
+        members = coloring.enumerate_balanced(g, r)
+        report[f"({a},{b};{n},{r})"] = {"members": len(members),
+                                        "nodes": _search_nodes(g, r),
+                                        "live_prefixes": live_prefixes(members)}
+    print(json.dumps(report, indent=1))
+
+
+if __name__ == "__main__":
+    main(sys.argv[1:])
