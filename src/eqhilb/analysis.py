@@ -17,8 +17,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .coloring import (MAX_BOXES_ENV, GroupParams, _box_ceiling, _order_range, _stretch,
-                       enumerate_balanced)
+from .coloring import (MAX_BOXES_ENV, GroupParams, _box_ceiling, _order_range, _reflections,
+                       _stretch, enumerate_balanced)
 from .errors import EnumerationLimitError, InsufficientSamplesError, PreconditionError
 from .partitions import Partition
 
@@ -35,13 +35,11 @@ def normalize_group(g: GroupParams) -> GroupParams:
     multiplicity: the common factors act as pseudo-reflections, and the
     balanced family of ``g`` is that of the result with each box stretched
     into a block, each statistic kept.  The family search
-    (``coloring._balanced_family``) runs on that identity.
+    (``coloring._balanced_family``) runs on that identity and divides by
+    the same ``coloring._reflections``.
     """
-    # after the first division a is coprime to n, and n only shrinks after it
-    d = math.gcd(g.a, g.n)
-    a, n = g.a // d, g.n // d
-    e = math.gcd(g.b, n)
-    return GroupParams(a, g.b // e, n // e)
+    wide, tall = _reflections(g.a, g.b, g.n)
+    return GroupParams(g.a // tall, g.b // wide, g.n // (wide * tall))
 
 
 def rectangle_map(g: GroupParams, lam: Partition) -> Partition:

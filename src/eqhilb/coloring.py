@@ -261,22 +261,23 @@ def enumerate_balanced(g: GroupParams, r: int) -> tuple[Partition, ...]:
     ``r``) bound the rows left, and the next row is at least the remaining
     boxes over that count.  That count only reads the histogram: column
     0 repeats its colors every ``p = n // gcd(b, n)`` rows, so its
-    ``t``-th box has a color already visited ``t // p`` times.  Each row
-    is filled once, as far as the histogram and the row above allow, and
-    then shrunk one box at a time down to that bound, but not below 2;
-    every shorter row is a prefix, so it fits too.  A row closes the
-    columns past its end, and a balanced diagram's column ends take the
-    residues ``a*i`` (module docstring), so the shrinking also stops at
-    the first row that closes a column whose end residue is used up.
-    When the count covers every remaining box, the rest of
-    column 0 fits, so the all-ones tail is balanced and is emitted at
-    once as the last child.  The search thus emits rows in descending
-    lexicographic order, and the family is that order reversed; a
-    stretch keeps that order.  The colors along each row and column
-    walk are read from tables built once per family, and each
-    diagram's attracting-cell statistic (``tangent._cell_dimension``) is
-    folded in as its rows are placed.  The brute-force filter over all
-    partitions of ``r*n`` is the test suite's oracle for this generator.
+    ``t``-th box has a color already visited ``t // p`` times.  Each row is
+    filled once, as far as the histogram and the row above allow, and then
+    shrunk one box at a time down to that bound; every shorter row is a
+    prefix, so it fits too.  The filled row and each shorter one take the
+    same step: close the columns past its end, then search below it.  A
+    balanced diagram's column ends take the residues ``a*i`` (module
+    docstring), so the shrinking stops at the first row that closes a column
+    whose end residue is used up.  A row of length 1 is reached only when
+    the count covers every remaining box; then the rest of column 0 fits, so
+    the all-ones tail is balanced and is emitted at once as the last child.
+    The search thus emits rows in descending lexicographic order, and the
+    family is that order reversed; a stretch keeps that order.  The colors
+    along each row and column walk are read from tables built once per
+    family, and each diagram's attracting-cell statistic
+    (``tangent._cell_dimension``) is folded in as its rows are placed.  The
+    brute-force filter over all partitions of ``r*n`` is the test suite's
+    oracle for this generator.
     """
     return _family_record(g, r).members
 
@@ -302,6 +303,14 @@ def _stretch(rows: tuple[int, ...], wide: int, tall: int) -> tuple[int, ...]:
     return tuple(wide * row for row in rows for _ in range(tall))
 
 
+def _reflections(a: int, b: int, n: int) -> tuple[int, int]:
+    """The orders ``(wide, tall) = (gcd(b, n), gcd(a, n // wide))`` of the
+    pseudo-reflections of ``(a, b; n)``; dividing ``b`` by ``wide``, ``a`` by
+    ``tall`` and ``n`` by both leaves unit weights (``_balanced_family``)."""
+    wide = math.gcd(b, n)
+    return wide, math.gcd(a, n // wide)
+
+
 @functools.lru_cache(maxsize=_MEMO_SIZE)
 def _balanced_family(key: tuple[int, int, int, int]) -> _FamilyRecord:
     """The record of ``key``, searched on the key with its pseudo-reflections
@@ -317,10 +326,8 @@ def _balanced_family(key: tuple[int, int, int, int]) -> _FamilyRecord:
     members are stretched while its statistics and L-class are kept.
     """
     am, bm, n, r = key
-    wide = math.gcd(bm, n)
-    n //= wide
-    tall = math.gcd(am, n)
-    n //= tall
+    wide, tall = _reflections(am, bm, n)
+    n //= wide * tall
     record = _search((am // tall % n, bm // wide % n, n, r))
     if wide == tall == 1:
         return record
@@ -332,6 +339,10 @@ def _search(key: tuple[int, int, int, int]) -> _FamilyRecord:
     """The record of ``key`` by the row search of ``enumerate_balanced``,
     pruned on the tally of open column ends; the statistic of each member
     (``tangent._cell_dimension``) is folded in as rows are placed.
+
+    Each node is one call of ``extend``: one loop tries its row lengths,
+    longest first, closing the columns past each row one at a time and
+    searching below it; length 1 is the all-ones tail, emitted at once.
 
     A box ``(i, j)`` counts when ``a*i + b*(h_i - 1) = a*l_j + b*j mod n``
     (``h`` column heights, ``l`` row lengths), so a column adds, as it
@@ -400,58 +411,44 @@ def _search(key: tuple[int, int, int, int]) -> _FamilyRecord:
         while length < limit and counts[row[length]] < r:
             counts[row[length]] += 1
             length += 1
-        if length >= shortest:
-            # row j-1 joins the key histogram for this node and the nodes
-            # below it; a row j of length l ends the run above and closes
-            # columns l..max_row-1, and closed counts their matches down
-            # to length
-            last = below[max_row]
-            keys[last] += 1
-            closed = dim + laps[run]
-            # only the first child can repeat the row above
-            if length < max_row:
-                closed += sum(map(keys.__getitem__, below[length:max_row]))
-            # columns shut..max_row-1 close at height j with the ends
-            # row[shut:max_row]; a shorter row closes more columns, so the
-            # first row whose end is no longer open ends the loop
-            shut = max_row
-            if length > 1:
-                while shut > length and ends[row[shut - 1]]:
-                    shut -= 1
-                    ends[row[shut]] -= 1
-                if shut == length:
-                    rows.append(length)
-                    if length == max_row:
-                        extend(remaining - length, length, after, dim, run + 1)
-                    else:
-                        extend(remaining - length, length, after, closed, 1)
-                    length -= 1
-                    end = row[length]
-                    counts[end] -= 1
-                    closed += keys[below[length]]
-                    while length > 1 and length >= shortest and ends[end]:
-                        ends[end] -= 1
-                        rows[-1] = length
-                        extend(remaining - length, length, after, closed, 1)
-                        length -= 1
-                        end = row[length]
-                        counts[end] -= 1
-                        closed += keys[below[length]]
-                    rows.pop()
-                    shut = length + 1
-            if shortest == 1:
-                # every remaining column-0 box fits, so the all-ones tail
-                # closes: its run ends, and column 0 closes at height
-                # j + remaining, matching earlier rows and the tail rows
-                # j + t, keyed a + b*(j + t)
+        # row j-1 joins the key histogram for this node and the nodes below
+        # it; a row j of length l ends the run above and closes columns
+        # l..max_row-1 at height j with the ends row[l:max_row], and closed
+        # counts the matches of columns shut..max_row-1, closed so far
+        last = below[max_row]
+        keys[last] += 1
+        closed = dim + laps[run]
+        shut = max_row
+        rows.append(0)
+        while length >= shortest:
+            # a shorter row closes more columns, so the first row that
+            # closes one whose end is no longer open ends the loop
+            while shut > length and ends[row[shut - 1]]:
+                shut -= 1
+                ends[row[shut]] -= 1
+                closed += keys[below[shut]]
+            if shut > length:
+                break
+            rows[-1] = length
+            if length == 1:
+                # shortest is 1, so every remaining column-0 box fits and
+                # the all-ones tail closes: its run ends, and column 0
+                # closes at height j + remaining, matching earlier rows and
+                # the tail rows j + t, keyed a + b*(j + t)
                 top = col[remaining - 1]
-                found.append(Partition._of(tuple(rows) + (1,) * remaining))
+                found.append(Partition._of(tuple(rows) + (1,) * (remaining - 1)))
                 dims.append(closed + laps[remaining] + keys[top]
                             + col[:remaining].count((top - am) % n))
-            if shut < max_row:
-                for c in row[shut:max_row]:
-                    ends[c] += 1
-            keys[last] -= 1
+                break
+            # only the first child can repeat the row above
+            same = length == max_row
+            extend(remaining - length, length, after, dim if same else closed, run + 1 if same else 1)
+            length -= 1
+            counts[row[length]] -= 1
+        rows.pop()
+        for c in row[shut:max_row]:
+            ends[c] += 1
+        keys[last] -= 1
         for c in row[:length]:
             counts[c] -= 1
 

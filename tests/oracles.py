@@ -37,6 +37,20 @@ def brute_force_balanced(g, r):
     return tuple(sorted(lam for lam in _partitions(r * g.n) if balanced(lam)))
 
 
+def live_prefixes(members):
+    """Distinct row prefixes of ``members`` up to the start of each all-ones
+    tail, the empty one included: each is a node of the balanced search,
+    which emits such a tail at once."""
+    prefixes = set()
+    for lam in members:
+        rows = lam.rows
+        stem = len(rows)
+        while stem and rows[stem - 1] == 1:
+            stem -= 1
+        prefixes.update(rows[:k] for k in range(stem + 1))
+    return len(prefixes)
+
+
 def col_height(lam, i):
     """Height of column i: the number of rows longer than i."""
     return sum(1 for row in lam.rows if row > i)

@@ -18,7 +18,7 @@ from eqhilb import (
     weight_vector,
 )
 from eqhilb import coloring
-from oracles import brute_force_balanced
+from oracles import brute_force_balanced, live_prefixes
 
 
 def test_group_params_validation():
@@ -240,13 +240,23 @@ def test_search_nodes_stay_within_the_recorded_counts(monkeypatch):
     (3,4;30,2) on (1,2;5,2), stretched by 2 x 3; on the whole key with the
     column-0 bound alone they visit 23,585 and 2,377 nodes.  The tally of
     open column ends takes the seven deep families from 41,049 nodes to
-    17,703, and (3,4;37,3), past the ceiling, from 1,575,662 to 19,699."""
+    17,703, and (3,4;37,3), past the ceiling, from 1,575,662 to 19,699.
+    Where the weights are units the search runs on the key itself, and
+    every live prefix of its members is a node, so a hook that counts no
+    node fails."""
+
+    def check(g, r, most):
+        nodes = _search_nodes(g, r)
+        assert nodes <= most, (g, r)
+        if math.gcd(g.a, g.n) == math.gcd(g.b, g.n) == 1:
+            assert nodes >= live_prefixes(enumerate_balanced(g, r)), (g, r)
+
     recorded = {(1, 2, 20, 4): 2573, (3, 4, 30, 2): 33, (1, 5, 36, 2): 2445,
                 (1, -2, 15, 3): 7467, (1, -1, 40, 2): 10740}
     for (a, b, n, r), most in recorded.items():
-        assert _search_nodes(GroupParams(a, b, n), r) <= most, (a, b, n, r)
+        check(GroupParams(a, b, n), r, most)
     monkeypatch.setenv("EQHILB_MAX_BOXES", "111")
-    assert _search_nodes(GroupParams(3, 4, 37), 3) <= 19699
+    check(GroupParams(3, 4, 37), 3, 19699)
 
 
 def test_families_past_the_ceiling_keep_their_digests(monkeypatch):

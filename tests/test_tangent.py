@@ -193,7 +193,8 @@ def test_memos_are_bounded_and_recompute_evicted_keys():
     bound = coloring._MEMO_SIZE
     groups = [GroupParams(a, b, n) for n in range(2, 12) for a in range(n) for b in range(n)
               if math.gcd(a, b) == 1]
-    assert len(groups) > bound  # distinct keys, each a family of n boxes
+    # distinct keys, each a family of n boxes
+    assert len({coloring._family_key(g, 1) for g in groups}) > bound
     first = groups[0]
     family, lc = enumerate_balanced(first, 1), l_class(first, 1)
     for g in groups:

@@ -14,7 +14,10 @@ keys have unit weights, so the search runs on the key itself.
 With no argument it covers ``(3,4;n,3)`` for ``n`` in 37, 49, 73 and 97
 and the keys of ``test_families_past_the_ceiling_keep_their_digests``.
 Output is one JSON object keyed by ``(a,b;n,r)``.  It raises
-``EQHILB_MAX_BOXES`` for its own run.
+``EQHILB_MAX_BOXES`` for its own run.  ``tools/search_nodes.expected``
+holds what the ``37 49`` run prints, and CI diffs a run against it; a
+change that alters the search's nodes on purpose updates that file in
+the same change.
 """
 
 from __future__ import annotations
@@ -27,22 +30,11 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
 
 from eqhilb import GroupParams, coloring  # noqa: E402
+from oracles import live_prefixes  # noqa: E402
 from test_coloring import _search_nodes  # noqa: E402
 
 ORDERS = (37, 49, 73, 97)
 DIGEST_KEYS = ((3, 4, 37, 3), (3, 4, 49, 3), (2, 5, 31, 3), (2, 5, 41, 3), (2, -3, 37, 3))
-
-
-def live_prefixes(members) -> int:
-    """Distinct row prefixes of ``members`` up to the start of each all-ones tail."""
-    prefixes = set()
-    for lam in members:
-        rows = lam.rows
-        stem = len(rows)
-        while stem and rows[stem - 1] == 1:
-            stem -= 1
-        prefixes.update(rows[:k] for k in range(stem + 1))
-    return len(prefixes)
 
 
 def main(argv: list[str]) -> None:
