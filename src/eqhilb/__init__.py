@@ -35,7 +35,6 @@ from .coloring import (
     enumerate_balanced,
     is_balanced,
     l_class,
-    weight_vector,
 )
 from .errors import (
     AmbiguousQuotientError,
@@ -104,5 +103,4 @@ __all__ = [
     "to_abacus",
     "verify_period",
     "verify_quasipolynomial",
-    "weight_vector",
 ]

@@ -11,7 +11,6 @@ than assuming a threshold.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -55,18 +54,13 @@ def rectangle_map(g: GroupParams, lam: Partition) -> Partition:
 
 def satisfies_star(mu: Partition, a: int, b: int) -> bool:
     """Membership test for the rectangle-map image of coprime ``a > 0 > b``:
-    rows are multiples of ``a`` and every maximal run of equal rows has
-    length a multiple of ``-b``."""
+    stretching rows ``0, -b, -2b, ...`` of ``mu``, each divided by ``a``,
+    gives ``mu`` back."""
     if not (a > 0 > b):
         raise PreconditionError(f"requires a > 0 > b, got ({a}, {b})")
     if math.gcd(a, b) != 1:
         raise PreconditionError(f"weights must be coprime, got ({a}, {b})")
-    if any(row % a for row in mu.rows):
-        return False
-    for _, run in itertools.groupby(mu.rows):
-        if sum(1 for _ in run) % (-b):
-            return False
-    return True
+    return mu.rows == _stretch(tuple(row // a for row in mu.rows[::-b]), a, -b)
 
 
 def check_rectangle_bijection(g: GroupParams, r: int) -> dict:

@@ -73,21 +73,6 @@ def color(g: GroupParams, box: Box) -> int:
     return (g.a * box[0] + g.b * box[1]) % g.n
 
 
-def weight_vector(g: GroupParams, lam: Partition) -> tuple[int, ...]:
-    """Residue histogram of a colored diagram: entry ``s`` counts the boxes of color ``s``;
-    the reference that the boundary tallies of ``is_balanced`` are tested against."""
-    counts = [0] * g.n
-    am, bm, n = g.a % g.n, g.b % g.n, g.n
-    for j, length in enumerate(lam.rows):
-        s = (bm * j) % n
-        for _ in range(length):
-            counts[s] += 1
-            s += am
-            if s >= n:
-                s -= n
-    return tuple(counts)
-
-
 def is_balanced(g: GroupParams, lam: Partition) -> tuple[bool, int | None]:
     """Whether every color appears equally often; returns the multiplicity.
 
@@ -304,11 +289,10 @@ def _stretch(rows: tuple[int, ...], wide: int, tall: int) -> tuple[int, ...]:
 
 
 def _reflections(a: int, b: int, n: int) -> tuple[int, int]:
-    """The orders ``(wide, tall) = (gcd(b, n), gcd(a, n // wide))`` of the
+    """The orders ``(wide, tall) = (gcd(b, n), gcd(a, n))`` of the
     pseudo-reflections of ``(a, b; n)``; dividing ``b`` by ``wide``, ``a`` by
     ``tall`` and ``n`` by both leaves unit weights (``_balanced_family``)."""
-    wide = math.gcd(b, n)
-    return wide, math.gcd(a, n // wide)
+    return math.gcd(b, n), math.gcd(a, n)
 
 
 @functools.lru_cache(maxsize=_MEMO_SIZE)
@@ -320,7 +304,7 @@ def _balanced_family(key: tuple[int, int, int, int]) -> _FamilyRecord:
     and ``A^2`` over it is again ``A^2``: the balanced diagrams of
     ``(a, b; n)`` are those of ``(a, b/g; n/g)`` with every row ``g`` times
     as long, and each keeps its statistic (``analysis.normalize_group``
-    divides the same way).  With ``h = gcd(a, n/g)`` the same holds for
+    divides the same way).  With ``h = gcd(a, n)`` the same holds for
     columns, each row repeated ``h`` times.  After both divisions the
     weights are units mod the order; ``_search`` runs on that key, and its
     members are stretched while its statistics and L-class are kept.
@@ -364,6 +348,7 @@ def _search(key: tuple[int, int, int, int]) -> _FamilyRecord:
     # columns repeat their colors every n // gcd(b, n) rows, so the t-th
     # box of a column walk has a color it has already visited laps[t]
     # times; a run of k equal rows holds laps[k] row ends that count
+    # (n on a reduced key; kept general for the whole keys the tests search)
     period = n // math.gcd(bm, n)
     laps = [t // period for t in range(total + 1)]
     counts = [0] * n

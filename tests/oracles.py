@@ -23,18 +23,20 @@ def _partitions(size):
     return tuple(partitions_of(size))
 
 
+def weight_vector(g, lam):
+    """Residue histogram of a colored diagram: entry s counts the boxes of
+    color (a*i + b*j) % n."""
+    counts = [0] * g.n
+    for j, length in enumerate(lam.rows):
+        for i in range(length):
+            counts[(g.a * i + g.b * j) % g.n] += 1
+    return tuple(counts)
+
+
 def brute_force_balanced(g, r):
-    """Filter all partitions of r*n by counting the color (a*i + b*j) % n
-    of each box."""
-
-    def balanced(lam):
-        counts = [0] * g.n
-        for j, length in enumerate(lam.rows):
-            for i in range(length):
-                counts[(g.a * i + g.b * j) % g.n] += 1
-        return counts == [r] * g.n
-
-    return tuple(sorted(lam for lam in _partitions(r * g.n) if balanced(lam)))
+    """Filter all partitions of r*n on their residue histogram."""
+    flat = (r,) * g.n
+    return tuple(sorted(lam for lam in _partitions(r * g.n) if weight_vector(g, lam) == flat))
 
 
 def live_prefixes(members):

@@ -28,9 +28,9 @@ from eqhilb import (
     runners,
     to_abacus,
     verify_quasipolynomial,
-    weight_vector,
 )
-from oracles import cotangent_weights, is_lex_positive, psi_inverse_by_search, split_of_class
+from oracles import (cotangent_weights, is_lex_positive, psi_inverse_by_search, split_of_class,
+                     weight_vector)
 
 
 def report(name, ok, detail=""):

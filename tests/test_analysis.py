@@ -73,11 +73,13 @@ def test_satisfies_star_refuses_non_coprime_weights():
 
 
 def test_star_characterizes_rectangle_image():
-    g = GroupParams(1, -2, 3)
-    image = {rectangle_map(g, lam) for m in range(13) for lam in partitions_of(m)}
-    for m in range(25):
-        for mu in partitions_of(m):
-            assert satisfies_star(mu, 1, -2) == (mu in image), mu
+    for a, b in [(1, -2), (2, -3), (3, -2), (1, -3), (3, -1)]:
+        g = GroupParams(a, b, 1)
+        sources = (lam for m in range(24 // (-a * b) + 1) for lam in partitions_of(m))
+        image = {rectangle_map(g, lam) for lam in sources}
+        for m in range(25):
+            for mu in partitions_of(m):
+                assert satisfies_star(mu, a, b) == (mu in image), (a, b, mu)
 
 
 def test_rectangle_map_injective():

@@ -15,10 +15,9 @@ from eqhilb import (
     enumerate_balanced,
     is_balanced,
     partitions_of,
-    weight_vector,
 )
 from eqhilb import coloring
-from oracles import brute_force_balanced, live_prefixes
+from oracles import brute_force_balanced, live_prefixes, weight_vector
 
 
 def test_group_params_validation():
@@ -212,6 +211,26 @@ def test_pseudo_reflections_stretch_the_brute_force_family():
                     assert sorted(reduced) == list(brute_force_balanced(small, r)), (a, b, n, r)
                     checked += 1
     assert checked > 200
+
+
+def test_reflection_orders_match_the_nested_gcd():
+    """``_reflections`` against ``(g, gcd(a, n/g))`` with ``g = gcd(b, n)``, the
+    order of the column reflections taken after the row ones; the two agree
+    since ``gcd(a, g)`` divides ``gcd(a, b, n) = 1``.  Coprime ``a, b`` in
+    -12..12 and ``n < 60``, as signed weights and as residues mod ``n``."""
+    checked = 0
+    for a0 in range(-12, 13):
+        for b0 in range(-12, 13):
+            if math.gcd(a0, b0) != 1:
+                continue
+            for n in range(1, 60):
+                for a, b in ((a0, b0), (a0 % n, b0 % n)):
+                    wide, tall = coloring._reflections(a, b, n)
+                    assert (wide, tall) == (math.gcd(b, n), math.gcd(a, n // wide)), (a, b, n)
+                    m = n // (wide * tall)
+                    assert math.gcd(a // tall, m) == math.gcd(b // wide, m) == 1, (a, b, n)
+                    checked += 1
+    assert checked == 43_424
 
 
 def _search_nodes(g, r):

@@ -17,9 +17,8 @@ from eqhilb import (
     runners,
     satisfies_star,
     to_abacus,
-    weight_vector,
 )
-from oracles import psi_inverse_by_search
+from oracles import psi_inverse_by_search, weight_vector
 
 
 @st.composite

@@ -13,12 +13,12 @@ PUBLIC = [
     "invariant_arrows", "is_balanced", "l_class", "multipartition_count",
     "normalize_group", "partitions_of", "psi", "psi_inverse", "rectangle_map",
     "runners", "satisfies_star", "to_abacus", "verify_period",
-    "verify_quasipolynomial", "weight_vector",
+    "verify_quasipolynomial",
 ]
 
 
 def test_all_is_the_pinned_list_and_resolves():
-    assert len(PUBLIC) == 43
+    assert len(PUBLIC) == 42
     assert sorted(eqhilb.__all__) == PUBLIC
     for name in eqhilb.__all__:
         getattr(eqhilb, name)
