@@ -54,13 +54,14 @@ def rectangle_map(g: GroupParams, lam: Partition) -> Partition:
 
 def satisfies_star(mu: Partition, a: int, b: int) -> bool:
     """Membership test for the rectangle-map image of coprime ``a > 0 > b``:
-    stretching rows ``0, -b, -2b, ...`` of ``mu``, each divided by ``a``,
-    gives ``mu`` back."""
+    ``mu`` has a multiple of ``-b`` rows, and stretching its rows ``0, -b,
+    -2b, ...``, each divided by ``a``, gives ``mu`` back."""
     if not (a > 0 > b):
         raise PreconditionError(f"requires a > 0 > b, got ({a}, {b})")
     if math.gcd(a, b) != 1:
         raise PreconditionError(f"weights must be coprime, got ({a}, {b})")
-    return mu.rows == _stretch(tuple(row // a for row in mu.rows[::-b]), a, -b)
+    return len(mu.rows) % -b == 0 and mu.rows == _stretch(
+        tuple(row // a for row in mu.rows[::-b]), a, -b)
 
 
 def check_rectangle_bijection(g: GroupParams, r: int) -> dict:

@@ -239,23 +239,24 @@ def enumerate_balanced(g: GroupParams, r: int) -> tuple[Partition, ...]:
 
     Common factors of a weight and ``n`` act as pseudo-reflections: the
     family is that of the smaller group whose weights are units mod its
-    order, with each box stretched into a block, so only that group is
-    searched.  Diagrams are built row by row (largest row first) while
+    order ``m``, with each box stretched into a block; scaling both weights
+    by a unit relabels the colors, so only its normal form ``(1, c; m)``
+    is searched.  Diagrams are built row by row (largest row first) while
     tracking the color histogram.  Each later row puts one box in column
     0, so the column-0 boxes the histogram can still take (no color above
     ``r``) bound the rows left, and the next row is at least the remaining
-    boxes over that count.  That count only reads the histogram: column
-    0 repeats its colors every ``p = n // gcd(b, n)`` rows, so its
-    ``t``-th box has a color already visited ``t // p`` times.  Each row is
-    filled once, as far as the histogram and the row above allow, and then
-    shrunk one box at a time down to that bound; every shorter row is a
-    prefix, so it fits too.  The filled row and each shorter one take the
-    same step: close the columns past its end, then search below it.  A
-    balanced diagram's column ends take the residues ``a*i`` (module
-    docstring), so the shrinking stops at the first row that closes a column
-    whose end residue is used up.  A row of length 1 is reached only when
-    the count covers every remaining box; then the rest of column 0 fits, so
-    the all-ones tail is balanced and is emitted at once as the last child.
+    boxes over that count.  That count only reads the histogram: column 0
+    repeats its colors every ``m`` rows, so its ``t``-th box has a color
+    already visited ``t // m`` times.  Each row is filled once, as far as
+    the histogram and the row above allow, and then shrunk one box at a
+    time down to that bound; every shorter row is a prefix, so it fits
+    too.  The filled row and each shorter one take the same step: close
+    the columns past its end, then search below it.  A balanced diagram's
+    column ends take the residues ``i`` (module docstring), so the
+    shrinking stops at the first row that closes a column whose end
+    residue is used up.  A row of length 1 is reached only when the count
+    covers every remaining box; then the rest of column 0 fits, so the
+    all-ones tail is balanced and is emitted at once as the last child.
     The search thus emits rows in descending lexicographic order, and the
     family is that order reversed; a stretch keeps that order.  The colors
     along each row and column walk are read from tables built once per
@@ -305,63 +306,60 @@ def _balanced_family(key: tuple[int, int, int, int]) -> _FamilyRecord:
     ``(a, b; n)`` are those of ``(a, b/g; n/g)`` with every row ``g`` times
     as long, and each keeps its statistic (``analysis.normalize_group``
     divides the same way).  With ``h = gcd(a, n)`` the same holds for
-    columns, each row repeated ``h`` times.  After both divisions the
-    weights are units mod the order; ``_search`` runs on that key, and its
-    members are stretched while its statistics and L-class are kept.
+    columns, each row repeated ``h`` times.  Then the weights are units mod
+    the order ``m``, and scaling both by the inverse of the x-weight only
+    relabels the colors: ``_search`` runs on the normal form ``(1, c; m)``,
+    and its members are stretched while its statistics and L-class are kept.
     """
     am, bm, n, r = key
     wide, tall = _reflections(am, bm, n)
-    n //= wide * tall
-    record = _search((am // tall % n, bm // wide % n, n, r))
+    m = n // (wide * tall)
+    record = _search(bm // wide * pow(am // tall, -1, m) % m, m, r)
     if wide == tall == 1:
         return record
     return record._replace(members=tuple(Partition._of(_stretch(lam.rows, wide, tall))
                                          for lam in record.members))
 
 
-def _search(key: tuple[int, int, int, int]) -> _FamilyRecord:
-    """The record of ``key`` by the row search of ``enumerate_balanced``,
-    pruned on the tally of open column ends; the statistic of each member
-    (``tangent._cell_dimension``) is folded in as rows are placed.
+def _search(c: int, m: int, r: int) -> _FamilyRecord:
+    """The record of ``(1, c; m)``, ``c`` a unit mod ``m``, by the row search
+    of ``enumerate_balanced``, pruned on the tally of open column ends; each
+    member's statistic (``tangent._cell_dimension``) is folded in as rows are placed.
 
     Each node is one call of ``extend``: one loop tries its row lengths,
     longest first, closing the columns past each row one at a time and
     searching below it; length 1 is the all-ones tail, emitted at once.
 
-    A box ``(i, j)`` counts when ``a*i + b*(h_i - 1) = a*l_j + b*j mod n``
+    A box ``(i, j)`` counts when ``i + c*(h_i - 1) = l_j + c*j mod m``
     (``h`` column heights, ``l`` row lengths), so a column adds, as it
     closes, the earlier rows with its key.  A row-end box counts when
-    ``b*k = 0 mod n`` for the ``k`` rows from its own to the end of its
-    run of equal rows, so a run of ``k`` rows adds ``k // (n // gcd(b, n))``.
+    ``c*k = 0 mod m`` for the ``k`` rows from its own to the end of its
+    run of equal rows, so a run of ``k`` rows adds ``k // m``.
     """
-    am, bm, n, r = key
-    total = r * n
+    total = r * m
     # the colors of a row and of a column from a box of color s; no walk
-    # here is longer than r*n boxes, and a row walk's entry at a length is
-    # also the key of a row of that length
-    row_walk = [[(s + am * t) % n for t in range(total + 1)] for s in range(n)]
-    col_walk = [[(s + bm * t) % n for t in range(total)] for s in range(n)]
+    # here is longer than r*m boxes, a row walk's entry at a length is also
+    # the key of a row of that length, and row walks are windows of one cycle
+    cycle = list(range(m)) * (r + 1)
+    row_walk = [cycle[s:s + total + 1] for s in range(m)]
+    col_walk = [[(s + c * t) % m for t in range(total)] for s in range(m)]
     # a row starting at color s: its column-0 walk, its row walk, the row
     # walk of the row below it and the color the row above it starts at
-    walks = [(col_walk[s], row_walk[s], row_walk[(s - bm) % n], (s + bm) % n)
-             for s in range(n)]
-    # columns repeat their colors every n // gcd(b, n) rows, so the t-th
-    # box of a column walk has a color it has already visited laps[t]
-    # times; a run of k equal rows holds laps[k] row ends that count
-    # (n on a reduced key; kept general for the whole keys the tests search)
-    period = n // math.gcd(bm, n)
-    laps = [t // period for t in range(total + 1)]
-    counts = [0] * n
-    # how many column ends still open have each key a*i + b*h_i mod n: a
-    # balanced diagram's take the a*i for i below its first row (module
+    walks = [(col_walk[s], row_walk[s], row_walk[(s - c) % m], (s + c) % m)
+             for s in range(m)]
+    # columns repeat their colors every m rows, so the t-th box of a column
+    # walk has a color it has already visited laps[t] times; a run of k
+    # equal rows holds laps[k] row ends that count
+    laps = [t // m for t in range(total + 1)]
+    counts = [0] * m
+    # how many open column ends have each key i + c*h_i mod m: a balanced
+    # diagram's take the residues of the i below its first row (module
     # docstring), and the root closes phantom columns i >= l_0 at height 0
-    ends = [0] * n
-    for c in row_walk[0][:total]:
-        ends[c] += 1
-    # how many placed rows have each key a*l + b*j mod n; the root counts
-    # a row -1 of length r*n like every node counts its last row, so that
+    ends = [r] * m
+    # how many placed rows have each key l + c*j mod m; the root counts
+    # a row -1 of length r*m like every node counts its last row, so that
     # phantom starts at -1
-    keys = [0] * n
+    keys = [0] * m
     keys[walks[0][2][total]] = -1
     rows: list[int] = []
     found: list[Partition] = []
@@ -371,7 +369,7 @@ def _search(key: tuple[int, int, int, int]) -> _FamilyRecord:
         # rows 0..j-1 are placed and end in a run of run rows of length
         # max_row, and dim counts their closed columns and ended runs; row
         # j starts at color start, column i closes at height j with key
-        # below[i] = a*i + b*(j-1), and below[max_row] is the key of row j-1
+        # below[i] = i + c*(j-1), and below[max_row] is the key of row j-1
         if remaining == 0:
             # the open columns close, each matching the earlier rows and row j-1
             below = walks[start][2]
@@ -419,11 +417,11 @@ def _search(key: tuple[int, int, int, int]) -> _FamilyRecord:
                 # shortest is 1, so every remaining column-0 box fits and
                 # the all-ones tail closes: its run ends, and column 0
                 # closes at height j + remaining, matching earlier rows and
-                # the tail rows j + t, keyed a + b*(j + t)
+                # the tail rows j + t, keyed 1 + c*(j + t)
                 top = col[remaining - 1]
                 found.append(Partition._of(tuple(rows) + (1,) * (remaining - 1)))
                 dims.append(closed + laps[remaining] + keys[top]
-                            + col[:remaining].count((top - am) % n))
+                            + col[:remaining].count((top - 1) % m))
                 break
             # only the first child can repeat the row above
             same = length == max_row

@@ -73,7 +73,7 @@ def test_satisfies_star_refuses_non_coprime_weights():
 
 
 def test_star_characterizes_rectangle_image():
-    for a, b in [(1, -2), (2, -3), (3, -2), (1, -3), (3, -1)]:
+    for a, b in [(1, -2), (2, -3), (3, -2), (1, -3), (3, -1), (1, -10**10)]:
         g = GroupParams(a, b, 1)
         sources = (lam for m in range(24 // (-a * b) + 1) for lam in partitions_of(m))
         image = {rectangle_map(g, lam) for lam in sources}

@@ -438,6 +438,15 @@ def test_empty_core_at_a_huge_order_is_answered():
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "False True\n", "")
 
 
+def test_star_check_at_a_huge_weight_is_answered():
+    """``satisfies_star`` refuses a row count that is not a multiple of
+    ``-b`` before it stretches anything, so a weight of -10**10 is answered
+    under the same limit."""
+    proc = _run_limited(["check-star", "--a", "1", "--b", "-10000000000", "--partition", "1"])
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        0, "1 violates the rectangle condition for (1,-10000000000)\n", "")
+
+
 def test_closed_stdout_ends_without_traceback():
     """A reader that has gone before the command writes: with buffered
     stdout a long output breaks the pipe inside a command, a short one at

@@ -264,17 +264,18 @@ def test_search_statistics_match_the_oracles():
     assert checked > 40000
 
 
-def test_stretched_families_match_the_search_on_the_whole_key():
+def test_stretched_families_match_the_brute_force_filter():
     """On every key of the sweep above with a weight that shares a factor
-    with n, the search run on the key itself (the oracle) and the search
-    run on the reduced key, stretched, give the same members in the same
-    order, the same statistics and the same L-class."""
+    with n, the family searched on the key's normal form and stretched is
+    the histogram filter over all partitions of r*n, member by member in
+    order; ``test_search_statistics_match_the_oracles`` checks the statistics
+    of every key box by box."""
     checked = 0
-    for _, _, key in _statistics_sweep():
+    for g, r, key in _statistics_sweep():
         am, bm, n, _ = key
         if math.gcd(am, n) == math.gcd(bm, n) == 1:
             continue
-        assert coloring._search(key) == coloring._balanced_family(key), key
+        assert enumerate_balanced(g, r) == brute_force_balanced(g, r), key
         checked += 1
     assert checked > 100
 
@@ -297,7 +298,9 @@ def test_pseudo_reflection_groups_have_the_class_of_hilb_of_the_plane():
 
 def test_l_class_invariant_under_unit_scaling():
     """A unit u of Z/n gives the same group, so (a, b) and the residues of
-    (u*a, u*b) share the class; a residue pair that is not coprime is skipped."""
+    (u*a, u*b) share the whole family record: the members in order, the
+    statistic of each and the class; a residue pair that is not coprime is
+    skipped."""
     for a, b in GRID_WEIGHTS:
         for n in range(1, 9):
             for u in range(2, n):
@@ -305,8 +308,8 @@ def test_l_class_invariant_under_unit_scaling():
                 if math.gcd(u, n) != 1 or math.gcd(*scaled) != 1:
                     continue
                 for r in range(1, 24 // n + 1):
-                    assert l_class(GroupParams(a, b, n), r) == \
-                        l_class(GroupParams(*scaled, n), r), (a, b, n, u, r)
+                    assert coloring._family_record(GroupParams(a, b, n), r) == \
+                        coloring._family_record(GroupParams(*scaled, n), r), (a, b, n, u, r)
 
 
 def test_l_class_invariant_under_swapping_weights():

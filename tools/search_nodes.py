@@ -6,7 +6,9 @@ hook of ``tests/test_coloring.py``) and the live prefixes: the distinct
 row prefixes of the members, the empty one included, with every all-ones
 tail cut off, since the search emits such a tail at once.  Every live
 prefix is a node, so the difference is the work that finds nothing.  The
-keys have unit weights, so the search runs on the key itself.
+keys have unit weights, so the search runs on each key's normal form
+``(1, c; n)``, ``c = b * a^-1 mod n``; scaling both weights by a unit only
+relabels the colors, so it visits the same nodes as a search on the key.
 
     PYTHONPATH=src python3 tools/search_nodes.py          # all keys below
     PYTHONPATH=src python3 tools/search_nodes.py 37 49    # (3,4;n,3) only
