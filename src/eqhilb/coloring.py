@@ -24,6 +24,7 @@ import functools
 import json
 import math
 import os
+import sys
 from collections import Counter
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -258,12 +259,13 @@ def enumerate_balanced(g: GroupParams, r: int) -> tuple[Partition, ...]:
     covers every remaining box; then the rest of column 0 fits, so the
     all-ones tail is balanced and is emitted at once as the last child.
     The search thus emits rows in descending lexicographic order, and the
-    family is that order reversed; a stretch keeps that order.  The colors
-    along each row and column walk are read from tables built once per
-    family, and each diagram's attracting-cell statistic
-    (``tangent._cell_dimension``) is folded in as its rows are placed.  The
-    brute-force filter over all partitions of ``r*n`` is the test suite's
-    oracle for this generator.
+    family is that order reversed; a stretch keeps that order.  Row ``j``
+    starts at color ``c*j``, so the colors are read from tables indexed by
+    ``j mod m``: one list of the column-0 colors, and row walks no longer
+    than a row can be, ``O(r*m log m)`` colors in all.  Each diagram's
+    attracting-cell statistic (``tangent._cell_dimension``) is folded in as
+    its rows are placed.  The brute-force filter over all partitions of
+    ``r*n`` is the test suite's oracle for this generator.
     """
     return _family_record(g, r).members
 
@@ -310,11 +312,18 @@ def _balanced_family(key: tuple[int, int, int, int]) -> _FamilyRecord:
     the order ``m``, and scaling both by the inverse of the x-weight only
     relabels the colors: ``_search`` runs on the normal form ``(1, c; m)``,
     and its members are stretched while its statistics and L-class are kept.
+    The search recurses once per row, so a member with more rows than
+    Python's frame limit allows is refused.
     """
     am, bm, n, r = key
     wide, tall = _reflections(am, bm, n)
     m = n // (wide * tall)
-    record = _search(bm // wide * pow(am // tall, -1, m) % m, m, r)
+    try:
+        record = _search(bm // wide * pow(am // tall, -1, m) % m, m, r)
+    except RecursionError:
+        raise EnumerationLimitError(
+            f"the balanced search of ({am},{bm};{n}) r={r} places more rows than "
+            f"the frame limit of {sys.getrecursionlimit()} allows") from None
     if wide == tall == 1:
         return record
     return record._replace(members=tuple(Partition._of(_stretch(lam.rows, wide, tall))
@@ -337,16 +346,15 @@ def _search(c: int, m: int, r: int) -> _FamilyRecord:
     run of equal rows, so a run of ``k`` rows adds ``k // m``.
     """
     total = r * m
-    # the colors of a row and of a column from a box of color s; no walk
-    # here is longer than r*m boxes, a row walk's entry at a length is also
-    # the key of a row of that length, and row walks are windows of one cycle
+    # tables indexed by the row mod m, as row j starts at color c*j: column
+    # 0 from row k reads starts[k:], at most r*m boxes; walk k, a window of
+    # one cycle, holds the colors along row k - 1, which are also the keys
+    # of rows of those lengths; row j is read up to the end of row j - 1, at
+    # most r*m // j; below rows m, 2*m, ... the phantom row -1's full walk is read
+    starts = [c * j % m for j in range(m)] * (r + 1)
     cycle = list(range(m)) * (r + 1)
-    row_walk = [cycle[s:s + total + 1] for s in range(m)]
-    col_walk = [[(s + c * t) % m for t in range(total)] for s in range(m)]
-    # a row starting at color s: its column-0 walk, its row walk, the row
-    # walk of the row below it and the color the row above it starts at
-    walks = [(col_walk[s], row_walk[s], row_walk[(s - c) % m], (s + c) % m)
-             for s in range(m)]
+    walks = [cycle[s:s + total // max(k - 1, 1) + 1]
+             for k, s in enumerate(starts[-1:] + starts[:m])]
     # columns repeat their colors every m rows, so the t-th box of a column
     # walk has a color it has already visited laps[t] times; a run of k
     # equal rows holds laps[k] row ends that count
@@ -360,19 +368,19 @@ def _search(c: int, m: int, r: int) -> _FamilyRecord:
     # a row -1 of length r*m like every node counts its last row, so that
     # phantom starts at -1
     keys = [0] * m
-    keys[walks[0][2][total]] = -1
+    keys[walks[0][total]] = -1
     rows: list[int] = []
     found: list[Partition] = []
     dims: list[int] = []
 
-    def extend(remaining: int, max_row: int, start: int, dim: int, run: int) -> None:
+    def extend(remaining: int, max_row: int, k: int, dim: int, run: int) -> None:
         # rows 0..j-1 are placed and end in a run of run rows of length
-        # max_row, and dim counts their closed columns and ended runs; row
-        # j starts at color start, column i closes at height j with key
-        # below[i] = i + c*(j-1), and below[max_row] is the key of row j-1
+        # max_row, and dim counts their closed columns and ended runs; k is
+        # j mod m, column i closes at height j with key below[i] = i +
+        # c*(j-1), and below[max_row] is the key of row j-1
+        below = walks[k]
         if remaining == 0:
             # the open columns close, each matching the earlier rows and row j-1
-            below = walks[start][2]
             cols = below[:max_row]
             found.append(Partition._of(tuple(rows)))
             dims.append(dim + laps[run] + sum(map(keys.__getitem__, cols))
@@ -380,16 +388,16 @@ def _search(c: int, m: int, r: int) -> _FamilyRecord:
             return
         # every row from j on puts one box in column 0, so row j, the
         # longest of the rest, holds at least remaining / rows_left
-        col, row, below, after = walks[start]
         rows_left = remaining
         for t in range(remaining):
-            if counts[col[t]] + laps[t] >= r:
+            if counts[starts[k + t]] + laps[t] >= r:
                 rows_left = t
                 break
         if rows_left == 0:
             return
         shortest = -(-remaining // rows_left)
         limit = min(max_row, remaining)
+        row, after = walks[k + 1], (k + 1) % m
         length = 0
         while length < limit and counts[row[length]] < r:
             counts[row[length]] += 1
@@ -418,10 +426,10 @@ def _search(c: int, m: int, r: int) -> _FamilyRecord:
                 # the all-ones tail closes: its run ends, and column 0
                 # closes at height j + remaining, matching earlier rows and
                 # the tail rows j + t, keyed 1 + c*(j + t)
-                top = col[remaining - 1]
+                top = starts[k + remaining - 1]
                 found.append(Partition._of(tuple(rows) + (1,) * (remaining - 1)))
                 dims.append(closed + laps[remaining] + keys[top]
-                            + col[:remaining].count((top - 1) % m))
+                            + starts[k:k + remaining].count((top - 1) % m))
                 break
             # only the first child can repeat the row above
             same = length == max_row

@@ -1,12 +1,17 @@
 import argparse
+import contextlib
+import io
 import json
 import os
 import resource
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eqhilb import LPolynomial, Partition, Quasipolynomial
 from eqhilb.cli import _build_parser, main
@@ -341,14 +346,19 @@ HANDLER_ARGV = {
 }
 
 
+def _subcommands():
+    """The parser of each subcommand, by name."""
+    (sub,) = [a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    return sub.choices
+
+
 def test_handlers_print_nothing(tmp_path, capsys):
     """Only ``main`` writes: each subcommand's handler returns its report
     and leaves stdout and the ``--out`` file alone."""
     parser = _build_parser()
-    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
-    assert set(sub.choices) == set(HANDLER_ARGV)
+    assert set(_subcommands()) == set(HANDLER_ARGV)
     target = tmp_path / "x.svg"
-    for name, subparser in sub.choices.items():
+    for name, subparser in _subcommands().items():
         handler = subparser.get_default("func")
         argv = [name, *HANDLER_ARGV[name]]
         if "svg" in argv:
@@ -447,6 +457,32 @@ def test_star_check_at_a_huge_weight_is_answered():
         0, "1 violates the rectangle condition for (1,-10000000000)\n", "")
 
 
+#: ``python -c`` program that raises the box ceiling, which ``_run_limited``
+#: strips from the environment, and runs the CLI on the arguments after it
+_PAST_THE_CEILING = ("-c", "import os, sys; os.environ['EQHILB_MAX_BOXES'] = '5000'; "
+                           "from eqhilb.cli import main; sys.exit(main(sys.argv[1:]))")
+
+
+def test_family_past_the_ceiling_is_answered_in_row_sized_tables():
+    """The search reads its colors from tables indexed by the row mod ``n``,
+    each row walk no longer than the row can be, so a family of order 4001
+    is answered under the 600 MB limit, where ``n`` walks of ``r*n`` colors
+    down every column and along every row failed."""
+    proc = _run_limited(["poincare", "--a", "1", "--b", "1", "--n", "4001", "--r", "1"],
+                        program=_PAST_THE_CEILING)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        0, "(1,1;4001) r=1: [H] = L^2 + L, P(z) = z^4 + z^2, euler = 2\n", "")
+
+
+def test_search_deeper_than_the_frame_limit_is_refused():
+    """The search recurses once per row, and ``(2, ..., 2, 1)`` of
+    ``(1,2;2001)`` has 1,001 rows: refused with ``error:``, not a traceback."""
+    proc = _run_limited(["poincare", "--a", "1", "--b", "2", "--n", "2001", "--r", "1"],
+                        program=_PAST_THE_CEILING)
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
+
+
 def test_closed_stdout_ends_without_traceback():
     """A reader that has gone before the command writes: with buffered
     stdout a long output breaks the pipe inside a command, a short one at
@@ -531,3 +567,60 @@ def test_unwritable_svg_reported(tmp_path, capsys):
                        "--partition", "2,1", "--render", "svg", "--out", str(target))
     assert code == 1
     assert err.startswith(f"error: cannot write {target}")
+
+
+#: edge values for every integer option of the fuzz test below
+_FUZZ_INTEGERS = st.sampled_from([0, 1, -1, 2, -2, 3, 7, 13, 10**10, -10**10])
+#: ``--partition`` values: unreadable ones and small diagrams
+_FUZZ_PARTITIONS = st.one_of(
+    st.sampled_from(["", "∅", "1,2", "0", "a"]),
+    st.lists(st.integers(1, 4), min_size=1, max_size=4).map(
+        lambda rows: ",".join(map(str, sorted(rows, reverse=True)))))
+#: the subcommands whose report can be a failed check
+_FUZZ_CHECKS = {"verify-period", "verify-qpoly", "core-quotient", "check-star"}
+#: every (subcommand, --format) pair of the parser
+_FUZZ_CASES = [(name, fmt) for name, subparser in _subcommands().items()
+               for action in subparser._actions if action.dest == "format"
+               for fmt in action.choices]
+
+
+def _fuzz_option(action):
+    """A strategy for the words one option of a subcommand adds to argv:
+    none (optional ones only), the flag, or the flag and a value."""
+    flag = action.option_strings[0]
+    if action.nargs == 0:
+        words = st.just([flag])
+    elif action.choices is not None:
+        words = st.sampled_from([c for c in action.choices if c != "svg"]).map(
+            lambda choice: [flag, choice])
+    elif action.type is int:
+        words = _FUZZ_INTEGERS.map(lambda value: [flag, str(value)])
+    elif action.dest == "partition":
+        words = _FUZZ_PARTITIONS.map(lambda value: [flag, value])
+    else:  # --out, written only with --render svg
+        return st.just([])
+    return words if action.required else st.one_of(st.just([]), words)
+
+
+@pytest.mark.parametrize("name, fmt", _FUZZ_CASES, ids=[f"{n}-{f}" for n, f in _FUZZ_CASES])
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_fuzzed_command_ends_in_output_or_error(name, fmt, data):
+    """Edge values on every option of every subcommand, in every ``--format``,
+    under a ceiling of 12 boxes: the command never raises, and either exits
+    1 with ``error: `` on stderr and nothing on stdout, or prints its report
+    and exits 0, or 1 for a failed check."""
+    argv = [name, "--format", fmt]
+    for action in _subcommands()[name]._actions:
+        if action.option_strings and action.dest not in ("help", "format"):
+            argv += data.draw(_fuzz_option(action), label=action.dest)
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.dict(os.environ, {"EQHILB_MAX_BOXES": "12"}), \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1), argv
+    if err.getvalue():
+        assert (code, out.getvalue()) == (1, ""), argv
+        assert err.getvalue().startswith("error: "), argv
+    else:  # a report, whose exit status is 1 when a check failed
+        assert out.getvalue() and (code == 0 or name in _FUZZ_CHECKS), argv
