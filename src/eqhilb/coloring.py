@@ -260,9 +260,9 @@ def enumerate_balanced(g: GroupParams, r: int) -> tuple[Partition, ...]:
     all-ones tail is balanced and is emitted at once as the last child.
     The search thus emits rows in descending lexicographic order, and the
     family is that order reversed; a stretch keeps that order.  Row ``j``
-    starts at color ``c*j``, so the colors are read from tables indexed by
-    ``j mod m``: one list of the column-0 colors, and row walks no longer
-    than a row can be, ``O(r*m log m)`` colors in all.  Each diagram's
+    starts at color ``c*j`` and reads the cycle ``0, 1, ..., m-1`` from
+    there, so the colors come from two lists of ``m*(r+1)`` entries: the
+    column-0 colors, indexed by ``j mod m``, and that cycle.  Each diagram's
     attracting-cell statistic (``tangent._cell_dimension``) is folded in as
     its rows are placed.  The brute-force filter over all partitions of
     ``r*n`` is the test suite's oracle for this generator.
@@ -346,15 +346,12 @@ def _search(c: int, m: int, r: int) -> _FamilyRecord:
     run of equal rows, so a run of ``k`` rows adds ``k // m``.
     """
     total = r * m
-    # tables indexed by the row mod m, as row j starts at color c*j: column
-    # 0 from row k reads starts[k:], at most r*m boxes; walk k, a window of
-    # one cycle, holds the colors along row k - 1, which are also the keys
-    # of rows of those lengths; row j is read up to the end of row j - 1, at
-    # most r*m // j; below rows m, 2*m, ... the phantom row -1's full walk is read
+    # two lists of m*(r+1) colors: row j is the cycle 0, 1, ..., m-1 read
+    # from cycle[starts[k]], its start c*j with k = j mod m, for up to r*m
+    # boxes, and column 0 from row k reads starts[k:], at most r*m boxes;
+    # the colors along row j - 1 are also the keys of rows of those lengths
     starts = [c * j % m for j in range(m)] * (r + 1)
     cycle = list(range(m)) * (r + 1)
-    walks = [cycle[s:s + total // max(k - 1, 1) + 1]
-             for k, s in enumerate(starts[-1:] + starts[:m])]
     # columns repeat their colors every m rows, so the t-th box of a column
     # walk has a color it has already visited laps[t] times; a run of k
     # equal rows holds laps[k] row ends that count
@@ -368,7 +365,7 @@ def _search(c: int, m: int, r: int) -> _FamilyRecord:
     # a row -1 of length r*m like every node counts its last row, so that
     # phantom starts at -1
     keys = [0] * m
-    keys[walks[0][total]] = -1
+    keys[-c % m] = -1
     rows: list[int] = []
     found: list[Partition] = []
     dims: list[int] = []
@@ -376,15 +373,16 @@ def _search(c: int, m: int, r: int) -> _FamilyRecord:
     def extend(remaining: int, max_row: int, k: int, dim: int, run: int) -> None:
         # rows 0..j-1 are placed and end in a run of run rows of length
         # max_row, and dim counts their closed columns and ended runs; k is
-        # j mod m, column i closes at height j with key below[i] = i +
-        # c*(j-1), and below[max_row] is the key of row j-1
-        below = walks[k]
+        # j mod m, row j - 1 starts at below (row -1 at row m - 1's start),
+        # column i closes at height j with key cycle[below + i] = i +
+        # c*(j-1), and cycle[below + max_row] is the key of row j-1
+        below = starts[k - 1]
         if remaining == 0:
             # the open columns close, each matching the earlier rows and row j-1
-            cols = below[:max_row]
+            cols = cycle[below:below + max_row]
             found.append(Partition._of(tuple(rows)))
             dims.append(dim + laps[run] + sum(map(keys.__getitem__, cols))
-                        + cols.count(below[max_row]))
+                        + cols.count(cycle[below + max_row]))
             return
         # every row from j on puts one box in column 0, so row j, the
         # longest of the rest, holds at least remaining / rows_left
@@ -396,17 +394,17 @@ def _search(c: int, m: int, r: int) -> _FamilyRecord:
         if rows_left == 0:
             return
         shortest = -(-remaining // rows_left)
-        limit = min(max_row, remaining)
-        row, after = walks[k + 1], (k + 1) % m
-        length = 0
-        while length < limit and counts[row[length]] < r:
-            counts[row[length]] += 1
-            length += 1
+        row, after = starts[k], (k + 1) % m
+        i, end = row, row + min(max_row, remaining)
+        while i < end and counts[cycle[i]] < r:
+            counts[cycle[i]] += 1
+            i += 1
+        length = i - row
         # row j-1 joins the key histogram for this node and the nodes below
         # it; a row j of length l ends the run above and closes columns
-        # l..max_row-1 at height j with the ends row[l:max_row], and closed
-        # counts the matches of columns shut..max_row-1, closed so far
-        last = below[max_row]
+        # l..max_row-1 at height j with the ends cycle[row + l:row + max_row],
+        # and closed counts the matches of columns shut..max_row-1, closed so far
+        last = cycle[below + max_row]
         keys[last] += 1
         closed = dim + laps[run]
         shut = max_row
@@ -414,10 +412,10 @@ def _search(c: int, m: int, r: int) -> _FamilyRecord:
         while length >= shortest:
             # a shorter row closes more columns, so the first row that
             # closes one whose end is no longer open ends the loop
-            while shut > length and ends[row[shut - 1]]:
+            while shut > length and ends[cycle[row + shut - 1]]:
                 shut -= 1
-                ends[row[shut]] -= 1
-                closed += keys[below[shut]]
+                ends[cycle[row + shut]] -= 1
+                closed += keys[cycle[below + shut]]
             if shut > length:
                 break
             rows[-1] = length
@@ -435,13 +433,13 @@ def _search(c: int, m: int, r: int) -> _FamilyRecord:
             same = length == max_row
             extend(remaining - length, length, after, dim if same else closed, run + 1 if same else 1)
             length -= 1
-            counts[row[length]] -= 1
+            counts[cycle[row + length]] -= 1
         rows.pop()
-        for c in row[shut:max_row]:
-            ends[c] += 1
+        for col in cycle[row + shut:row + max_row]:
+            ends[col] += 1
         keys[last] -= 1
-        for c in row[:length]:
-            counts[c] -= 1
+        for col in cycle[row:row + length]:
+            counts[col] -= 1
 
     extend(total, total, 0, 0, 0)
     by_dim = Counter(dims)

@@ -464,10 +464,10 @@ _PAST_THE_CEILING = ("-c", "import os, sys; os.environ['EQHILB_MAX_BOXES'] = '50
 
 
 def test_family_past_the_ceiling_is_answered_in_row_sized_tables():
-    """The search reads its colors from tables indexed by the row mod ``n``,
-    each row walk no longer than the row can be, so a family of order 4001
-    is answered under the 600 MB limit, where ``n`` walks of ``r*n`` colors
-    down every column and along every row failed."""
+    """The search reads every row's colors from one cycle of ``r*n + n``
+    colors, from the row's start, so a family of order 4001 is answered
+    under the 600 MB limit, where ``n`` walks of ``r*n`` colors down every
+    column and along every row failed."""
     proc = _run_limited(["poincare", "--a", "1", "--b", "1", "--n", "4001", "--r", "1"],
                         program=_PAST_THE_CEILING)
     assert (proc.returncode, proc.stdout, proc.stderr) == (
