@@ -11,7 +11,6 @@ scale.
 from .abacus import (
     Abacus,
     MultiPartition,
-    from_abacus,
     from_core_quotient,
     has_empty_core,
     runners,
@@ -48,7 +47,6 @@ from .errors import (
 )
 from .partitions import Box, Partition, diagram, partitions_of
 from .stabilization import (
-    diagonal,
     psi,
     psi_inverse,
     verify_period,
@@ -80,12 +78,10 @@ __all__ = [
     "betti_statistic",
     "check_rectangle_bijection",
     "color",
-    "diagonal",
     "diagram",
     "distinguished_arrows",
     "enumerate_balanced",
     "fit_quasipolynomial",
-    "from_abacus",
     "from_core_quotient",
     "has_empty_core",
     "hj_expand",

@@ -84,11 +84,6 @@ def to_abacus(lam: Partition) -> Abacus:
     return Abacus(word, -m)
 
 
-def from_abacus(ab: Abacus) -> Partition:
-    """Partition of an abacus; translates of the same word give the same one."""
-    return Partition._of(_rows_of_beta([p for p in reversed(range(len(ab.word))) if ab.word[p]]))
-
-
 @dataclass(frozen=True)
 class MultiPartition:
     """An n-tuple of partitions, as produced by runner decomposition.

@@ -7,7 +7,10 @@ statistic, so the whole L-polynomial is periodic in ``n`` with period
 ``a*b``.
 
 The construction hinges on an anchor: a lattice point ``(i0, j0)`` with
-``a*i0 + b*j0 = r*a*b`` lying outside the diagram (one always exists).
+``a*i0 + b*j0 = r*a*b`` lying outside the diagram.  As ``a`` and ``b`` are
+coprime, these points are ``(b*t, a*(r - t))`` for ``t = 0..r``; all
+``r + 1`` of them have color ``r*a*b mod n`` and a balanced diagram holds
+only ``r`` boxes of each color, so one of them lies outside at every order.
 It splits the relevant boxes into region A (strictly left of the
 anchor, at or above its row) and region B (at or right of the anchor,
 strictly below its row).  Insertion adds ``a`` cells to the column of
@@ -48,31 +51,17 @@ def _positive_weights(g: GroupParams) -> GroupParams:
     )
 
 
-def diagonal(g: GroupParams, k: int) -> tuple[Box, ...]:
-    """Lattice points with ``a*i + b*j = k``; finite since a, b > 0."""
-    if g.a <= 0 or g.b <= 0:
-        raise PreconditionError(
-            f"diagonals are finite only for positive weights, got ({g.a}, {g.b})"
-        )
-    if k < 0:
-        raise PreconditionError(f"diagonal index must be nonnegative, got {k}")
-    points = []
-    for i in range(k // g.a + 1):
-        rest = k - g.a * i
-        if rest % g.b == 0:
-            points.append(Box(i, rest // g.b))
-    return tuple(points)
-
-
 def _anchor(g: GroupParams, r: int, lam: Partition) -> Box:
-    """The off-diagram point of diagonal ``r*a*b`` with the smallest ``i``;
-    ``g`` has positive weights and ``r >= 0``."""
-    rab = r * g.a * g.b
-    for pt in diagonal(g, rab):  # listed by ascending i
+    """The point ``(b*t, a*(r - t))`` of diagonal ``r*a*b`` outside ``lam``
+    with the smallest ``t``, so the smallest ``i``; ``g`` has positive
+    weights and ``r >= 0``.  Balance leaves one of the ``r + 1`` points out."""
+    a, b = g.a, g.b
+    for t in range(r + 1):
+        pt = Box(b * t, a * (r - t))
         if pt not in lam:
             return pt
     raise InvariantViolationError(
-        f"no anchor available on diagonal {rab} for {lam}; this cannot "
+        f"no anchor available on diagonal {r * a * b} for {lam}; this cannot "
         "happen for a balanced diagram"
     )
 

@@ -1,6 +1,7 @@
 """Brute-force references that the fast paths of the package are tested against."""
 
 import functools
+import sys
 
 from eqhilb import (
     Abacus,
@@ -15,6 +16,7 @@ from eqhilb import (
     partitions_of,
     psi,
 )
+from eqhilb import coloring
 from eqhilb.stabilization import _anchor, _positive_weights, _reassemble
 
 
@@ -51,6 +53,25 @@ def live_prefixes(members):
             stem -= 1
         prefixes.update(rows[:k] for k in range(stem + 1))
     return len(prefixes)
+
+
+def search_nodes(g, r):
+    """Nodes the balanced search visits for the family of ``(g, r)``: the
+    calls of its inner ``extend``, counted by a profile hook, past the memo."""
+    nodes = 0
+
+    def hook(frame, event, arg):
+        nonlocal nodes
+        code = frame.f_code
+        if event == "call" and code.co_name == "extend" and code.co_filename == coloring.__file__:
+            nodes += 1
+
+    sys.setprofile(hook)
+    try:
+        coloring._balanced_family.__wrapped__(coloring._family_key(g, r))
+    finally:
+        sys.setprofile(None)
+    return nodes
 
 
 def col_height(lam, i):
@@ -101,6 +122,13 @@ def gottsche_l_class(n, r):
     while coeffs and coeffs[-1] == 0:
         coeffs.pop()
     return coeffs
+
+
+def diagonal(g, k):
+    """Lattice points ``(i, j)`` with ``a*i + b*j = k``, by ascending ``i``,
+    found by trying every column; ``g`` has positive weights."""
+    return tuple(Box(i, (k - g.a * i) // g.b) for i in range(k // g.a + 1)
+                 if (k - g.a * i) % g.b == 0)
 
 
 def psi_inverse_by_search(g, r, mu):
@@ -191,6 +219,13 @@ def cell_dimension_by_boxes(a, b, n, lam):
         if b * (heights[length - 1] - j) % n == 0:
             dim += 1
     return dim
+
+
+def from_abacus(ab):
+    """The partition of an abacus read off its boundary word: each 1 is a
+    part equal to the number of 0s before it; the offset plays no part."""
+    parts = [ab.word[:p].count(0) for p, x in enumerate(ab.word) if x]
+    return Partition(sorted(filter(None, parts), reverse=True))
 
 
 def abacus_charge(ab):

@@ -10,7 +10,6 @@ from eqhilb import (
     NotNCoreError,
     Partition,
     PreconditionError,
-    from_abacus,
     from_core_quotient,
     has_empty_core,
     is_balanced,
@@ -18,7 +17,7 @@ from eqhilb import (
     runners,
     to_abacus,
 )
-from oracles import abacus_canonical, abacus_charge, core_by_hook_removal, hook_lengths
+from oracles import abacus_canonical, abacus_charge, core_by_hook_removal, from_abacus, hook_lengths
 
 
 def test_to_abacus_golden():

@@ -13,9 +13,7 @@ from eqhilb import (
     Quasipolynomial,
     betti_statistic,
     check_rectangle_bijection,
-    diagonal,
     enumerate_balanced,
-    from_abacus,
     from_core_quotient,
     hj_expand,
     invariant_arrows,
@@ -29,8 +27,8 @@ from eqhilb import (
     to_abacus,
     verify_quasipolynomial,
 )
-from oracles import (cotangent_weights, is_lex_positive, psi_inverse_by_search, split_of_class,
-                     weight_vector)
+from oracles import (cotangent_weights, diagonal, from_abacus, is_lex_positive,
+                     psi_inverse_by_search, split_of_class, weight_vector)
 
 
 def report(name, ok, detail=""):

@@ -1,7 +1,6 @@
 import hashlib
 import math
 import operator
-import sys
 
 import pytest
 
@@ -17,7 +16,7 @@ from eqhilb import (
     partitions_of,
 )
 from eqhilb import coloring
-from oracles import brute_force_balanced, live_prefixes, weight_vector
+from oracles import brute_force_balanced, live_prefixes, search_nodes, weight_vector
 
 
 def test_group_params_validation():
@@ -233,25 +232,6 @@ def test_reflection_orders_match_the_nested_gcd():
     assert checked == 43_424
 
 
-def _search_nodes(g, r):
-    """Nodes the search visits for the family of ``(g, r)``: the calls of
-    its inner ``extend``, counted by a profile hook, past the memo."""
-    nodes = 0
-
-    def hook(frame, event, arg):
-        nonlocal nodes
-        code = frame.f_code
-        if event == "call" and code.co_name == "extend" and code.co_filename == coloring.__file__:
-            nodes += 1
-
-    sys.setprofile(hook)
-    try:
-        coloring._balanced_family.__wrapped__(coloring._family_key(g, r))
-    finally:
-        sys.setprofile(None)
-    return nodes
-
-
 def test_search_nodes_stay_within_the_recorded_counts(monkeypatch):
     """The bounds on each row prune as far as when they were recorded, on
     large families of the benchmark's deep workload.  The search of
@@ -265,7 +245,7 @@ def test_search_nodes_stay_within_the_recorded_counts(monkeypatch):
     node fails."""
 
     def check(g, r, most):
-        nodes = _search_nodes(g, r)
+        nodes = search_nodes(g, r)
         assert nodes <= most, (g, r)
         if math.gcd(g.a, g.n) == math.gcd(g.b, g.n) == 1:
             assert nodes >= live_prefixes(enumerate_balanced(g, r)), (g, r)

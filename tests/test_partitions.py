@@ -88,11 +88,14 @@ def test_ordering_by_size_then_lex():
     assert a < b < c
     assert sorted([c, a, b]) == [a, b, c]
     assert Partition((3,)) < Partition((1, 1, 1, 1))
+    with pytest.raises(TypeError):
+        Partition((1,)) < (1,)
 
 
 def test_text_forms():
     assert str(Partition((4, 3, 2))) == "4,3,2"
     assert str(Partition()) == "∅"
+    assert repr(Partition((4, 3, 2))) == "Partition((4, 3, 2))"
     assert Partition.parse("4,3,2") == Partition((4, 3, 2))
     assert Partition.parse("") == Partition()
     assert Partition.parse("∅") == Partition()

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from eqhilb import (
     GroupParams,
     Partition,
-    from_abacus,
     from_core_quotient,
     is_balanced,
     psi,
@@ -18,7 +17,7 @@ from eqhilb import (
     satisfies_star,
     to_abacus,
 )
-from oracles import psi_inverse_by_search, weight_vector
+from oracles import from_abacus, psi_inverse_by_search, weight_vector
 
 
 @st.composite

@@ -12,7 +12,6 @@ from eqhilb import (
     UnbalancedPartitionError,
     betti_statistic,
     color,
-    diagonal,
     enumerate_balanced,
     psi,
     psi_inverse,
@@ -20,7 +19,8 @@ from eqhilb import (
 )
 from eqhilb import stabilization
 from eqhilb.stabilization import _anchor
-from oracles import phi, psi_by_boxes, psi_inverse_by_boxes, psi_inverse_by_search, split_of_class
+from oracles import (diagonal, phi, psi_by_boxes, psi_inverse_by_boxes, psi_inverse_by_search,
+                     split_of_class)
 
 
 def representable(k, rab, a, b):
@@ -37,13 +37,6 @@ def test_diagonal_values():
     assert diagonal(GroupParams(2, 3, 5), 1) == ()
 
 
-def test_diagonal_rejects_mixed_signs():
-    with pytest.raises(PreconditionError):
-        diagonal(GroupParams(1, -1, 3), 2)
-    with pytest.raises(PreconditionError, match="^diagonal index must be nonnegative, got -1$"):
-        diagonal(GroupParams(1, 2, 3), -1)
-
-
 def test_anchor_examples():
     g = GroupParams(1, 1, 2)
     assert _anchor(g, 1, Partition((2,))) == Box(0, 1)
@@ -53,6 +46,28 @@ def test_anchor_examples():
     assert anchor == Box(0, 0)
     with pytest.raises(PreconditionError, match="neither region"):
         phi(g5, anchor, Box(0, 0))
+
+
+def test_anchor_is_the_first_off_diagram_point_of_its_diagonal():
+    """The anchor is the first point, by smallest i, of the brute-force
+    diagonal r*a*b outside the diagram, on every balanced member for coprime
+    a, b in 1..4, n <= 16 and r*n <= 16.  At n <= r*a*b only the pigeonhole
+    on the color r*a*b mod n guarantees that such a point exists."""
+    members = below = 0
+    for a in range(1, 5):
+        for b in range(1, 5):
+            if math.gcd(a, b) != 1:
+                continue
+            for n in range(1, 17):
+                g = GroupParams(a, b, n)
+                for r in range(16 // n + 1):
+                    rab = r * a * b
+                    for lam in enumerate_balanced(g, r):
+                        first = next(pt for pt in diagonal(g, rab) if pt not in lam)
+                        assert _anchor(g, r, lam) == first, (g, r, lam)
+                        members += 1
+                        below += n <= rab
+    assert (members, below) == (15_263, 14_433)
 
 
 def test_psi_distinct_errors():

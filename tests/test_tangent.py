@@ -361,10 +361,14 @@ def test_lpolynomial_api():
     assert str(lp) == "L^2 + 2L"
     assert lp.poincare_str() == "z^4 + 2z^2"
     assert lp.betti_numbers(4) == (0, 0, 2, 0, 1)
+    assert lp.betti_numbers() == (0, 0, 2, 0, 1)
+    assert LPolynomial().betti_numbers() == (0,)
+    assert repr(lp) == "LPolynomial([0, 2, 1])"
     assert LPolynomial().poincare_str() == "0"
     assert LPolynomial([1]).poincare_str() == "1"
     assert LPolynomial.from_json(lp.to_json()) == lp
     assert LPolynomial([3, 0, 0]) == LPolynomial([3])
+    assert hash(LPolynomial([3, 0, 0])) == hash(LPolynomial([3]))
     with pytest.raises(ValueError):
         LPolynomial([-1])
 

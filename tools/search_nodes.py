@@ -2,9 +2,9 @@
 
 For each key it prints the nodes the balanced row search visits (the
 calls of ``coloring._search``'s inner ``extend``, counted by the profile
-hook of ``tests/test_coloring.py``) and the live prefixes: the distinct
-row prefixes of the members, the empty one included, with every all-ones
-tail cut off, since the search emits such a tail at once.  Every live
+hook ``search_nodes`` of ``tests/oracles.py``) and the live prefixes:
+the distinct row prefixes of the members, the empty one included, with
+every all-ones tail cut off, since the search emits such a tail at once.  Every live
 prefix is a node, so the difference is the work that finds nothing.  The
 keys have unit weights, so the search runs on each key's normal form
 ``(1, c; n)``, ``c = b * a^-1 mod n``; scaling both weights by a unit only
@@ -32,8 +32,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
 
 from eqhilb import GroupParams, coloring  # noqa: E402
-from oracles import live_prefixes  # noqa: E402
-from test_coloring import _search_nodes  # noqa: E402
+from oracles import live_prefixes, search_nodes  # noqa: E402
 
 ORDERS = (37, 49, 73, 97)
 DIGEST_KEYS = ((3, 4, 37, 3), (3, 4, 49, 3), (2, 5, 31, 3), (2, 5, 41, 3), (2, -3, 37, 3))
@@ -50,7 +49,7 @@ def main(argv: list[str]) -> None:
         g = GroupParams(a, b, n)
         members = coloring.enumerate_balanced(g, r)
         report[f"({a},{b};{n},{r})"] = {"members": len(members),
-                                        "nodes": _search_nodes(g, r),
+                                        "nodes": search_nodes(g, r),
                                         "live_prefixes": live_prefixes(members)}
     print(json.dumps(report, indent=1))
 
