@@ -262,10 +262,10 @@ def enumerate_balanced(g: GroupParams, r: int) -> tuple[Partition, ...]:
     family is that order reversed; a stretch keeps that order.  Row ``j``
     starts at color ``c*j`` and reads the cycle ``0, 1, ..., m-1`` from
     there, so the colors come from two lists of ``m*(r+1)`` entries: the
-    column-0 colors, indexed by ``j mod m``, and that cycle.  Each diagram's
-    attracting-cell statistic (``tangent._cell_dimension``) is folded in as
-    its rows are placed.  The brute-force filter over all partitions of
-    ``r*n`` is the test suite's oracle for this generator.
+    column-0 colors, indexed by ``j mod m``, and that cycle.  The search
+    returns rows and statistics (``tangent._cell_dimension``, folded in as
+    rows are placed); ``_balanced_family`` builds each member once.  The
+    brute-force filter over all partitions of ``r*n`` is the tests' oracle.
     """
     return _family_record(g, r).members
 
@@ -301,7 +301,7 @@ def _reflections(a: int, b: int, n: int) -> tuple[int, int]:
 @functools.lru_cache(maxsize=_MEMO_SIZE)
 def _balanced_family(key: tuple[int, int, int, int]) -> _FamilyRecord:
     """The record of ``key``, searched on the key with its pseudo-reflections
-    divided out.
+    divided out: the one place that assembles a record.
 
     With ``g = gcd(b, n)``, the subgroup of order ``g`` acts on ``x`` alone
     and ``A^2`` over it is again ``A^2``: the balanced diagrams of
@@ -310,30 +310,32 @@ def _balanced_family(key: tuple[int, int, int, int]) -> _FamilyRecord:
     divides the same way).  With ``h = gcd(a, n)`` the same holds for
     columns, each row repeated ``h`` times.  Then the weights are units mod
     the order ``m``, and scaling both by the inverse of the x-weight only
-    relabels the colors: ``_search`` runs on the normal form ``(1, c; m)``,
-    and its members are stretched while its statistics and L-class are kept.
-    The search recurses once per row, so a member with more rows than
-    Python's frame limit allows is refused.
+    relabels the colors: ``_search`` runs on the normal form ``(1, c; m)``.
+    Its rows, emitted in descending lexicographic order, are stretched and
+    reversed, and each member is built once; a stretch keeps the statistics,
+    which give the L-class.  The search recurses once per row, so a member
+    with more rows than Python's frame limit allows is refused.
     """
     am, bm, n, r = key
     wide, tall = _reflections(am, bm, n)
     m = n // (wide * tall)
     try:
-        record = _search(bm // wide * pow(am // tall, -1, m) % m, m, r)
+        found, dims = _search(bm // wide * pow(am // tall, -1, m) % m, m, r)
     except RecursionError:
         raise EnumerationLimitError(
             f"the balanced search of ({am},{bm};{n}) r={r} places more rows than "
             f"the frame limit of {sys.getrecursionlimit()} allows") from None
-    if wide == tall == 1:
-        return record
-    return record._replace(members=tuple(Partition._of(_stretch(lam.rows, wide, tall))
-                                         for lam in record.members))
+    if wide * tall > 1:
+        found = [_stretch(rows, wide, tall) for rows in found]
+    by_dim = Counter(dims)
+    return _FamilyRecord(tuple(map(Partition._of, reversed(found))), tuple(reversed(dims)),
+                         LPolynomial(by_dim[k] for k in range(max(by_dim, default=-1) + 1)))
 
 
-def _search(c: int, m: int, r: int) -> _FamilyRecord:
-    """The record of ``(1, c; m)``, ``c`` a unit mod ``m``, by the row search
-    of ``enumerate_balanced``, pruned on the tally of open column ends; each
-    member's statistic (``tangent._cell_dimension``) is folded in as rows are placed.
+def _search(c: int, m: int, r: int) -> tuple[list[tuple[int, ...]], list[int]]:
+    """The member rows of ``(1, c; m)``, ``c`` a unit mod ``m``, in the order the
+    row search of ``enumerate_balanced`` emits them, and the statistic of each
+    (``tangent._cell_dimension``), folded in as rows are placed.
 
     Each node is one call of ``extend``: one loop tries its row lengths,
     longest first, closing the columns past each row one at a time and
@@ -367,7 +369,7 @@ def _search(c: int, m: int, r: int) -> _FamilyRecord:
     keys = [0] * m
     keys[-c % m] = -1
     rows: list[int] = []
-    found: list[Partition] = []
+    found: list[tuple[int, ...]] = []
     dims: list[int] = []
 
     def extend(remaining: int, max_row: int, k: int, dim: int, run: int) -> None:
@@ -380,7 +382,7 @@ def _search(c: int, m: int, r: int) -> _FamilyRecord:
         if remaining == 0:
             # the open columns close, each matching the earlier rows and row j-1
             cols = cycle[below:below + max_row]
-            found.append(Partition._of(tuple(rows)))
+            found.append(tuple(rows))
             dims.append(dim + laps[run] + sum(map(keys.__getitem__, cols))
                         + cols.count(cycle[below + max_row]))
             return
@@ -425,7 +427,7 @@ def _search(c: int, m: int, r: int) -> _FamilyRecord:
                 # closes at height j + remaining, matching earlier rows and
                 # the tail rows j + t, keyed 1 + c*(j + t)
                 top = starts[k + remaining - 1]
-                found.append(Partition._of(tuple(rows) + (1,) * (remaining - 1)))
+                found.append(tuple(rows) + (1,) * (remaining - 1))
                 dims.append(closed + laps[remaining] + keys[top]
                             + starts[k:k + remaining].count((top - 1) % m))
                 break
@@ -442,7 +444,4 @@ def _search(c: int, m: int, r: int) -> _FamilyRecord:
             counts[col] -= 1
 
     extend(total, total, 0, 0, 0)
-    by_dim = Counter(dims)
-    # the search emits rows in descending lexicographic order
-    return _FamilyRecord(tuple(reversed(found)), tuple(reversed(dims)),
-                         LPolynomial(by_dim[k] for k in range(max(by_dim, default=-1) + 1)))
+    return found, dims

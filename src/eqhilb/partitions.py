@@ -58,7 +58,7 @@ class Partition:
     def _of(cls, rows: tuple[int, ...]) -> "Partition":
         """``Partition(rows)`` unvalidated, for rows the package built decreasing and positive.
 
-        Callers: the abacus layer and the balanced search in ``coloring``.
+        Callers: the abacus layer and the family memo in ``coloring``.
         """
         lam = object.__new__(cls)
         lam.rows, lam.size, lam._hash = rows, sum(rows), hash(rows)

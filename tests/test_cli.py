@@ -419,13 +419,17 @@ def _run_limited(argv, program=("-m", "eqhilb.cli")):
     (["hj", "--n", "100000000000", "--k", "99999999999"],
      "error: the expansion of 100000000000/99999999999 has more than the ceiling of 80 "
      "terms (raise EQHILB_MAX_BOXES)\n"),
+    (["core-quotient", "--n", "100000000000", "--partition", "2,1"],
+     "error: --n is 100000000000, more than one above the ceiling of 80 "
+     "(raise EQHILB_MAX_BOXES)\n"),
 ], ids=["betti", "psi", "poincare", "verify-qpoly", "poincare-r0", "verify-qpoly-r0",
-        "verify-period-r0", "verify-period", "check-star", "hj"])
+        "verify-period-r0", "verify-period", "check-star", "hj", "core-quotient"])
 def test_huge_order_ends_with_error_not_memory_error(argv, message):
     """A group order, an order range or a continued fraction far past the box
     ceiling is refused without allocating per order or per term: run under a
     600 MB address-space limit, where a histogram of ``n`` counters, a report
-    entry per order of the range or a list of ``n - 1`` terms fails."""
+    entry per order of the range, a list of ``n - 1`` terms or a list per
+    runner of the abacus fails."""
     proc = _run_limited(argv)
     assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", message)
 
@@ -437,6 +441,20 @@ def test_huge_order_on_the_empty_diagram_is_answered():
                          "--partition", ""])
     assert (proc.returncode, proc.stdout, proc.stderr) == (
         0, "betti statistic of ∅ for (1,1;100000000000): 0\ninvariant arrows (0):\n", "")
+
+
+@pytest.mark.parametrize("argv, output", [
+    (["enumerate", "--a", "2", "--b", "3", "--n", "100000000000", "--r", "0"],
+     "balanced partitions for (2,3;100000000000), r=0: 1\n  ∅  betti=0\n"),
+    (["poincare", "--a", "1", "--b", "2", "--n", "100000000000", "--r", "0"],
+     "(1,2;100000000000) r=0: [H] = 1, P(z) = 1, euler = 1\n"),
+], ids=["enumerate", "poincare"])
+def test_r0_family_at_a_huge_order_is_answered(argv, output):
+    """Every ``r = 0`` family shares the memo key ``(0, 0, 1, 0)``, so none is
+    searched at its own order, where the search's tables of ``m`` colors
+    would not fit: answered under the same 600 MB limit."""
+    proc = _run_limited(argv)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, output, "")
 
 
 def test_empty_core_at_a_huge_order_is_answered():

@@ -66,6 +66,17 @@ def test_commands_are_those_of_the_readme():
     assert readme == COMMANDS[:10]
 
 
+def test_library_example_prints_what_the_readme_says(capsys):
+    """The README's python block, run as is: each line it prints is the
+    comment on its ``print(`` line."""
+    block = README.read_text(encoding="utf-8").split("## Library example\n", 1)[1]
+    block = block.split("```python\n", 1)[1].split("```", 1)[0]
+    expected = [line.split("# ", 1)[1] for line in block.splitlines()
+                if line.startswith("print(")]
+    exec(compile(block, "README.md", "exec"), {})
+    assert capsys.readouterr().out.splitlines() == expected
+
+
 if __name__ == "__main__":
     records = []
     with tempfile.TemporaryDirectory() as tmp:
