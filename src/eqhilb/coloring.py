@@ -16,6 +16,8 @@ invariant under both is flat, and so is one invariant under a unit ``a``.
 
 One memo entry per coloring key holds what is computed per family: the
 members, the attracting-cell statistic of each one and their L-class.
+Below it, one memo entry per normal form ``(c, m, r)`` holds the rows and
+statistics of its search, so coloring keys with one normal form search once.
 """
 
 from __future__ import annotations
@@ -39,8 +41,13 @@ from .partitions import Box, Partition, _column_heights
 DEFAULT_MAX_BOXES = 80
 MAX_BOXES_ENV = "EQHILB_MAX_BOXES"
 
-#: Records kept by the family memo (one per ``_family_key``), so memory stays bounded.
+#: Records kept by the family memo (one per ``_family_key``) and by the search
+#: memo (one per normal form), so memory stays bounded.
 _MEMO_SIZE = 256
+
+#: The search memo: the rows and statistics ``_search`` returns, keyed by the
+#: normal form ``(c, m, r)``; the oldest entry is evicted first.
+_search_memo: dict[tuple[int, int, int], tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]] = {}
 
 
 @dataclass(frozen=True)
@@ -264,8 +271,11 @@ def enumerate_balanced(g: GroupParams, r: int) -> tuple[Partition, ...]:
     there, so the colors come from two lists of ``m*(r+1)`` entries: the
     column-0 colors, indexed by ``j mod m``, and that cycle.  The search
     returns rows and statistics (``tangent._cell_dimension``, folded in as
-    rows are placed); ``_balanced_family`` builds each member once.  The
-    brute-force filter over all partitions of ``r*n`` is the tests' oracle.
+    rows are placed); ``_balanced_family`` builds each member once.  Two
+    memos serve repeated requests: one per coloring key holds the family,
+    and below it one per normal form holds the search's rows and
+    statistics, so keys with one normal form search once.  The brute-force
+    filter over all partitions of ``r*n`` is the tests' oracle.
     """
     return _family_record(g, r).members
 
@@ -294,8 +304,18 @@ def _stretch(rows: tuple[int, ...], wide: int, tall: int) -> tuple[int, ...]:
 def _reflections(a: int, b: int, n: int) -> tuple[int, int]:
     """The orders ``(wide, tall) = (gcd(b, n), gcd(a, n))`` of the
     pseudo-reflections of ``(a, b; n)``; dividing ``b`` by ``wide``, ``a`` by
-    ``tall`` and ``n`` by both leaves unit weights (``_balanced_family``)."""
+    ``tall`` and ``n`` by both leaves unit weights (``_normal_form``)."""
     return math.gcd(b, n), math.gcd(a, n)
+
+
+def _normal_form(key: tuple[int, int, int, int]) -> tuple[int, int, tuple[int, int, int]]:
+    """``(wide, tall, (c, m, r))``: the pseudo-reflections of ``key`` and the
+    normal form ``(1, c; m)`` with ``r`` that ``_search`` runs on, the key
+    of the search memo (``_balanced_family``)."""
+    am, bm, n, r = key
+    wide, tall = _reflections(am, bm, n)
+    m = n // (wide * tall)
+    return wide, tall, (bm // wide * pow(am // tall, -1, m) % m, m, r)
 
 
 @functools.lru_cache(maxsize=_MEMO_SIZE)
@@ -310,21 +330,30 @@ def _balanced_family(key: tuple[int, int, int, int]) -> _FamilyRecord:
     divides the same way).  With ``h = gcd(a, n)`` the same holds for
     columns, each row repeated ``h`` times.  Then the weights are units mod
     the order ``m``, and scaling both by the inverse of the x-weight only
-    relabels the colors: ``_search`` runs on the normal form ``(1, c; m)``.
-    Its rows, emitted in descending lexicographic order, are stretched and
-    reversed, and each member is built once; a stretch keeps the statistics,
-    which give the L-class.  The search recurses once per row, so a member
-    with more rows than Python's frame limit allows is refused.
+    relabels the colors: ``_search`` runs on the normal form ``(1, c; m)``,
+    once per ``(c, m, r)`` while ``_search_memo`` keeps it.  Its rows,
+    emitted in descending lexicographic order, are stretched and reversed,
+    and each member is built once; a stretch keeps the statistics, which
+    give the L-class.  The search recurses once per row, so a member with
+    more rows than Python's frame limit allows is refused, and the refusal
+    is not kept.  The search memo is read here rather than by wrapping
+    ``_search``: a wrapper would add a frame to every search and refuse
+    members one row shorter.
     """
-    am, bm, n, r = key
-    wide, tall = _reflections(am, bm, n)
-    m = n // (wide * tall)
-    try:
-        found, dims = _search(bm // wide * pow(am // tall, -1, m) % m, m, r)
-    except RecursionError:
-        raise EnumerationLimitError(
-            f"the balanced search of ({am},{bm};{n}) r={r} places more rows than "
-            f"the frame limit of {sys.getrecursionlimit()} allows") from None
+    wide, tall, form = _normal_form(key)
+    searched = _search_memo.get(form)
+    if searched is None:
+        try:
+            searched = _search(*form)
+        except RecursionError:
+            am, bm, n, r = key
+            raise EnumerationLimitError(
+                f"the balanced search of ({am},{bm};{n}) r={r} places more rows than "
+                f"the frame limit of {sys.getrecursionlimit()} allows") from None
+        if len(_search_memo) >= _MEMO_SIZE:
+            del _search_memo[next(iter(_search_memo))]
+        _search_memo[form] = searched
+    found, dims = searched
     if wide * tall > 1:
         found = [_stretch(rows, wide, tall) for rows in found]
     by_dim = Counter(dims)
@@ -332,7 +361,7 @@ def _balanced_family(key: tuple[int, int, int, int]) -> _FamilyRecord:
                          LPolynomial(by_dim[k] for k in range(max(by_dim, default=-1) + 1)))
 
 
-def _search(c: int, m: int, r: int) -> tuple[list[tuple[int, ...]], list[int]]:
+def _search(c: int, m: int, r: int) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
     """The member rows of ``(1, c; m)``, ``c`` a unit mod ``m``, in the order the
     row search of ``enumerate_balanced`` emits them, and the statistic of each
     (``tangent._cell_dimension``), folded in as rows are placed.
@@ -444,4 +473,4 @@ def _search(c: int, m: int, r: int) -> tuple[list[tuple[int, ...]], list[int]]:
             counts[col] -= 1
 
     extend(total, total, 0, 0, 0)
-    return found, dims
+    return tuple(found), tuple(dims)

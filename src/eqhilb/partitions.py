@@ -58,7 +58,7 @@ class Partition:
     def _of(cls, rows: tuple[int, ...]) -> "Partition":
         """``Partition(rows)`` unvalidated, for rows the package built decreasing and positive.
 
-        Callers: the abacus layer and the family memo in ``coloring``.
+        Callers: the abacus layer, ``partitions_of`` and the family memo in ``coloring``.
         """
         lam = object.__new__(cls)
         lam.rows, lam.size, lam._hash = rows, sum(rows), hash(rows)
@@ -124,22 +124,29 @@ def _column_heights(rows) -> list[int]:
 def partitions_of(m: int) -> Iterator[Partition]:
     """Yield every partition of ``m``.
 
-    Deterministic order: first row descending, then recursively the same.
+    Deterministic order: rows descending lexicographically, ``(m,)`` first
+    and all ones last.  One list of rows steps to the next partition with
+    no recursion: drop the trailing 1s, lower the last row above 1 to
+    ``v``, and refill with rows ``v`` and a remainder.
     Used as the brute-force oracle for constrained enumerations.
     """
     if m < 0:
         raise ValueError("m must be nonnegative")
-
-    def rec(remaining: int, bound: int):
-        if remaining == 0:
-            yield ()
+    rows = [m] if m else []
+    while True:
+        yield Partition._of(tuple(rows))
+        ones = 0
+        while rows and rows[-1] == 1:
+            rows.pop()
+            ones += 1
+        if not rows:
             return
-        for first in range(min(bound, remaining), 0, -1):
-            for rest in rec(remaining - first, first):
-                yield (first,) + rest
-
-    for rows in rec(m, m):
-        yield Partition(rows)
+        v = rows[-1] - 1
+        rows[-1] = v
+        count, rest = divmod(ones + 1, v)
+        rows += [v] * count
+        if rest:
+            rows.append(rest)
 
 
 def diagram(lam: Partition, cell: Callable[[Box], str] | None = None) -> str:

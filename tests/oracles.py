@@ -55,9 +55,27 @@ def live_prefixes(members):
     return len(prefixes)
 
 
+def partitions_by_recursion(m):
+    """Row tuples of every partition of ``m``, first row descending and then
+    recursively the same: the recursive generator ``partitions_of`` replaced."""
+
+    def rec(remaining, bound):
+        if remaining == 0:
+            yield ()
+            return
+        for first in range(min(bound, remaining), 0, -1):
+            for rest in rec(remaining - first, first):
+                yield (first,) + rest
+
+    return rec(m, m)
+
+
 def search_nodes(g, r):
     """Nodes the balanced search visits for the family of ``(g, r)``: the
-    calls of its inner ``extend``, counted by a profile hook, past the memo."""
+    calls of its inner ``extend``, counted by a profile hook on a fresh
+    search of the family's normal form ``(1, c; m)``, past both memos,
+    whatever they hold."""
+    _, _, form = coloring._normal_form(coloring._family_key(g, r))
     nodes = 0
 
     def hook(frame, event, arg):
@@ -68,7 +86,7 @@ def search_nodes(g, r):
 
     sys.setprofile(hook)
     try:
-        coloring._balanced_family.__wrapped__(coloring._family_key(g, r))
+        coloring._search(*form)
     finally:
         sys.setprofile(None)
     return nodes

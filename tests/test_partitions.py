@@ -2,7 +2,7 @@ import pytest
 
 from eqhilb import Box, Partition, diagram, partitions_of
 
-from oracles import col_height
+from oracles import col_height, partitions_by_recursion
 
 
 def test_boxes_empty():
@@ -111,10 +111,32 @@ def test_diagram_bottom_row_first_row():
 
 
 def test_partitions_of_counts():
-    # p(0..10) = 1,1,2,3,5,7,11,15,22,30,42
-    expected = [1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42]
-    for m, count in enumerate(expected):
-        assert sum(1 for _ in partitions_of(m)) == count
+    """p(m) for m <= 40 (p(40) = 37,338) from Euler's pentagonal recurrence:
+    p(m) = sum over k >= 1 of (-1)^(k+1) (p(m - k(3k-1)/2) + p(m - k(3k+1)/2))."""
+    p = [1]
+    for m in range(1, 41):
+        total, k = 0, 1
+        while k * (3 * k - 1) // 2 <= m:
+            sign = 1 if k % 2 else -1
+            total += sign * p[m - k * (3 * k - 1) // 2]
+            if k * (3 * k + 1) // 2 <= m:
+                total += sign * p[m - k * (3 * k + 1) // 2]
+            k += 1
+        p.append(total)
+    assert p[40] == 37338
+    for m, count in enumerate(p):
+        assert sum(1 for _ in partitions_of(m)) == count, m
+
+
+def test_partitions_of_matches_the_recursive_order():
+    """The loop over one row list gives the rows of the recursive generator
+    in the same order: descending lexicographically."""
+    for m in range(26):
+        assert [lam.rows for lam in partitions_of(m)] == list(partitions_by_recursion(m)), m
+
+
+def test_partitions_of_zero_is_the_empty_partition():
+    assert list(partitions_of(0)) == [Partition()]
 
 
 def test_partitions_of_valid_and_distinct():

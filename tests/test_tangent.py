@@ -202,10 +202,58 @@ def test_memos_are_bounded_and_recompute_evicted_keys():
         l_class(g, 1)
     memo = coloring._balanced_family
     assert memo.cache_info().currsize <= bound
+    assert len(coloring._search_memo) <= bound
     misses = memo.cache_info().misses
     assert enumerate_balanced(first, 1) == family == brute_force_balanced(first, 1)
     assert l_class(first, 1) == lc
     assert memo.cache_info().misses == misses + 1
+
+
+def test_search_memo_is_bounded_and_recomputes_evicted_forms():
+    """More normal forms ``(c, m, 1)`` than the search memo holds: the oldest
+    are evicted first and searched again, equal to the brute-force filter."""
+    bound = coloring._MEMO_SIZE
+    coloring._balanced_family.cache_clear()
+    coloring._search_memo.clear()
+    groups = [GroupParams(1, c, m) for m in range(2, 31) for c in range(m) if math.gcd(c, m) == 1]
+    assert len(groups) > bound
+    for g in groups:
+        enumerate_balanced(g, 1)
+    assert len(coloring._search_memo) <= bound
+    first = groups[0]
+    assert (1, 2, 1) not in coloring._search_memo
+    size = len(coloring._search_memo)
+    assert enumerate_balanced(first, 1) == brute_force_balanced(first, 1)
+    assert (1, 2, 1) in coloring._search_memo and len(coloring._search_memo) == size
+
+
+def test_search_memo_serves_the_keys_of_one_normal_form():
+    """(1,1;1), (2,3;2), (3,2;3) and (2,3;6) are four coloring keys; divided
+    by their pseudo-reflections each is the trivial group, searched as
+    (0, 1, r).  Only the first request searches."""
+    coloring._balanced_family.cache_clear()
+    coloring._search_memo.clear()
+    groups = [GroupParams(1, 1, 1), GroupParams(2, 3, 2), GroupParams(3, 2, 3), GroupParams(2, 3, 6)]
+    for r in (1, 2, 3):
+        assert len({coloring._family_key(g, r) for g in groups}) == len(groups)
+        for k, g in enumerate(groups):
+            size = len(coloring._search_memo)
+            assert enumerate_balanced(g, r) == brute_force_balanced(g, r), (g, r)
+            assert len(coloring._search_memo) == size + (k == 0), (g, r)
+        assert (0, 1, r) in coloring._search_memo
+
+
+def test_refused_searches_leave_no_memo_entry(monkeypatch):
+    """A family past the ceiling is refused before the search, one with more
+    rows than the frame limit allows inside it; neither is kept."""
+    before = dict(coloring._search_memo)
+    with pytest.raises(EnumerationLimitError):
+        enumerate_balanced(GroupParams(1, 2, 81), 1)
+    monkeypatch.setenv("EQHILB_MAX_BOXES", "5000")
+    for _ in range(2):
+        with pytest.raises(EnumerationLimitError, match="frame limit"):
+            enumerate_balanced(GroupParams(1, 2, 2001), 1)
+    assert coloring._search_memo == before
 
 
 def test_l_class_matches_gottsche_product():
