@@ -36,7 +36,7 @@ alike) and reconstruction refuses to guess.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .coloring import _tallies_match
 from .errors import AmbiguousQuotientError, InvariantViolationError, NotNCoreError, PreconditionError
@@ -45,20 +45,27 @@ from .partitions import Partition
 _EMPTY = Partition()
 
 
-@dataclass(frozen=True)
-class Abacus:
+class _Abacus(NamedTuple):
+    word: tuple[int, ...]
+    offset: int
+
+
+class Abacus(_Abacus):
     """A 0/1 word placed on Z: position ``offset + p`` holds ``word[p]``.
 
     Positions left of the word are 1, positions right of it are 0.  The
     canonical form starts at the first 0 and ends at the last 1.
     """
 
-    word: tuple[int, ...] = ()
-    offset: int = 0
+    __slots__ = ()
 
-    def __post_init__(self):
-        if any(x not in (0, 1) for x in self.word):
+    def __new__(cls, word: tuple[int, ...] = (), offset: int = 0):
+        word = tuple(word)
+        if any(type(x) is not int or x not in (0, 1) for x in word):
             raise PreconditionError("abacus words contain only 0s and 1s")
+        return super().__new__(cls, word, offset)
+
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks too
 
     def __str__(self) -> str:
         return "...11|" + "".join(str(x) for x in self.word) + "|00..."
@@ -84,8 +91,12 @@ def to_abacus(lam: Partition) -> Abacus:
     return Abacus(word, -m)
 
 
-@dataclass(frozen=True)
-class MultiPartition:
+class _MultiPartition(NamedTuple):
+    parts: tuple[Partition, ...]
+    alignment: int | None
+
+
+class MultiPartition(_MultiPartition):
     """An n-tuple of partitions, as produced by runner decomposition.
 
     ``alignment`` is the residue mod ``n`` of the abacus window start of
@@ -94,12 +105,15 @@ class MultiPartition:
     is what makes the core/quotient correspondence invertible.
     """
 
-    parts: tuple[Partition, ...]
-    alignment: int | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        if len(self.parts) < 1:
+    def __new__(cls, parts: tuple[Partition, ...], alignment: int | None = None):
+        parts = tuple(parts)
+        if len(parts) < 1:
             raise PreconditionError("a multipartition has at least one component")
+        return super().__new__(cls, parts, alignment)
+
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks too
 
     def total(self) -> int:
         return sum(p.size for p in self.parts)

@@ -11,15 +11,16 @@ than assuming a threshold.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass
-from fractions import Fraction
+from typing import TYPE_CHECKING, NamedTuple
 
 from .coloring import (MAX_BOXES_ENV, GroupParams, _box_ceiling, _order_range, _reflections,
                        _stretch, enumerate_balanced)
 from .errors import EnumerationLimitError, InsufficientSamplesError, PreconditionError
 from .partitions import Partition
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 #: Largest orders per residue class that ``verify_quasipolynomial`` holds out
 #: of the fit and demands the fitted quasipolynomial extrapolate to.
@@ -143,8 +144,14 @@ def hj_expand(n: int, k: int) -> tuple[int, ...]:
     return tuple(terms)
 
 
-@dataclass(frozen=True)
-class Quasipolynomial:
+class _Quasipolynomial(NamedTuple):
+    period: int
+    polys: tuple[tuple[Fraction, ...] | None, ...]
+    valid_from: int
+    class_validated: tuple[bool | None, ...]
+
+
+class Quasipolynomial(_Quasipolynomial):
     """Period-k family of polynomials with exact rational coefficients.
 
     ``polys[l]`` (coefficients in ascending degree) applies when
@@ -153,19 +160,20 @@ class Quasipolynomial:
     training point and the held-out one for that class.
     """
 
-    period: int
-    polys: tuple[tuple[Fraction, ...] | None, ...]
-    valid_from: int
-    class_validated: tuple[bool | None, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.period < 1:
-            raise PreconditionError(f"period must be >= 1, got {self.period}")
-        if not len(self.polys) == len(self.class_validated) == self.period:
+    def __new__(cls, period: int, polys: tuple[tuple[Fraction, ...] | None, ...],
+                valid_from: int, class_validated: tuple[bool | None, ...]):
+        if period < 1:
+            raise PreconditionError(f"period must be >= 1, got {period}")
+        if not len(polys) == len(class_validated) == period:
             raise PreconditionError(
-                f"needs one polynomial and one flag per residue mod {self.period}, "
-                f"got {len(self.polys)} and {len(self.class_validated)}"
+                f"needs one polynomial and one flag per residue mod {period}, "
+                f"got {len(polys)} and {len(class_validated)}"
             )
+        return super().__new__(cls, period, polys, valid_from, class_validated)
+
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks too
 
     def evaluate(self, n: int) -> Fraction:
         poly = self.polys[n % self.period]
@@ -194,7 +202,9 @@ class Quasipolynomial:
 
     @classmethod
     def from_json(cls, data) -> "Quasipolynomial":
+        from fractions import Fraction
         if isinstance(data, str):
+            import json
             data = json.loads(data)
         return cls(
             period=data["period"],
@@ -209,11 +219,13 @@ class Quasipolynomial:
 
 def _evaluate(poly: tuple[Fraction, ...], n: int) -> Fraction:
     """Value at ``n`` of the polynomial with ascending coefficients ``poly``."""
+    from fractions import Fraction
     return sum((c * n**k for k, c in enumerate(poly)), Fraction(0))
 
 
 def _lagrange(points: list[tuple[int, int]]) -> tuple[Fraction, ...]:
     """Coefficients (ascending) of the interpolating polynomial, exact."""
+    from fractions import Fraction
     k = len(points)
     coeffs = [Fraction(0)] * k
     for idx, (xi, yi) in enumerate(points):

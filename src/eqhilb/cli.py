@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import os
 import sys
 from typing import Callable, NamedTuple
@@ -56,10 +55,24 @@ def _colored_diagram(g: coloring.GroupParams, lam: Partition) -> str:
     return diagram(lam, cell=lambda box: _DIGITS[coloring.color(g, box)])
 
 
-def young_svg(lam: Partition, g: coloring.GroupParams, arrows=None) -> str:
-    """SVG rendering of a diagram: cells colored by residue, row 0 at the
-    bottom, optional arrow overlay drawn tail to head; each cell is
-    ``_CELL`` pixels wide."""
+def _svg(w: int, h: int, body: list[str]) -> str:
+    """One SVG document of ``w x h`` pixels: the arrow-tip marker, a white
+    background and the elements of ``body``."""
+    return "\n".join([
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{w}" height="{h}" '
+        f'viewBox="0 0 {w} {h}">',
+        '<defs><marker id="tip" markerWidth="8" markerHeight="8" refX="6" refY="3" '
+        'orient="auto"><path d="M0,0 L6,3 L0,6 z" fill="#222"/></marker></defs>',
+        f'<rect width="{w}" height="{h}" fill="white"/>',
+        *body,
+        "</svg>",
+    ])
+
+
+def _diagram_svg(lam: Partition, g: coloring.GroupParams, arrows=None) -> tuple[int, int, list[str]]:
+    """The width, height and elements of one diagram's drawing: cells colored
+    by residue, row 0 at the bottom, optional arrow overlay drawn tail to
+    head; each cell is ``_CELL`` pixels wide."""
     width = lam.rows[0] if lam.rows else 1
     height = len(lam.rows) if lam.rows else 1
     pad = _CELL  # room for arrow tails just outside the diagram
@@ -72,13 +85,7 @@ def young_svg(lam: Partition, g: coloring.GroupParams, arrows=None) -> str:
     def cy(j: int) -> int:
         return h - pad - (j + 1) * _CELL
 
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{w}" height="{h}" '
-        f'viewBox="0 0 {w} {h}">',
-        '<defs><marker id="tip" markerWidth="8" markerHeight="8" refX="6" refY="3" '
-        'orient="auto"><path d="M0,0 L6,3 L0,6 z" fill="#222"/></marker></defs>',
-        f'<rect width="{w}" height="{h}" fill="white"/>',
-    ]
+    parts = []
     for box in lam.boxes():
         s = coloring.color(g, box)
         x, y = cx(box.i), cy(box.j)
@@ -100,8 +107,18 @@ def young_svg(lam: Partition, g: coloring.GroupParams, arrows=None) -> str:
             f'<line x1="{x1}" y1="{y1}" x2="{x2}" y2="{y2}" stroke="#222" '
             f'stroke-width="2" marker-end="url(#tip)"/>'
         )
-    parts.append("</svg>")
-    return "\n".join(parts)
+    return w, h, parts
+
+
+def _family_svg(members, g: coloring.GroupParams) -> str:
+    """One SVG document of a family: each member's diagram in a group of
+    its own, stacked top to bottom in the given order."""
+    body, width, top = [], 0, 0
+    for lam in members:
+        w, h, parts = _diagram_svg(lam, g)
+        body += [f'<g transform="translate(0,{top})">', *parts, "</g>"]
+        width, top = max(width, w), top + h
+    return _svg(width, top, body)
 
 
 def _group(args) -> coloring.GroupParams:
@@ -136,7 +153,7 @@ def _cmd_enumerate(args) -> _Report:
     rows = [["a", "b", "n", "r", "partition", "betti"]]
     rows += [[g.a, g.b, g.n, args.r, f'"{e["partition"]}"', e["betti"]] for e in entries]
     return _Report({"group": _group_json(g), "r": args.r, "partitions": entries}, text, rows,
-                   svg=lambda: "\n".join(young_svg(lam, g) for lam in found))
+                   svg=lambda: _family_svg(found, g))
 
 
 def _cmd_betti(args) -> _Report:
@@ -159,7 +176,7 @@ def _cmd_betti(args) -> _Report:
             for ar in arrows
         ],
     }
-    return _Report(payload, text, svg=lambda: young_svg(lam, g, arrows=arrows))
+    return _Report(payload, text, svg=lambda: _svg(*_diagram_svg(lam, g, arrows)))
 
 
 def _cmd_poincare(args) -> _Report:
@@ -400,6 +417,7 @@ def main(argv=None) -> int:
             except OSError as exc:
                 raise EqhilbError(f"cannot write {args.out}: {exc.strerror}") from None
         if args.format == "json":
+            import json
             lines = [json.dumps(report.json, indent=2, sort_keys=True, ensure_ascii=True)]
         elif args.format == "csv":
             lines = [",".join(str(x) for x in row) for row in report.csv]

@@ -23,12 +23,10 @@ statistics of its search, so coloring keys with one normal form search once.
 from __future__ import annotations
 
 import functools
-import json
 import math
 import os
 import sys
 from collections import Counter
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import EnumerationLimitError, PreconditionError, UnbalancedPartitionError
@@ -50,8 +48,13 @@ _MEMO_SIZE = 256
 _search_memo: dict[tuple[int, int, int], tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]] = {}
 
 
-@dataclass(frozen=True)
-class GroupParams:
+class _GroupParams(NamedTuple):
+    a: int
+    b: int
+    n: int
+
+
+class GroupParams(_GroupParams):
     """Weights ``(a, b)`` and order ``n`` of a cyclic group acting on the plane.
 
     The signed weights are retained (the sign of ``a*b`` decides which
@@ -59,15 +62,16 @@ class GroupParams:
     the coloring.
     """
 
-    a: int
-    b: int
-    n: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if math.gcd(self.a, self.b) != 1:
-            raise PreconditionError(f"weights must be coprime, got ({self.a}, {self.b})")
-        if self.n < 1:
-            raise PreconditionError(f"group order must be >= 1, got {self.n}")
+    def __new__(cls, a: int, b: int, n: int):
+        if math.gcd(a, b) != 1:
+            raise PreconditionError(f"weights must be coprime, got ({a}, {b})")
+        if n < 1:
+            raise PreconditionError(f"group order must be >= 1, got {n}")
+        return super().__new__(cls, a, b, n)
+
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks too
 
     def with_n(self, n: int) -> "GroupParams":
         return GroupParams(self.a, self.b, n)
@@ -218,6 +222,7 @@ class LPolynomial:
     @classmethod
     def from_json(cls, data) -> "LPolynomial":
         if isinstance(data, str):
+            import json
             data = json.loads(data)
         return cls(data["coeffs"])
 

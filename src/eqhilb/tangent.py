@@ -31,7 +31,7 @@ independent oracle for the hook count; the statistic never builds one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .coloring import GroupParams, _require_balanced
 from .partitions import Box, Partition, _column_heights
@@ -40,8 +40,7 @@ ARROW_D = "D"
 ARROW_U = "U"
 
 
-@dataclass(frozen=True)
-class Arrow:
+class Arrow(NamedTuple):
     """A distinguished coordinate arrow attached to one box of a diagram.
 
     ``weight`` is tail minus head componentwise.  D arrows always have

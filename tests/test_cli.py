@@ -1,6 +1,7 @@
 import argparse
 import contextlib
 import io
+import itertools
 import json
 import os
 import resource
@@ -13,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eqhilb import LPolynomial, Partition, Quasipolynomial
+from eqhilb import GroupParams, LPolynomial, Partition, Quasipolynomial, enumerate_balanced
 from eqhilb.cli import _build_parser, main
 
 
@@ -192,6 +193,27 @@ def test_render_svg(tmp_path, capsys):
     assert len(rects) == 9 + 1  # one per box plus the background
     lines = [el for el in root.iter() if el.tag.endswith("line")]
     assert len(lines) == 6  # the invariant arrows of a 3-balanced 9-box diagram
+
+
+def test_render_svg_family_is_one_document(tmp_path, capsys):
+    target = tmp_path / "family.svg"
+    argv = ["enumerate", "--a", "1", "--b", "2", "--n", "3", "--r", "2"]
+    code, out, _ = run(capsys, *argv, "--render", "svg", "--out", str(target))
+    assert code == 0
+    assert run(capsys, *argv) == (0, out, "")  # the drawing leaves stdout as it is
+    root = ET.fromstring(target.read_text(encoding="utf-8"))  # one root element
+    assert root.tag.endswith("svg")
+    ids = [el.get("id") for el in root.iter() if el.get("id") is not None]
+    assert len(ids) == len(set(ids))
+    groups = [el for el in root if el.tag.endswith("g")]
+    members = enumerate_balanced(GroupParams(1, 2, 3), 2)
+    assert len(groups) == len(members) > 1
+    heights = [(len(lam.rows) + 2) * 28 for lam in members]  # stacked top to bottom
+    assert [g.get("transform") for g in groups] == [
+        f"translate(0,{top})" for top in itertools.accumulate([0] + heights[:-1])]
+    assert int(root.get("height")) == sum(heights)
+    cells = [len([el for el in g if el.tag.endswith("rect")]) for g in groups]
+    assert cells == [lam.size for lam in members]
 
 
 def test_svg_requires_out(capsys):

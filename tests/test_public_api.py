@@ -1,4 +1,10 @@
-"""The public surface of the package, pinned so that it grows only on purpose."""
+"""The public surface of the package, pinned so that it grows only on purpose,
+and the semantics of its records."""
+
+import copy
+import pickle
+
+import pytest
 
 import eqhilb
 
@@ -22,3 +28,62 @@ def test_all_is_the_pinned_list_and_resolves():
     assert sorted(eqhilb.__all__) == PUBLIC
     for name in eqhilb.__all__:
         getattr(eqhilb, name)
+
+
+#: one value of each public record, its repr, and what each validating
+#: record refuses, with the message it gives
+RECORDS = [
+    (eqhilb.GroupParams(1, -1, 3), "GroupParams(a=1, b=-1, n=3)"),
+    (eqhilb.Abacus((0, 1), -1), "Abacus(word=(0, 1), offset=-1)"),
+    (eqhilb.MultiPartition((eqhilb.Partition(),)),
+     "MultiPartition(parts=(Partition(()),), alignment=None)"),
+    (eqhilb.distinguished_arrows(eqhilb.Partition((1,)))[0],
+     "Arrow(kind='D', box=Box(i=0, j=0), tail=Box(i=1, j=0), head=Box(i=0, j=0), weight=(1, 0))"),
+    (eqhilb.Quasipolynomial(1, ((),), 1, (True,)),
+     "Quasipolynomial(period=1, polys=((),), valid_from=1, class_validated=(True,))"),
+]
+REFUSALS = [
+    (eqhilb.GroupParams, (2, 4, 3), r"^weights must be coprime, got \(2, 4\)$"),
+    (eqhilb.GroupParams, (0, 0, 0), r"^weights must be coprime, got \(0, 0\)$"),
+    (eqhilb.GroupParams, (1, 1, 0), "^group order must be >= 1, got 0$"),
+    (eqhilb.Abacus, ((0, 2, 1), 0), "^abacus words contain only 0s and 1s$"),
+    (eqhilb.Abacus, ((True, 1.0),), "^abacus words contain only 0s and 1s$"),
+    (eqhilb.Abacus, ((0, 1.0),), "^abacus words contain only 0s and 1s$"),
+    (eqhilb.MultiPartition, ((),), "^a multipartition has at least one component$"),
+    (eqhilb.Quasipolynomial, (0, (), 1, ()), "^period must be >= 1, got 0$"),
+    (eqhilb.Quasipolynomial, (0, ((),), 1, ()), "^period must be >= 1, got 0$"),
+    (eqhilb.Quasipolynomial, (2, ((),), 1, (True, None)),
+     r"^needs one polynomial and one flag per residue mod 2, got 1 and 2$"),
+]
+
+
+@pytest.mark.parametrize("value, text", RECORDS, ids=lambda v: type(v).__name__)
+def test_records_are_immutable_tuples_of_their_fields(value, text):
+    assert repr(value) == text
+    fields = tuple(value)
+    assert value == fields and hash(value) == hash(fields)
+    assert value._replace() == value and type(value._replace()) is type(value)
+    with pytest.raises(AttributeError):
+        setattr(value, value._fields[0], fields[0])
+    with pytest.raises(AttributeError):
+        value.extra = 1
+    for twin in (pickle.loads(pickle.dumps(value)), copy.copy(value), copy.deepcopy(value)):
+        assert twin == value and type(twin) is type(value) and repr(twin) == text
+
+
+@pytest.mark.parametrize("record, args, message", REFUSALS,
+                         ids=lambda v: v.__name__ if isinstance(v, type) else None)
+def test_records_refuse_bad_fields_on_every_path(record, args, message):
+    with pytest.raises(eqhilb.PreconditionError, match=message):
+        record(*args)
+    good = next(value for value, _ in RECORDS if type(value) is record)
+    with pytest.raises(eqhilb.PreconditionError, match=message):
+        good._replace(**dict(zip(record._fields, args)))
+
+
+def test_records_store_tuples():
+    lam = eqhilb.Partition((2, 1))
+    for value in (eqhilb.Abacus([0, 1], 3), eqhilb.MultiPartition([lam, lam], alignment=1)):
+        assert type(value[0]) is tuple
+        assert {value: 1}[type(value)(tuple(value[0]), value[1])] == 1
+    assert eqhilb.Abacus(iter([1, 0])).word == (1, 0)
