@@ -21,9 +21,9 @@ Bead ``x`` sits at level ``x // n`` on runner ``x % n``.  The levels on
 each runner form a beta-set of their own, whose partition is one
 component of the n-quotient; packing every runner's beads down to the
 levels ``0, 1, ...`` gives the beta-set of the n-core, and
-``|lam| = |core| + n * sum(|quotient parts|)``.  One kernel reads both
-off the row tuple; ``runners`` wraps its output in partitions and
-``from_core_quotient`` re-decomposes each candidate with it.
+``|lam| = |core| + n * sum(|quotient parts|)``.  ``runners`` reads both
+off the row tuple; ``from_core_quotient`` checks its candidates in closed
+form instead of decomposing them again.
 
 The runners are labelled from the window start, which sits at
 ``-(number of parts)``, so the labels depend on the number of parts mod
@@ -63,6 +63,8 @@ class Abacus(_Abacus):
         word = tuple(word)
         if any(type(x) is not int or x not in (0, 1) for x in word):
             raise PreconditionError("abacus words contain only 0s and 1s")
+        if type(offset) is not int:
+            raise PreconditionError(f"an abacus offset is an int, got {offset!r}")
         return super().__new__(cls, word, offset)
 
     _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks too
@@ -111,6 +113,8 @@ class MultiPartition(_MultiPartition):
         parts = tuple(parts)
         if len(parts) < 1:
             raise PreconditionError("a multipartition has at least one component")
+        if alignment is not None and type(alignment) is not int:
+            raise PreconditionError(f"an alignment is None or an int, got {alignment!r}")
         return super().__new__(cls, parts, alignment)
 
     _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks too
@@ -122,10 +126,12 @@ class MultiPartition(_MultiPartition):
         return "(" + ", ".join(str(p) for p in self.parts) + ")"
 
 
-def _decompose(rows: tuple[int, ...], n: int) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
-    """Row tuples of the n-quotient parts and of the n-core of ``rows`` (see :func:`runners`)."""
+def runners(lam: Partition, n: int) -> tuple[MultiPartition, Partition]:
+    """Runner decomposition: the n-quotient and the n-core, with runner ``i``
+    the beads ``x % n == i`` counted from the window start (module docstring)."""
     if n < 1:
         raise PreconditionError(f"n must be >= 1, got {n}")
+    rows = lam.rows
     m = len(rows)
     levels = [[] for _ in range(n)]
     for t, row in enumerate(rows, 1):
@@ -135,20 +141,13 @@ def _decompose(rows: tuple[int, ...], n: int) -> tuple[tuple[tuple[int, ...], ..
     parts = tuple([_rows_of_beta(run) if run and run[0] != len(run) - 1 else () for run in levels])
     packed = [x for s, run in enumerate(levels) for x in range(s, s + n * len(run), n)]
     core = _rows_of_beta(sorted(packed, reverse=True))
-    size, size_check = sum(rows), sum(core) + n * sum(map(sum, parts))
-    if size_check != size:
+    size_check = sum(core) + n * sum(map(sum, parts))
+    if size_check != lam.size:
         raise InvariantViolationError(
-            f"size identity failed for {Partition._of(rows)} at n={n}: {size} != {size_check}"
+            f"size identity failed for {lam} at n={n}: {lam.size} != {size_check}"
         )
-    return parts, core
-
-
-def runners(lam: Partition, n: int) -> tuple[MultiPartition, Partition]:
-    """Runner decomposition: the n-quotient and the n-core, with runner ``i``
-    the beads ``x % n == i`` counted from the window start (module docstring)."""
-    parts, core = _decompose(lam.rows, n)
     quot = tuple(Partition._of(p) if p else _EMPTY for p in parts)
-    return MultiPartition(quot, alignment=-len(lam.rows) % n), Partition._of(core)
+    return MultiPartition(quot, alignment=-m % n), Partition._of(core)
 
 
 def from_core_quotient(core: Partition, quot: MultiPartition) -> Partition:
@@ -159,28 +158,38 @@ def from_core_quotient(core: Partition, quot: MultiPartition) -> Partition:
     decomposition.  A bare tuple without alignment is reconstructed only
     if the consistent alignments rebuild one partition; otherwise the
     call raises ``AmbiguousQuotientError`` listing the candidates.
+
+    A candidate is kept when :func:`runners` would give back ``core`` and
+    ``quot.parts``: ``core`` is an n-core and the rotation by
+    ``(-len(rows) - alignment) % n`` fixes the parts.
     """
     n = len(quot.parts)
     sizes = [0] * n  # beads of the core on runner s (residue s), padded to a multiple of n
+    levels = 0
     for x in _beta(core.rows, -(-len(core.rows) // n) * n):
-        sizes[x % n] += 1
+        level, s = divmod(x, n)
+        sizes[s] += 1
+        levels += level
     rotations = range(n) if quot.alignment is None else (quot.alignment % n,)
-    want = (tuple(p.rows for p in quot.parts), core.rows)
+    prows = tuple(p.rows for p in quot.parts)
+    # c distinct levels sum to at least c*(c-1)/2, with equality exactly when packed
+    if levels != sum(c * (c - 1) // 2 for c in sizes):
+        raise NotNCoreError(f"{core} is not an {n}-core")
     matches = set()  # alignments that rebuild one partition give one preimage
     for rho in rotations:
-        abs_parts = [quot.parts[(s - rho) % n].rows for s in range(n)]
+        abs_parts = [prows[(s - rho) % n] for s in range(n)]
         # one more bead on every runner until each runner holds its part
         extra = max(0, *(len(p) - c for p, c in zip(abs_parts, sizes)))
         rows = _rows_of_beta(sorted(
             [s + n * y for s, (p, c) in enumerate(zip(abs_parts, sizes)) for y in _beta(p, c + extra)],
             reverse=True))
-        if _decompose(rows, n) == want:
+        # the rebuilt beads number a multiple of n, so runners() reads the
+        # parts rotated by d; they read back as given when d fixes them
+        d = (-len(rows) - rho) % n
+        if prows[d:] + prows[:d] == prows:
             matches.add(Partition._of(rows))
     if len(matches) == 1:
         return matches.pop()
-    # a match has an n-core by construction, so only a failed search tests the given core
-    if _decompose(core.rows, n)[1] != core.rows:
-        raise NotNCoreError(f"{core} is not an {n}-core")
     if not matches:
         raise PreconditionError(
             f"no partition has core {core} and quotient {quot} with the given alignment"

@@ -164,6 +164,8 @@ class Quasipolynomial(_Quasipolynomial):
 
     def __new__(cls, period: int, polys: tuple[tuple[Fraction, ...] | None, ...],
                 valid_from: int, class_validated: tuple[bool | None, ...]):
+        polys = tuple(None if p is None else tuple(p) for p in polys)
+        class_validated = tuple(class_validated)
         if period < 1:
             raise PreconditionError(f"period must be >= 1, got {period}")
         if not len(polys) == len(class_validated) == period:

@@ -5,8 +5,10 @@ import sys
 
 from eqhilb import (
     Abacus,
+    AmbiguousQuotientError,
     Box,
     InsufficientSamplesError,
+    NotNCoreError,
     Partition,
     PreconditionError,
     color,
@@ -15,8 +17,10 @@ from eqhilb import (
     invariant_arrows,
     partitions_of,
     psi,
+    runners,
 )
 from eqhilb import coloring
+from eqhilb.abacus import _beta, _rows_of_beta
 from eqhilb.stabilization import _anchor, _positive_weights, _reassemble
 
 
@@ -289,3 +293,39 @@ def core_by_hook_removal(lam, n):
             return Partition(r for r in rows if r)
         i, j, leg = hook
         rows[j:j + leg + 1] = [above - 1 for above in rows[j + 1:j + leg + 1]] + [i]
+
+
+def from_core_quotient_by_redecomposition(core, quot):
+    """``from_core_quotient`` by search: build the candidate of each
+    consistent alignment, keep those whose runner decomposition gives back
+    ``(quot.parts, core)``, and only when that leaves not exactly one,
+    decompose ``core`` to tell a non-core from a missing or an ambiguous
+    preimage."""
+    n = len(quot.parts)
+    sizes = [0] * n
+    for x in _beta(core.rows, -(-len(core.rows) // n) * n):
+        sizes[x % n] += 1
+    rotations = range(n) if quot.alignment is None else (quot.alignment % n,)
+    matches = set()
+    for rho in rotations:
+        abs_parts = [quot.parts[(s - rho) % n].rows for s in range(n)]
+        extra = max(0, *(len(p) - c for p, c in zip(abs_parts, sizes)))
+        lam = Partition(_rows_of_beta(sorted(
+            [s + n * y for s, (p, c) in enumerate(zip(abs_parts, sizes)) for y in _beta(p, c + extra)],
+            reverse=True)))
+        back, back_core = runners(lam, n)
+        if back.parts == quot.parts and back_core == core:
+            matches.add(lam)
+    if len(matches) == 1:
+        return matches.pop()
+    if runners(core, n)[1] != core:
+        raise NotNCoreError(f"{core} is not an {n}-core")
+    if not matches:
+        raise PreconditionError(
+            f"no partition has core {core} and quotient {quot} with the given alignment"
+        )
+    raise AmbiguousQuotientError(
+        f"quotient {quot} with core {core} has {len(matches)} preimages "
+        f"({', '.join(str(m) for m in sorted(matches))}); pass the alignment "
+        "recorded by runners() to pick one"
+    )

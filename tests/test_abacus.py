@@ -17,7 +17,14 @@ from eqhilb import (
     runners,
     to_abacus,
 )
-from oracles import abacus_canonical, abacus_charge, core_by_hook_removal, from_abacus, hook_lengths
+from oracles import (
+    abacus_canonical,
+    abacus_charge,
+    core_by_hook_removal,
+    from_abacus,
+    from_core_quotient_by_redecomposition,
+    hook_lengths,
+)
 
 
 def test_to_abacus_golden():
@@ -127,6 +134,46 @@ def test_from_core_quotient_rejects_wrong_alignment():
     assert quot.alignment == 1
     with pytest.raises(PreconditionError, match="with the given alignment"):
         from_core_quotient(core, MultiPartition(quot.parts, alignment=0))
+
+
+def _outcome(fn, core, quot):
+    try:
+        return fn(core, quot)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def test_from_core_quotient_matches_redecomposition():
+    """The closed-form check agrees with rebuilding each candidate and
+    decomposing it again, on results and on refusals: every partition of at
+    most 10 boxes and n <= 5, against its true core, every partition of the
+    core's size, (1) and the empty one, bare and at every alignment."""
+    by_size = [tuple(partitions_of(m)) for m in range(11)]
+    for family in by_size:
+        for lam in family:
+            for n in range(1, 6):
+                quot, core = runners(lam, n)
+                for given in {core, *by_size[core.size], Partition((1,)), Partition()}:
+                    for alignment in (None, *range(n)):
+                        pair = given, MultiPartition(quot.parts, alignment)
+                        assert (_outcome(from_core_quotient, *pair)
+                                == _outcome(from_core_quotient_by_redecomposition, *pair)), pair
+
+
+@pytest.mark.parametrize("parts, alignment, rows", [
+    ((Partition(),) * 3, 1, ()),
+    ((Partition(),) * 3, 2, ()),
+    ((Partition((1,)),) * 2, 1, (2, 2)),
+])
+def test_from_core_quotient_accepts_quotients_the_rotation_fixes(parts, alignment, rows):
+    """The rebuilt partition's runners read the parts rotated when its
+    number of parts does not match the alignment; a quotient that rotation
+    fixes still reads back as given."""
+    quot = MultiPartition(parts, alignment)
+    back = from_core_quotient(Partition(), quot)
+    assert back == Partition(rows)
+    assert (len(back.rows) + alignment) % len(parts) != 0
+    assert runners(back, len(parts)) == (MultiPartition(parts, -len(rows) % len(parts)), Partition())
 
 
 def test_bare_quotient_can_be_ambiguous():

@@ -54,6 +54,15 @@ REFUSALS = [
     (eqhilb.Quasipolynomial, (0, ((),), 1, ()), "^period must be >= 1, got 0$"),
     (eqhilb.Quasipolynomial, (2, ((),), 1, (True, None)),
      r"^needs one polynomial and one flag per residue mod 2, got 1 and 2$"),
+    (eqhilb.Abacus, ((0, 1), 1.5), r"^an abacus offset is an int, got 1\.5$"),
+    (eqhilb.Abacus, ((0, 1), True), "^an abacus offset is an int, got True$"),
+    (eqhilb.Abacus, ((0, 1), None), "^an abacus offset is an int, got None$"),
+    (eqhilb.MultiPartition, ((eqhilb.Partition(),), 1.5),
+     r"^an alignment is None or an int, got 1\.5$"),
+    (eqhilb.MultiPartition, ((eqhilb.Partition(),), "x"),
+     "^an alignment is None or an int, got 'x'$"),
+    (eqhilb.MultiPartition, ((eqhilb.Partition(),), True),
+     "^an alignment is None or an int, got True$"),
 ]
 
 
@@ -87,3 +96,8 @@ def test_records_store_tuples():
         assert type(value[0]) is tuple
         assert {value: 1}[type(value)(tuple(value[0]), value[1])] == 1
     assert eqhilb.Abacus(iter([1, 0])).word == (1, 0)
+    qp = eqhilb.Quasipolynomial(2, [[1, 2], None], 1, [True, None])
+    assert qp.polys == ((1, 2), None) and type(qp.polys[0]) is tuple
+    assert type(qp.class_validated) is tuple
+    assert {qp: 1}[eqhilb.Quasipolynomial(2, ((1, 2), None), 1, (True, None))] == 1
+    assert qp._replace(polys=[None, [3]]).polys == (None, (3,))

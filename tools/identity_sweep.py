@@ -19,6 +19,13 @@ every request of the first line.  That output carries the statistic of
 each member, so a statistic moved from one member to another changes
 it, while the histogram the first line hashes stays the same.
 
+The fourth line holds the call count and one SHA-256 over ``runners``
+and ``from_core_quotient``: for every partition of at most 14 boxes and
+``n`` in 1..6, its quotient, alignment and core, then the result or the
+refusal (class and message) of ``from_core_quotient`` on its quotient
+parts with alignment None and each of ``0..n-1``, against its true core,
+every partition of the core's size, ``(1)``, ``(2)`` and the empty one.
+
 Two trees that print the same lines give the same results on every
 request; run it once per tree, each in its own interpreter:
 
@@ -41,14 +48,17 @@ import math
 from contextlib import redirect_stdout
 
 from eqhilb import cli
-from eqhilb import (EqhilbError, GroupParams, Partition, enumerate_balanced, l_class, psi,
-                    psi_inverse, verify_period)
+from eqhilb import (EqhilbError, GroupParams, MultiPartition, Partition, enumerate_balanced,
+                    from_core_quotient, l_class, partitions_of, psi, psi_inverse, runners,
+                    verify_period)
 
 WEIGHTS = range(-6, 7)
 MAX_ORDER = 20
 MAX_BOXES = 40
 INSERTION_WEIGHTS = range(1, 5)
 MAX_INSERTION_R = 3
+ABACUS_MAX_BOXES = 14
+ABACUS_MAX_ORDER = 6
 
 #: (a, b, n), r, rows: unbalanced, wrong multiplicity, n <= r*a*b, r < 0
 #: and mixed signs; each is given to psi and to psi_inverse.
@@ -135,6 +145,30 @@ def enumerate_csv_digest() -> tuple[int, str]:
     return count, digest.hexdigest()
 
 
+def abacus_digest() -> tuple[int, str]:
+    digest = hashlib.sha256()
+    calls = 0
+    by_size = [tuple(partitions_of(m)) for m in range(ABACUS_MAX_BOXES + 1)]
+    for family in by_size:
+        for lam in family:
+            for n in range(1, ABACUS_MAX_ORDER + 1):
+                quot, core = runners(lam, n)
+                digest.update(repr((lam.rows, n, [p.rows for p in quot.parts], quot.alignment,
+                                    core.rows)).encode())
+                calls += 1
+                cores = {core, *by_size[core.size], Partition((1,)), Partition((2,)), Partition()}
+                for given in sorted(cores):
+                    for alignment in (None, *range(n)):
+                        try:
+                            back = from_core_quotient(given, MultiPartition(quot.parts, alignment))
+                        except EqhilbError as exc:
+                            digest.update(f"{type(exc).__name__}: {exc}".encode())
+                        else:
+                            digest.update(repr(back.rows).encode())
+                        calls += 1
+    return calls, digest.hexdigest()
+
+
 def main() -> None:
     digest = hashlib.sha256()
     count = 0
@@ -148,6 +182,8 @@ def main() -> None:
     print(f"{calls} insertion calls sha256 {insertions}")
     outputs, csv = enumerate_csv_digest()
     print(f"{outputs} enumerate --format csv outputs sha256 {csv}")
+    calls, abacus = abacus_digest()
+    print(f"{calls} abacus calls sha256 {abacus}")
 
 
 if __name__ == "__main__":
