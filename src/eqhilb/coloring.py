@@ -65,11 +65,14 @@ class GroupParams(_GroupParams):
     __slots__ = ()
 
     def __new__(cls, a: int, b: int, n: int):
+        if not type(a) is type(b) is type(n) is int:
+            raise PreconditionError(f"weights and order must be ints, got ({a!r}, {b!r}; {n!r})")
         if math.gcd(a, b) != 1:
             raise PreconditionError(f"weights must be coprime, got ({a}, {b})")
         if n < 1:
             raise PreconditionError(f"group order must be >= 1, got {n}")
-        return super().__new__(cls, a, b, n)
+        # the named tuple's own __new__ does just this, one call further down
+        return tuple.__new__(cls, (a, b, n))
 
     _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks too
 
@@ -148,6 +151,8 @@ def _family_key(g: GroupParams, r: int) -> tuple[int, int, int, int]:
     residues share one key; every ``r = 0`` family is ``{empty}`` and
     shares the trivial group's key.
     """
+    if type(r) is not int:
+        raise PreconditionError(f"multiplicity must be an int, got {r!r}")
     if r < 0:
         raise PreconditionError(f"multiplicity must be nonnegative, got {r}")
     ceiling = _box_ceiling()
@@ -258,16 +263,21 @@ def enumerate_balanced(g: GroupParams, r: int) -> tuple[Partition, ...]:
     tracking the color histogram.  Each later row puts one box in column
     0, so the column-0 boxes the histogram can still take (no color above
     ``r``) bound the rows left, and the next row is at least the remaining
-    boxes over that count.  That count only reads the histogram: column 0
-    repeats its colors every ``m`` rows, so its ``t``-th box has a color
-    already visited ``t // m`` times.  Each row is filled once, as far as
-    the histogram and the row above allow, and then shrunk one box at a
-    time down to that bound; every shorter row is a prefix, so it fits
-    too.  The filled row and each shorter one take the same step: close
-    the columns past its end, then search below it.  A balanced diagram's
-    column ends take the residues ``i`` (module docstring), so the
-    shrinking stops at the first row that closes a column whose end
-    residue is used up.  A row of length 1 is reached only when the count
+    boxes over that count.  Each row is filled once, as far as the
+    histogram and the row above allow, and then shrunk one box at a time
+    down to that bound; every shorter row is a prefix, so it fits too.
+    Each node receives the count from its parent, which reads it off the
+    colors of the row it places: counts only grow, so a color that fills
+    column 0 below the parent fills it one row sooner below the child, and
+    a color placed ``v`` times fills it ``m*(r - v)`` rows after its next
+    visit.  At most that many rows are left, and the row ends of a
+    balanced diagram take the residues ``c*j`` (module docstring), so a
+    node returns at once when the end residue of its last row already ends
+    as many rows as that allows.  The filled row and each shorter one take
+    the same step: close the columns past its end, then search below it.
+    A balanced diagram's column ends take the residues ``i`` (module
+    docstring), so the shrinking stops at the first row that closes a
+    column whose end residue is used up.  A row of length 1 is reached only when the count
     covers every remaining box; then the rest of column 0 fits, so the
     all-ones tail is balanced and is emitted at once as the last child.
     The search thus emits rows in descending lexicographic order, and the
@@ -374,6 +384,10 @@ def _search(c: int, m: int, r: int) -> tuple[tuple[tuple[int, ...], ...], tuple[
     Each node is one call of ``extend``: one loop tries its row lengths,
     longest first, closing the columns past each row one at a time and
     searching below it; length 1 is the all-ones tail, emitted at once.
+    Its two bounds cost O(1) per node: the parent hands each child the
+    column-0 count ``rows_left``, kept as a running minimum while it fills
+    the row, and a node returns if the end residue of its last row is at
+    its cap among ``len(rows) + rows_left`` rows.
 
     A box ``(i, j)`` counts when ``i + c*(h_i - 1) = l_j + c*j mod m``
     (``h`` column heights, ``l`` row lengths), so a column adds, as it
@@ -388,10 +402,14 @@ def _search(c: int, m: int, r: int) -> tuple[tuple[tuple[int, ...], ...], tuple[
     # the colors along row j - 1 are also the keys of rows of those lengths
     starts = [c * j % m for j in range(m)] * (r + 1)
     cycle = list(range(m)) * (r + 1)
-    # columns repeat their colors every m rows, so the t-th box of a column
-    # walk has a color it has already visited laps[t] times; a run of k
-    # equal rows holds laps[k] row ends that count
+    # a run of k equal rows holds laps[k] row ends that count
     laps = [t // m for t in range(total + 1)]
+    # column 0 has color x in the rows first[x] + m*q; a color already
+    # placed v times can take column 0 at its next r - v visits, so it
+    # fills column 0 wait[v] rows after its next visit
+    inverse = pow(c, -1, m)
+    first = [x * inverse % m for x in range(m)]
+    wait = [m * (r - v) for v in range(r + 1)]
     counts = [0] * m
     # how many open column ends have each key i + c*h_i mod m: a balanced
     # diagram's take the residues of the i below its first row (module
@@ -406,7 +424,7 @@ def _search(c: int, m: int, r: int) -> tuple[tuple[tuple[int, ...], ...], tuple[
     found: list[tuple[int, ...]] = []
     dims: list[int] = []
 
-    def extend(remaining: int, max_row: int, k: int, dim: int, run: int) -> None:
+    def extend(remaining: int, max_row: int, k: int, dim: int, run: int, rows_left: int) -> None:
         # rows 0..j-1 are placed and end in a run of run rows of length
         # max_row, and dim counts their closed columns and ended runs; k is
         # j mod m, row j - 1 starts at below (row -1 at row m - 1's start),
@@ -420,27 +438,41 @@ def _search(c: int, m: int, r: int) -> tuple[tuple[tuple[int, ...], ...], tuple[
             dims.append(dim + laps[run] + sum(map(keys.__getitem__, cols))
                         + cols.count(cycle[below + max_row]))
             return
-        # every row from j on puts one box in column 0, so row j, the
-        # longest of the rest, holds at least remaining / rows_left
-        rows_left = remaining
-        for t in range(remaining):
-            if counts[starts[k + t]] + laps[t] >= r:
-                rows_left = t
-                break
+        # every row from j on puts one box in column 0, and rows_left is
+        # how many more boxes column 0 can take (no color above r), so row
+        # j, the longest of the rest, holds at least remaining / rows_left;
+        # and there are at most j + rows_left rows, whose ends take the
+        # residues of their c*j (module docstring), residue x in
+        # ceil((j + rows_left - first[x]) / m) of them, so row j-1 must
+        # find its key last below that count in the earlier rows, that is
+        # m*keys[last] + first[last] < j + rows_left
         if rows_left == 0:
+            return
+        last = cycle[below + max_row]
+        if m * keys[last] + first[last] >= len(rows) + rows_left:
             return
         shortest = -(-remaining // rows_left)
         row, after = starts[k], (k + 1) % m
-        i, end = row, row + min(max_row, remaining)
-        while i < end and counts[cycle[i]] < r:
-            counts[cycle[i]] += 1
-            i += 1
-        length = i - row
+        # each child's rows_left: counts only grow, so a color that fills
+        # column 0 t rows below row j fills it t - 1 rows below row j+1, and
+        # only the colors row j places fill it sooner, so bounds[t] is the
+        # least of those below a row of t + 1 boxes
+        bound = rows_left - 1
+        bounds = []
+        for x in cycle[row:row + min(max_row, remaining)]:
+            v = counts[x] + 1
+            if v > r:
+                break
+            counts[x] = v
+            b = (first[x] - after) % m + wait[v]
+            if b < bound:
+                bound = b
+            bounds.append(bound)
+        length = len(bounds)
         # row j-1 joins the key histogram for this node and the nodes below
         # it; a row j of length l ends the run above and closes columns
         # l..max_row-1 at height j with the ends cycle[row + l:row + max_row],
         # and closed counts the matches of columns shut..max_row-1, closed so far
-        last = cycle[below + max_row]
         keys[last] += 1
         closed = dim + laps[run]
         shut = max_row
@@ -467,7 +499,9 @@ def _search(c: int, m: int, r: int) -> tuple[tuple[tuple[int, ...], ...], tuple[
                 break
             # only the first child can repeat the row above
             same = length == max_row
-            extend(remaining - length, length, after, dim if same else closed, run + 1 if same else 1)
+            left = remaining - length
+            extend(left, length, after, dim if same else closed, run + 1 if same else 1,
+                   left if left < bounds[length - 1] else bounds[length - 1])
             length -= 1
             counts[cycle[row + length]] -= 1
         rows.pop()
@@ -477,5 +511,5 @@ def _search(c: int, m: int, r: int) -> tuple[tuple[tuple[int, ...], ...], tuple[
         for col in cycle[row:row + length]:
             counts[col] -= 1
 
-    extend(total, total, 0, 0, 0)
+    extend(total, total, 0, 0, 0, total)
     return tuple(found), tuple(dims)

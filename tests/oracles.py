@@ -329,3 +329,108 @@ def from_core_quotient_by_redecomposition(core, quot):
         f"({', '.join(str(m) for m in sorted(matches))}); pass the alignment "
         "recorded by runners() to pick one"
     )
+
+
+def search_by_column_scan(c, m, r):
+    """``coloring._search`` as it was before the search carried its column-0
+    bound from parent to child: every node walks column 0 from its own row
+    to count the rows left, the boxes the histogram can still take.  Same
+    rows, order and statistics; no row-end cap, so it visits more nodes."""
+    total = r * m
+    # two lists of m*(r+1) colors: row j is the cycle 0, 1, ..., m-1 read
+    # from cycle[starts[k]], its start c*j with k = j mod m, for up to r*m
+    # boxes, and column 0 from row k reads starts[k:], at most r*m boxes;
+    # the colors along row j - 1 are also the keys of rows of those lengths
+    starts = [c * j % m for j in range(m)] * (r + 1)
+    cycle = list(range(m)) * (r + 1)
+    # columns repeat their colors every m rows, so the t-th box of a column
+    # walk has a color it has already visited laps[t] times; a run of k
+    # equal rows holds laps[k] row ends that count
+    laps = [t // m for t in range(total + 1)]
+    counts = [0] * m
+    # how many open column ends have each key i + c*h_i mod m: a balanced
+    # diagram's take the residues of the i below its first row (module
+    # docstring), and the root closes phantom columns i >= l_0 at height 0
+    ends = [r] * m
+    # how many placed rows have each key l + c*j mod m; the root counts
+    # a row -1 of length r*m like every node counts its last row, so that
+    # phantom starts at -1
+    keys = [0] * m
+    keys[-c % m] = -1
+    rows: list[int] = []
+    found: list[tuple[int, ...]] = []
+    dims: list[int] = []
+
+    def extend(remaining: int, max_row: int, k: int, dim: int, run: int) -> None:
+        # rows 0..j-1 are placed and end in a run of run rows of length
+        # max_row, and dim counts their closed columns and ended runs; k is
+        # j mod m, row j - 1 starts at below (row -1 at row m - 1's start),
+        # column i closes at height j with key cycle[below + i] = i +
+        # c*(j-1), and cycle[below + max_row] is the key of row j-1
+        below = starts[k - 1]
+        if remaining == 0:
+            # the open columns close, each matching the earlier rows and row j-1
+            cols = cycle[below:below + max_row]
+            found.append(tuple(rows))
+            dims.append(dim + laps[run] + sum(map(keys.__getitem__, cols))
+                        + cols.count(cycle[below + max_row]))
+            return
+        # every row from j on puts one box in column 0, so row j, the
+        # longest of the rest, holds at least remaining / rows_left
+        rows_left = remaining
+        for t in range(remaining):
+            if counts[starts[k + t]] + laps[t] >= r:
+                rows_left = t
+                break
+        if rows_left == 0:
+            return
+        shortest = -(-remaining // rows_left)
+        row, after = starts[k], (k + 1) % m
+        i, end = row, row + min(max_row, remaining)
+        while i < end and counts[cycle[i]] < r:
+            counts[cycle[i]] += 1
+            i += 1
+        length = i - row
+        # row j-1 joins the key histogram for this node and the nodes below
+        # it; a row j of length l ends the run above and closes columns
+        # l..max_row-1 at height j with the ends cycle[row + l:row + max_row],
+        # and closed counts the matches of columns shut..max_row-1, closed so far
+        last = cycle[below + max_row]
+        keys[last] += 1
+        closed = dim + laps[run]
+        shut = max_row
+        rows.append(0)
+        while length >= shortest:
+            # a shorter row closes more columns, so the first row that
+            # closes one whose end is no longer open ends the loop
+            while shut > length and ends[cycle[row + shut - 1]]:
+                shut -= 1
+                ends[cycle[row + shut]] -= 1
+                closed += keys[cycle[below + shut]]
+            if shut > length:
+                break
+            rows[-1] = length
+            if length == 1:
+                # shortest is 1, so every remaining column-0 box fits and
+                # the all-ones tail closes: its run ends, and column 0
+                # closes at height j + remaining, matching earlier rows and
+                # the tail rows j + t, keyed 1 + c*(j + t)
+                top = starts[k + remaining - 1]
+                found.append(tuple(rows) + (1,) * (remaining - 1))
+                dims.append(closed + laps[remaining] + keys[top]
+                            + starts[k:k + remaining].count((top - 1) % m))
+                break
+            # only the first child can repeat the row above
+            same = length == max_row
+            extend(remaining - length, length, after, dim if same else closed, run + 1 if same else 1)
+            length -= 1
+            counts[cycle[row + length]] -= 1
+        rows.pop()
+        for col in cycle[row + shut:row + max_row]:
+            ends[col] += 1
+        keys[last] -= 1
+        for col in cycle[row:row + length]:
+            counts[col] -= 1
+
+    extend(total, total, 0, 0, 0)
+    return tuple(found), tuple(dims)

@@ -14,9 +14,12 @@ from eqhilb import (
     enumerate_balanced,
     is_balanced,
     partitions_of,
+    psi,
+    psi_inverse,
 )
 from eqhilb import coloring
-from oracles import brute_force_balanced, live_prefixes, search_nodes, weight_vector
+from oracles import (brute_force_balanced, live_prefixes, search_by_column_scan, search_nodes,
+                     weight_vector)
 
 
 def test_group_params_validation():
@@ -26,6 +29,26 @@ def test_group_params_validation():
         GroupParams(1, 1, 0)
     g = GroupParams(1, -1, 3)
     assert (color(g, Box(1, 0)), color(g, Box(0, 1))) == (1, 2)
+
+
+def test_non_int_weights_orders_and_multiplicities_are_refused():
+    """Floats and bools are refused up front, not deep inside the search or
+    the gcd, and a float multiplicity is never reported as one."""
+    for a, b, n in [(1.5, 2, 3), (1, 2.0, 3), (1, 2, 5.0), (1, 2, True), (True, 2, 3)]:
+        with pytest.raises(PreconditionError, match=r"^weights and order must be ints, got \("):
+            GroupParams(a, b, n)
+    with pytest.raises(PreconditionError, match=r"^weights and order must be ints, got \(1, 2; 5\.0\)"):
+        GroupParams(1, 2, 5).with_n(5.0)
+    with pytest.raises(PreconditionError, match=r"^weights and order must be ints"):
+        GroupParams(1, 2, 5)._replace(a=1.0)
+    g = GroupParams(1, 1, 4)
+    for r in (1.5, 1.0, True, False, "1"):
+        with pytest.raises(PreconditionError, match=rf"^multiplicity must be an int, got {r!r}$"):
+            enumerate_balanced(GroupParams(1, 2, 5), r)
+        with pytest.raises(PreconditionError, match=rf"^multiplicity must be an int, got {r!r}$"):
+            psi(g, r, Partition((4,)))
+        with pytest.raises(PreconditionError, match=rf"^multiplicity must be an int, got {r!r}$"):
+            psi_inverse(g, r, Partition((4,)))
 
 
 def test_color_values():
@@ -259,6 +282,32 @@ def test_search_nodes_stay_within_the_recorded_counts(monkeypatch):
         check(GroupParams(a, b, n), r, most)
     monkeypatch.setenv("EQHILB_MAX_BOXES", "111")
     check(GroupParams(3, 4, 37), 3, 19699)
+
+
+def test_search_matches_the_column_scan():
+    """The column-0 bound each node receives from its parent is the one a
+    scan of column 0 reads there, and the row-end cap only cuts nodes with
+    no member below: on every normal form with ``m <= 25`` and ``r*m <= 40``,
+    and on chains such as (2, 201, 1), whose member (2, ..., 2, 1) places 101
+    rows, the search returns the rows, order and statistics of the search
+    that scans column 0 at every node."""
+    forms = [(c, m, r) for m in range(1, 26) for c in range(m) if math.gcd(c, m) == 1
+             for r in range(1, 40 // m + 1)]
+    assert len(forms) == 530
+    for form in forms + [(2, 201, 1), (1, 101, 2), (1, 201, 1), (100, 201, 1)]:
+        assert coloring._search(*form) == search_by_column_scan(*form), form
+
+
+def test_search_visits_exactly_the_recorded_nodes():
+    """The seven deep families visit exactly these nodes: a bound looser than
+    the column scan's, or a row-end cap that misses a dead node, visits
+    more, and one that is too tight loses members (and nodes) as well.  The
+    row-end cap cuts (1,3;26,3) from 1,922 and (1,-2;15,3) from 3,461."""
+    recorded = {(1, 2, 20, 4): 926, (1, 3, 26, 3): 1752, (1, 5, 36, 2): 613,
+                (3, 4, 30, 2): 30, (2, 5, 30, 2): 11, (1, -1, 40, 2): 10740,
+                (1, -2, 15, 3): 3165}
+    for (a, b, n, r), nodes in recorded.items():
+        assert search_nodes(GroupParams(a, b, n), r) == nodes, (a, b, n, r)
 
 
 def test_families_past_the_ceiling_keep_their_digests(monkeypatch):

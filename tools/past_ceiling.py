@@ -1,18 +1,21 @@
-"""Time and memory of ``eqhilb poincare --r 1`` on families past the box ceiling.
+"""Time and memory of ``eqhilb poincare`` on families past the box ceiling.
 
 For each order ``n`` in 1001, 2001, 3001 and 4001 it runs ``poincare --a 1
---b 1 --r 1`` and ``poincare --a 1 --b 2 --r 1``, each in a fresh
-interpreter on the ``src`` next to this script, with ``EQHILB_MAX_BOXES``
-raised to 5000 and the address space limited to 600 MB.  Each child times
-its own call of ``eqhilb.cli.main``, reads its own peak RSS, and reports
-both on the last line of its stderr; a child that raises prints the
-traceback and exits 1, as the CLI would.
+--b 1 --r 1`` and ``poincare --a 1 --b 2 --r 1``, whose searches are long
+chains of rows.  Then it runs ``poincare --a 3 --b 4 --r 3`` at ``n`` = 37,
+49 and 97 and ``poincare --a 2 --b -3 --r 3 --n 37``, whose searches are
+wide and mostly find nothing.  Each run is a fresh interpreter on the
+``src`` next to this script, with ``EQHILB_MAX_BOXES`` raised to 5000 and
+the address space limited to 600 MB.  Each child times its own call of
+``eqhilb.cli.main``, reads its own peak RSS, and reports both on the last
+line of its stderr; a child that raises prints the traceback and exits 1,
+as the CLI would.
 
     python3 tools/past_ceiling.py
 
 Output is one JSON list with one entry per run: the weights, the order,
-the exit code, the seconds, the peak RSS in MB, and the last line of
-stdout and of stderr.
+the multiplicity, the exit code, the seconds, the peak RSS in MB, and the
+last line of stdout and of stderr.
 """
 
 from __future__ import annotations
@@ -26,6 +29,8 @@ from pathlib import Path
 
 ORDERS = (1001, 2001, 3001, 4001)
 WEIGHTS = ((1, 1), (1, 2))
+#: (a, b, n) run with r = 3
+WIDE = ((3, 4, 37), (3, 4, 49), (3, 4, 97), (2, -3, 37))
 CEILING = 5000
 ADDRESS_SPACE = 600 * 2**20
 
@@ -51,20 +56,22 @@ def _limit_address_space() -> None:
     resource.setrlimit(resource.RLIMIT_AS, (ADDRESS_SPACE, ADDRESS_SPACE))
 
 
-def run(a: int, b: int, n: int) -> dict:
-    """One ``poincare`` child on ``(a, b; n)``, r = 1, and what it reports."""
+def run(a: int, b: int, n: int, r: int) -> dict:
+    """One ``poincare`` child on ``(a, b; n)`` and ``r``, and what it reports."""
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
     env["EQHILB_MAX_BOXES"] = str(CEILING)
-    argv = ["poincare", "--a", str(a), "--b", str(b), "--n", str(n), "--r", "1"]
+    argv = ["poincare", "--a", str(a), "--b", str(b), "--n", str(n), "--r", str(r)]
     proc = subprocess.run([sys.executable, "-c", CHILD, *argv], capture_output=True, text=True,
                           env=env, timeout=600, preexec_fn=_limit_address_space)
     *err, stats = proc.stderr.splitlines() or [""]
-    return {"a": a, "b": b, "n": n, "exit": proc.returncode, **json.loads(stats),
+    return {"a": a, "b": b, "n": n, "r": r, "exit": proc.returncode, **json.loads(stats),
             "stdout": (proc.stdout.splitlines() or [""])[-1], "stderr": (err or [""])[-1]}
 
 
 def main() -> None:
-    print(json.dumps([run(a, b, n) for n in ORDERS for a, b in WEIGHTS], indent=1))
+    runs = [run(a, b, n, 1) for n in ORDERS for a, b in WEIGHTS]
+    runs += [run(a, b, n, 3) for a, b, n in WIDE]
+    print(json.dumps(runs, indent=1))
 
 
 if __name__ == "__main__":
