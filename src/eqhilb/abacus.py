@@ -129,6 +129,8 @@ class MultiPartition(_MultiPartition):
 def runners(lam: Partition, n: int) -> tuple[MultiPartition, Partition]:
     """Runner decomposition: the n-quotient and the n-core, with runner ``i``
     the beads ``x % n == i`` counted from the window start (module docstring)."""
+    if type(n) is not int:
+        raise PreconditionError(f"n must be an int, got {n!r}")
     if n < 1:
         raise PreconditionError(f"n must be >= 1, got {n}")
     rows = lam.rows
@@ -203,6 +205,8 @@ def from_core_quotient(core: Partition, quot: MultiPartition) -> Partition:
 
 def has_empty_core(lam: Partition, n: int) -> bool:
     """True when the n-core vanishes: ``lam`` is balanced for ``(1, -1; n)``."""
+    if type(n) is not int:
+        raise PreconditionError(f"n must be an int, got {n!r}")
     if n < 1:
         raise PreconditionError(f"n must be >= 1, got {n}")
     return lam.size % n == 0 and _tallies_match(1, -1, n, lam.rows)

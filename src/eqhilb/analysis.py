@@ -15,7 +15,7 @@ import math
 from typing import TYPE_CHECKING, NamedTuple
 
 from .coloring import (MAX_BOXES_ENV, GroupParams, _box_ceiling, _order_range, _reflections,
-                       _stretch, enumerate_balanced)
+                       _require_ints, _stretch, enumerate_balanced)
 from .errors import EnumerationLimitError, InsufficientSamplesError, PreconditionError
 from .partitions import Partition
 
@@ -107,6 +107,7 @@ def multipartition_count(n: int, r: int) -> int:
     Coefficient of ``t^r`` in ``prod_{k>=1} (1 - t^k)^(-n)``: the series
     is multiplied ``n`` times by each factor ``1 / (1 - t^k)``, ``k <= r``.
     """
+    _require_ints(n=n, r=r)
     if n < 1:
         raise PreconditionError(f"n must be >= 1, got {n}")
     if r < 0:
@@ -127,6 +128,7 @@ def hj_expand(n: int, k: int) -> tuple[int, ...]:
     resolution of the corresponding cyclic quotient surface singularity.
     One longer than the box ceiling is refused: ``n/(n-1)`` has ``n - 1`` terms.
     """
+    _require_ints(n=n, k=k)
     if not (0 < k < n):
         raise PreconditionError(f"requires 0 < k < n, got n={n}, k={k}")
     if math.gcd(n, k) != 1:
@@ -301,6 +303,7 @@ def verify_quasipolynomial(g: GroupParams, r: int, n_from: int, n_to: int) -> di
     fit on all of them names the last order it misses, ``valid_from`` is
     the next fitted order, and the fit from there is reported.
     """
+    _require_ints(multiplicity=r, n_from=n_from, n_to=n_to)
     if g.a * g.b >= 0:
         raise PreconditionError(f"requires weights of opposite sign, got ({g.a}, {g.b})")
     if n_from < 1:

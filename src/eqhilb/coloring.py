@@ -34,10 +34,13 @@ from .partitions import Box, Partition, _column_heights
 
 #: Default ceiling on r*n for enumerations and L-classes, on the orders of
 #: an r = 0 range, on the terms of a Hirzebruch-Jung expansion and on the
-#: size of a partition given at the command line; the environment variable
-#: EQHILB_MAX_BOXES, read on every call, overrides it.
+#: size of a partition given at the command line.  The environment variable
+#: EQHILB_MAX_BOXES overrides it; it is read on every call, memo hits
+#: included, so a change to ``os.environ`` takes effect at the next call.
 DEFAULT_MAX_BOXES = 80
 MAX_BOXES_ENV = "EQHILB_MAX_BOXES"
+#: The variable's key in ``os.environ``'s own store (see ``_box_ceiling``).
+_ENV_KEY = os.environ.encodekey(MAX_BOXES_ENV)
 
 #: Records kept by the family memo (one per ``_family_key``) and by the search
 #: memo (one per normal form), so memory stays bounded.
@@ -121,9 +124,26 @@ def _require_balanced(g: GroupParams, lam: Partition, r: int | None = None) -> i
     return mult
 
 
+def _require_ints(**values: object) -> None:
+    """Refuse the first value that is not an int, a bool included, by its name."""
+    for name, value in values.items():
+        if type(value) is not int:
+            raise PreconditionError(f"{name} must be an int, got {value!r}")
+
+
 def _box_ceiling() -> int:
-    """The ceiling on boxes: ``EQHILB_MAX_BOXES`` if set, else ``DEFAULT_MAX_BOXES``."""
-    value = os.environ.get(MAX_BOXES_ENV, DEFAULT_MAX_BOXES)
+    """The ceiling on boxes: ``EQHILB_MAX_BOXES`` if set, else ``DEFAULT_MAX_BOXES``.
+
+    Read on every call, so a lowered ceiling refuses a family already in the
+    memo.  The read is one ``dict.get`` on ``os.environ._data``, the store
+    that ``os.environ`` reads and every write or delete through it updates:
+    ``os.environ.get`` raises and catches ``KeyError`` twice when the variable
+    is unset, which cost more than the rest of a warm family call.
+    """
+    raw = os.environ._data.get(_ENV_KEY)
+    if raw is None:
+        return DEFAULT_MAX_BOXES
+    value = os.environ.decodevalue(raw)
     try:
         ceiling = int(value)
     except ValueError:

@@ -35,7 +35,8 @@ error; a failed output check raises ``InvariantViolationError``.
 
 from __future__ import annotations
 
-from .coloring import GroupParams, _family_record, _order_range, _require_balanced, is_balanced
+from .coloring import (GroupParams, _family_record, _order_range, _require_balanced, _require_ints,
+                       is_balanced)
 from .errors import InvariantViolationError, PreconditionError
 from .partitions import Box, Partition, _column_heights
 
@@ -146,6 +147,7 @@ def verify_period(g: GroupParams, r: int, n_from: int, n_to: int) -> dict:
     report records the two coefficient vectors, whether they agree, and a
     witness that the insertion realizes a statistic-preserving bijection.
     """
+    _require_ints(multiplicity=r, n_from=n_from, n_to=n_to)
     g = _positive_weights(g)
     if n_from < 1:
         raise PreconditionError(f"group orders start at 1, got n_from={n_from}")

@@ -1,6 +1,7 @@
 """Brute-force references that the fast paths of the package are tested against."""
 
 import functools
+import os
 import sys
 
 from eqhilb import (
@@ -434,3 +435,17 @@ def search_by_column_scan(c, m, r):
 
     extend(total, total, 0, 0, 0)
     return tuple(found), tuple(dims)
+
+
+def box_ceiling_by_environ_get():
+    """The box ceiling read through ``os.environ.get``, with the messages of
+    ``coloring._box_ceiling``."""
+    value = os.environ.get(coloring.MAX_BOXES_ENV, coloring.DEFAULT_MAX_BOXES)
+    try:
+        ceiling = int(value)
+    except ValueError:
+        raise PreconditionError(f"{coloring.MAX_BOXES_ENV} must be an integer, got {value!r}") from None
+    if ceiling < 0:
+        raise PreconditionError(f"{coloring.MAX_BOXES_ENV} must be a nonnegative integer, "
+                                f"got {value!r}")
+    return ceiling

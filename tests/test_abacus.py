@@ -239,6 +239,14 @@ def test_empty_core_refuses_n_below_one():
             runners(Partition((2, 1)), n)
 
 
+def test_runners_and_empty_core_refuse_non_int_n():
+    for n in (2.0, "2", True):
+        with pytest.raises(PreconditionError, match=f"^n must be an int, got {n!r}$"):
+            runners(Partition((3, 1)), n)
+        with pytest.raises(PreconditionError, match=f"^n must be an int, got {n!r}$"):
+            has_empty_core(Partition((3, 1)), n)
+
+
 def test_empty_core_tally_matches_oracles():
     for m in range(15):
         for lam in partitions_of(m):

@@ -127,6 +127,11 @@ def test_multipartition_count_refuses_bad_arguments():
         multipartition_count(0, 1)
     with pytest.raises(PreconditionError, match="^r must be nonnegative, got -1$"):
         multipartition_count(3, -1)
+    with pytest.raises(PreconditionError, match=r"^n must be an int, got 2\.0$"):
+        multipartition_count(2.0, 3)
+    for r in (3.0, "3", True):
+        with pytest.raises(PreconditionError, match=f"^r must be an int, got {r!r}$"):
+            multipartition_count(2, r)
 
 
 def test_multipartition_count_oracle():
@@ -193,6 +198,11 @@ def test_hj_expand_preconditions():
         hj_expand(3, 3)
     with pytest.raises(PreconditionError):
         hj_expand(3, 0)
+    with pytest.raises(PreconditionError, match=r"^n must be an int, got 5\.0$"):
+        hj_expand(5.0, 2)
+    for k in (2.0, "2", True):
+        with pytest.raises(PreconditionError, match=f"^k must be an int, got {k!r}$"):
+            hj_expand(5, k)
 
 
 def test_fit_constant():
@@ -355,6 +365,15 @@ def test_verify_quasipolynomial_refuses_r0_range_longer_than_ceiling(monkeypatch
     with pytest.raises(EnumerationLimitError, match="a range of 7 orders with r = 0 exceeds "
                                                     "the ceiling of 6"):
         verify_quasipolynomial(GroupParams(1, -2, 3), 0, 3, 9)
+
+
+def test_verify_quasipolynomial_refuses_non_int_orders_and_multiplicity():
+    g = GroupParams(1, -1, 3)
+    for args, message in (((1, 2.0, 6), r"^n_from must be an int, got 2\.0$"),
+                          ((1, 2, "6"), r"^n_to must be an int, got '6'$"),
+                          ((True, 2, 6), r"^multiplicity must be an int, got True$")):
+        with pytest.raises(PreconditionError, match=message):
+            verify_quasipolynomial(g, *args)
 
 
 def test_verify_quasipolynomial_rejects_same_signs():

@@ -1,6 +1,9 @@
 import hashlib
 import math
 import operator
+import os
+import sys
+from unittest import mock
 
 import pytest
 
@@ -13,13 +16,14 @@ from eqhilb import (
     color,
     enumerate_balanced,
     is_balanced,
+    l_class,
     partitions_of,
     psi,
     psi_inverse,
 )
 from eqhilb import coloring
-from oracles import (brute_force_balanced, live_prefixes, search_by_column_scan, search_nodes,
-                     weight_vector)
+from oracles import (box_ceiling_by_environ_get, brute_force_balanced, live_prefixes,
+                     search_by_column_scan, search_nodes, weight_vector)
 
 
 def test_group_params_validation():
@@ -355,3 +359,76 @@ def test_enumeration_ceiling_env(monkeypatch):
     monkeypatch.setenv("EQHILB_MAX_BOXES", "3")
     with pytest.raises(EnumerationLimitError):
         enumerate_balanced(GroupParams(1, 1, 4), 1)
+
+
+def test_warm_family_calls_raise_no_exception(monkeypatch):
+    """With the variable unset, the ceiling read of a memo hit raises and
+    catches nothing (``os.environ.get`` raises ``KeyError`` twice on a miss)."""
+    monkeypatch.delenv("EQHILB_MAX_BOXES", raising=False)
+    g = GroupParams(1, 2, 5)
+    enumerate_balanced(g, 2)
+    l_class(g, 2)
+    raised = []
+
+    def trace(frame, event, arg):
+        if event == "exception":
+            raised.append(f"{arg[0].__name__} in {frame.f_code.co_name}")
+        return trace
+
+    previous = sys.gettrace()
+    sys.settrace(trace)
+    try:
+        enumerate_balanced(g, 2)
+        l_class(g, 2)
+        coloring._family_key(g, 2)
+    finally:
+        sys.settrace(previous)
+    assert raised == []
+
+
+def _outcome(read):
+    try:
+        return read()
+    except PreconditionError as exc:
+        return (type(exc), str(exc))
+
+
+def test_box_ceiling_agrees_with_environ_get(monkeypatch):
+    for raw, expected in ((None, 80), ("0", 0), ("80", 80), (" 7 ", 7), ("8_0", 80),
+                          ("\u0663", 3), ("", None), ("abc", None), ("-1", None)):
+        if raw is None:
+            monkeypatch.delenv("EQHILB_MAX_BOXES", raising=False)
+        else:
+            monkeypatch.setenv("EQHILB_MAX_BOXES", raw)
+        outcome = _outcome(coloring._box_ceiling)
+        assert outcome == _outcome(box_ceiling_by_environ_get)
+        if expected is None:
+            assert outcome[0] is PreconditionError and outcome[1].endswith(f"got {raw!r}")
+        else:
+            assert outcome == expected
+
+
+def test_box_ceiling_follows_every_change_to_environ(monkeypatch):
+    key = "EQHILB_MAX_BOXES"
+    monkeypatch.setenv(key, "5")  # restores the variable as it was when the test ends
+    assert coloring._box_ceiling() == 5
+    monkeypatch.delenv(key)
+    assert coloring._box_ceiling() == 80
+    os.environ[key] = "6"
+    assert coloring._box_ceiling() == 6
+    del os.environ[key]
+    assert coloring._box_ceiling() == 80
+    os.environ.update({key: "7"})
+    assert coloring._box_ceiling() == 7
+    with mock.patch.dict(os.environ, {key: "9"}):
+        assert coloring._box_ceiling() == 9
+    assert coloring._box_ceiling() == 7
+    with mock.patch.dict(os.environ, {}, clear=True):
+        assert coloring._box_ceiling() == 80
+    assert coloring._box_ceiling() == 7
+    with mock.patch.dict(os.environ, {key: "abc"}, clear=True):
+        with pytest.raises(PreconditionError, match="^EQHILB_MAX_BOXES must be an integer, got 'abc'$"):
+            coloring._box_ceiling()
+    assert coloring._box_ceiling() == 7
+    assert os.environ.pop(key) == "7"
+    assert coloring._box_ceiling() == 80

@@ -310,6 +310,19 @@ def test_verify_period_refuses_ranges_with_nothing_to_check():
     assert [c["n"] for c in rep["checks"]] == [3]
 
 
+def test_verify_period_refuses_non_int_orders_and_multiplicity():
+    """A float, str or bool order or multiplicity is refused by name before any
+    comparison, not left to end in a TypeError inside range()."""
+    g = GroupParams(1, 1, 3)
+    for args, message in (((1, 3.0, 6), r"^n_from must be an int, got 3\.0$"),
+                          ((1, 3, 6.5), r"^n_to must be an int, got 6\.5$"),
+                          ((1, "3", 6), r"^n_from must be an int, got '3'$"),
+                          ((1, 3, True), r"^n_to must be an int, got True$"),
+                          ((1.5, 3, 6), r"^multiplicity must be an int, got 1\.5$")):
+        with pytest.raises(PreconditionError, match=message):
+            verify_period(g, *args)
+
+
 def test_verify_period_refuses_r0_range_longer_than_ceiling(monkeypatch):
     # every r = 0 family is {empty}: the ceiling bounds the orders of the range
     monkeypatch.setenv("EQHILB_MAX_BOXES", "6")
