@@ -12,6 +12,7 @@ than assuming a threshold.
 from __future__ import annotations
 
 import math
+import operator
 from typing import TYPE_CHECKING, NamedTuple
 
 from .coloring import (MAX_BOXES_ENV, GroupParams, _box_ceiling, _order_range, _reflections,
@@ -57,6 +58,7 @@ def satisfies_star(mu: Partition, a: int, b: int) -> bool:
     """Membership test for the rectangle-map image of coprime ``a > 0 > b``:
     ``mu`` has a multiple of ``-b`` rows, and stretching its rows ``0, -b,
     -2b, ...``, each divided by ``a``, gives ``mu`` back."""
+    _require_ints(a=a, b=b)
     if not (a > 0 > b):
         raise PreconditionError(f"requires a > 0 > b, got ({a}, {b})")
     if math.gcd(a, b) != 1:
@@ -102,21 +104,23 @@ def check_rectangle_bijection(g: GroupParams, r: int) -> dict:
 
 
 def multipartition_count(n: int, r: int) -> int:
-    """Number of n-tuples of partitions with total size r.
-
-    Coefficient of ``t^r`` in ``prod_{k>=1} (1 - t^k)^(-n)``: the series
-    is multiplied ``n`` times by each factor ``1 / (1 - t^k)``, ``k <= r``.
-    """
+    """Number of n-tuples of partitions with total size r: the coefficient
+    ``f_r`` of ``t^r`` in ``prod_{k>=1} (1 - t^k)^(-n)``.  Its log-derivative
+    gives ``m*f_m = n * sum_{k=1..m} sigma(k)*f_{m-k}``, ``sigma(k)`` the sum of
+    the divisors of ``k``, so the cost does not grow with ``n`` and the count
+    is a polynomial of degree ``r`` in ``n``."""
     _require_ints(n=n, r=r)
     if n < 1:
         raise PreconditionError(f"n must be >= 1, got {n}")
     if r < 0:
         raise PreconditionError(f"r must be nonnegative, got {r}")
-    series = [1] + [0] * r
-    for part in range(1, r + 1):
-        for _ in range(n):
-            for m in range(part, r + 1):
-                series[m] += series[m - part]
+    sigma = [0] * (r + 1)
+    for d in range(1, r + 1):
+        for k in range(d, r + 1, d):
+            sigma[k] += d
+    series = [1]
+    for m in range(1, r + 1):
+        series.append(n * sum(map(operator.mul, sigma[m:0:-1], series)) // m)  # exact
     return series[r]
 
 
@@ -168,6 +172,7 @@ class Quasipolynomial(_Quasipolynomial):
                 valid_from: int, class_validated: tuple[bool | None, ...]):
         polys = tuple(None if p is None else tuple(p) for p in polys)
         class_validated = tuple(class_validated)
+        _require_ints(period=period, valid_from=valid_from)
         if period < 1:
             raise PreconditionError(f"period must be >= 1, got {period}")
         if not len(polys) == len(class_validated) == period:
@@ -227,26 +232,18 @@ def _evaluate(poly: tuple[Fraction, ...], n: int) -> Fraction:
     return sum((c * n**k for k, c in enumerate(poly)), Fraction(0))
 
 
-def _lagrange(points: list[tuple[int, int]]) -> tuple[Fraction, ...]:
-    """Coefficients (ascending) of the interpolating polynomial, exact."""
+def _interpolate(points: list[tuple[int, int]]) -> tuple[Fraction, ...]:
+    """Coefficients (ascending) of the interpolating polynomial, exact: Newton's
+    divided differences, multiplied out from the last as ``coeffs*(X - x) + d``."""
     from fractions import Fraction
-    k = len(points)
-    coeffs = [Fraction(0)] * k
-    for idx, (xi, yi) in enumerate(points):
-        basis = [Fraction(1)]
-        denom = Fraction(1)
-        for jdx, (xj, _) in enumerate(points):
-            if jdx == idx:
-                continue
-            denom *= xi - xj
-            nxt = [Fraction(0)] * (len(basis) + 1)
-            for d, c in enumerate(basis):
-                nxt[d] -= c * xj
-                nxt[d + 1] += c
-            basis = nxt
-        scale = Fraction(yi) / denom
-        for d, c in enumerate(basis):
-            coeffs[d] += scale * c
+    xs = [x for x, _ in points]
+    diffs = [Fraction(y) for _, y in points]
+    for step in range(1, len(xs)):
+        for i in range(len(xs) - 1, step - 1, -1):
+            diffs[i] = (diffs[i] - diffs[i - 1]) / (xs[i] - xs[i - step])
+    coeffs: list[Fraction] = []
+    for x, d in zip(reversed(xs), reversed(diffs)):
+        coeffs = [low - x * high for low, high in zip([d, *coeffs], [*coeffs, 0])]
     while coeffs and coeffs[-1] == 0:
         coeffs.pop()
     return tuple(coeffs)
@@ -255,19 +252,22 @@ def _lagrange(points: list[tuple[int, int]]) -> tuple[Fraction, ...]:
 def fit_quasipolynomial(samples, period: int, degree_bound: int) -> Quasipolynomial:
     """Interpolate one polynomial per residue class and validate it.
 
-    Each order may appear once.  Within each class the largest-n sample
-    is held out.  A polynomial of degree at most ``degree_bound`` is
-    interpolated through the last ``degree_bound + 1`` training points,
-    and the class validates only if it reproduces every training point
-    and the held-out one.
+    ``period``, ``degree_bound`` and each order must be ints, and each order
+    may appear once.  Within each class the largest-n sample is held out.
+    A polynomial of degree at most ``degree_bound`` is interpolated exactly,
+    by Newton's divided differences, through the last ``degree_bound + 1``
+    training points, and the class validates only if it reproduces every
+    training point and the held-out one.
     Validation failures are reported in the result, never silently accepted.
     """
+    _require_ints(period=period, degree_bound=degree_bound)
     if period < 1:
         raise PreconditionError(f"period must be >= 1, got {period}")
     if degree_bound < 0:
         raise PreconditionError(f"degree bound must be nonnegative, got {degree_bound}")
     by_class: dict[int, list[tuple[int, int]]] = {}
     for n, value in samples:
+        _require_ints(order=n)
         by_class.setdefault(n % period, []).append((n, value))
     if not by_class:
         raise InsufficientSamplesError("no samples given")
@@ -284,7 +284,7 @@ def fit_quasipolynomial(samples, period: int, degree_bound: int) -> Quasipolynom
                 f"needs at least degree_bound + 2 = {degree_bound + 2}"
             )
         train = pts[:-1]  # the largest-n sample is held out
-        poly = _lagrange(train[-(degree_bound + 1):])
+        poly = _interpolate(train[-(degree_bound + 1):])
         polys[residue] = poly
         flags[residue] = all(_evaluate(poly, n) == v for n, v in pts)
     return Quasipolynomial(period, tuple(polys), orders[0], tuple(flags))

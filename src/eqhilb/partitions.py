@@ -130,6 +130,8 @@ def partitions_of(m: int) -> Iterator[Partition]:
     ``v``, and refill with rows ``v`` and a remainder.
     Used as the brute-force oracle for constrained enumerations.
     """
+    if type(m) is not int:
+        raise PreconditionError(f"m must be an int, got {m!r}")
     if m < 0:
         raise ValueError("m must be nonnegative")
     rows = [m] if m else []

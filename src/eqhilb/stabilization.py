@@ -96,8 +96,7 @@ def _shift(g: GroupParams, r: int, lam: Partition, sign: int) -> Partition:
 def _insert(g: GroupParams, r: int, lam: Partition, sign: int) -> Partition:
     """The checked insertion step for ``sign`` 1, its inverse for ``sign`` -1."""
     g = _positive_weights(g)
-    if type(r) is not int:
-        raise PreconditionError(f"multiplicity must be an int, got {r!r}")
+    _require_ints(multiplicity=r)
     if r < 0:
         raise PreconditionError(f"multiplicity must be nonnegative, got {r}")
     rab = r * g.a * g.b

@@ -3,6 +3,7 @@
 import functools
 import os
 import sys
+from fractions import Fraction
 
 from eqhilb import (
     Abacus,
@@ -125,6 +126,42 @@ def valid_from_by_suffixes(counts, period, degree_bound):
         if qp.all_validated() and all(qp.evaluate(n) == counts[n] for n in holdout):
             return qp
     return None
+
+
+def interpolate_by_lagrange_basis(points):
+    """Coefficients (ascending) of the polynomial through ``points``, exact:
+    one Lagrange basis polynomial per point, multiplied out and summed."""
+    k = len(points)
+    coeffs = [Fraction(0)] * k
+    for idx, (xi, yi) in enumerate(points):
+        basis = [Fraction(1)]
+        denom = Fraction(1)
+        for jdx, (xj, _) in enumerate(points):
+            if jdx == idx:
+                continue
+            denom *= xi - xj
+            nxt = [Fraction(0)] * (len(basis) + 1)
+            for d, c in enumerate(basis):
+                nxt[d] -= c * xj
+                nxt[d + 1] += c
+            basis = nxt
+        scale = Fraction(yi) / denom
+        for d, c in enumerate(basis):
+            coeffs[d] += scale * c
+    while coeffs and coeffs[-1] == 0:
+        coeffs.pop()
+    return tuple(coeffs)
+
+
+def multipartition_count_by_factors(n, r):
+    """Coefficient of ``t^r`` in ``prod_{k>=1} (1 - t^k)^(-n)``: the series is
+    multiplied ``n`` times by each factor ``1 / (1 - t^k)``, ``k <= r``."""
+    series = [1] + [0] * r
+    for part in range(1, r + 1):
+        for _ in range(n):
+            for m in range(part, r + 1):
+                series[m] += series[m - part]
+    return series[r]
 
 
 def gottsche_l_class(n, r):

@@ -1,5 +1,8 @@
 import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -26,7 +29,8 @@ from eqhilb import (
     verify_quasipolynomial,
 )
 
-from oracles import valid_from_by_suffixes
+from oracles import (interpolate_by_lagrange_basis, multipartition_count_by_factors,
+                     valid_from_by_suffixes)
 
 
 def test_normalize_examples():
@@ -63,6 +67,11 @@ def test_satisfies_star():
     assert satisfies_star(Partition((4, 4, 4)), 2, -3)
     assert not satisfies_star(Partition((4, 4)), 2, -3)
     assert not satisfies_star(Partition((3, 3, 3)), 2, -3)
+
+
+def test_satisfies_star_refuses_non_int_weights():
+    with pytest.raises(PreconditionError, match=r"^a must be an int, got 1\.5$"):
+        satisfies_star(Partition((2,)), 1.5, -2)
 
 
 def test_satisfies_star_refuses_non_coprime_weights():
@@ -148,6 +157,23 @@ def test_multipartition_count_oracle():
                 for _ in product(*(parts[s] for s in sizes))
             )
             assert multipartition_count(n, r) == brute
+
+
+def test_multipartition_count_matches_the_factor_loop():
+    for n in range(1, 31):
+        for r in range(21):
+            assert multipartition_count(n, r) == multipartition_count_by_factors(n, r), (n, r)
+
+
+def test_multipartition_count_closed_forms_at_a_trillion():
+    # a child process, so that a count whose cost grows with n fails on the
+    # timeout instead of hanging the suite
+    n = 10**12
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(analysis.__file__)))
+    code = f"from eqhilb import multipartition_count as f; print(*(f({n}, r) for r in (1, 2, 3)))"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env,
+                         timeout=30, check=True).stdout
+    assert list(map(int, out.split())) == [n, n * (n + 3) // 2, n * (n + 1) * (n + 8) // 6]
 
 
 def test_hj_expand_values():
@@ -239,6 +265,22 @@ def test_fit_flags_inconsistent_class():
     assert qp.class_validated == (False,)
 
 
+def test_interpolate_matches_the_lagrange_basis():
+    # half the tables lie on a polynomial of lower degree, so the zero trim runs
+    rng = random.Random(36)
+    for _ in range(1000):
+        xs = rng.sample(range(-40, 60), rng.randint(1, 7))
+        if rng.random() < 0.5:
+            poly = [rng.randint(-9, 9) for _ in range(rng.randint(0, len(xs) - 1))]
+            ys = [sum(c * x**k for k, c in enumerate(poly)) for x in xs]
+        else:
+            ys = [rng.choice((0, rng.randint(-10**6, 10**6))) for _ in xs]
+        points = list(zip(xs, ys))
+        got, want = analysis._interpolate(points), interpolate_by_lagrange_basis(points)
+        assert type(got) is tuple and got == want, points
+        assert list(map(type, got)) == list(map(type, want)), points
+
+
 def test_fit_insufficient_samples():
     with pytest.raises(InsufficientSamplesError):
         fit_quasipolynomial([(1, 1), (2, 2)], 1, 1)
@@ -250,6 +292,17 @@ def test_fit_refuses_bad_period_and_degree_bound():
         fit_quasipolynomial(samples, 0, 1)
     with pytest.raises(PreconditionError, match="^degree bound must be nonnegative, got -1$"):
         fit_quasipolynomial(samples, 1, -1)
+
+
+def test_fit_refuses_non_int_period_degree_bound_and_orders():
+    samples = [(n, n) for n in range(1, 9)]
+    for args, message in (((samples, 2.0, 0), r"^period must be an int, got 2\.0$"),
+                          ((samples, True, 0), "^period must be an int, got True$"),
+                          ((samples, 1, 0.5), r"^degree_bound must be an int, got 0\.5$"),
+                          (([(1.5, 2), (2.5, 3), (3.5, 4)], 1, 0),
+                           r"^order must be an int, got 1\.5$")):
+        with pytest.raises(PreconditionError, match=message):
+            fit_quasipolynomial(*args)
 
 
 def test_fit_refuses_repeated_order():

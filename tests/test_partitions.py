@@ -1,6 +1,6 @@
 import pytest
 
-from eqhilb import Box, Partition, diagram, partitions_of
+from eqhilb import Box, Partition, PreconditionError, diagram, partitions_of
 
 from oracles import col_height, partitions_by_recursion
 
@@ -66,6 +66,12 @@ def test_validation():
         Partition((2, 1)).row_len(-1)
     with pytest.raises(ValueError, match="^m must be nonnegative$"):
         next(partitions_of(-1))
+
+
+def test_partitions_of_refuses_non_int_sizes():
+    for m in (2.5, True, "2"):
+        with pytest.raises(PreconditionError, match=f"^m must be an int, got {m!r}$"):
+            next(partitions_of(m))
 
 
 def test_membership_via_profiles():

@@ -63,6 +63,8 @@ REFUSALS = [
      "^an alignment is None or an int, got 'x'$"),
     (eqhilb.MultiPartition, ((eqhilb.Partition(),), True),
      "^an alignment is None or an int, got True$"),
+    (eqhilb.Quasipolynomial, (1.0, ((),), 1, (True,)), r"^period must be an int, got 1\.0$"),
+    (eqhilb.Quasipolynomial, (1, ((),), 1.0, (True,)), r"^valid_from must be an int, got 1\.0$"),
 ]
 
 

@@ -26,6 +26,13 @@ refusal (class and message) of ``from_core_quotient`` on its quotient
 parts with alignment None and each of ``0..n-1``, against its true core,
 every partition of the core's size, ``(1)``, ``(2)`` and the empty one.
 
+The fifth line holds the call count and one SHA-256 over the analysis
+layer: ``fit_quasipolynomial`` on seeded integer tables (periods 1-6,
+degree bounds 0-4, half of them on exact polynomials per residue class
+and some with a class too short to fit), ``multipartition_count`` for
+``n <= 40``, ``r <= 20``, and the JSON reports of
+``verify_quasipolynomial`` over fixed mixed-sign ranges.
+
 Two trees that print the same lines give the same results on every
 request; run it once per tree, each in its own interpreter:
 
@@ -45,12 +52,14 @@ import hashlib
 import io
 import json
 import math
+import random
 from contextlib import redirect_stdout
 
 from eqhilb import cli
 from eqhilb import (EqhilbError, GroupParams, MultiPartition, Partition, enumerate_balanced,
-                    from_core_quotient, l_class, partitions_of, psi, psi_inverse, runners,
-                    verify_period)
+                    fit_quasipolynomial, from_core_quotient, l_class, multipartition_count,
+                    partitions_of, psi, psi_inverse, runners, verify_period,
+                    verify_quasipolynomial)
 
 WEIGHTS = range(-6, 7)
 MAX_ORDER = 20
@@ -59,6 +68,11 @@ INSERTION_WEIGHTS = range(1, 5)
 MAX_INSERTION_R = 3
 ABACUS_MAX_BOXES = 14
 ABACUS_MAX_ORDER = 6
+FIT_PERIODS = range(1, 7)
+FIT_DEGREE_BOUNDS = range(5)
+FIT_TABLES = 20
+COUNT_MAX_N = 40
+COUNT_MAX_R = 20
 
 #: (a, b, n), r, rows: unbalanced, wrong multiplicity, n <= r*a*b, r < 0
 #: and mixed signs; each is given to psi and to psi_inverse.
@@ -82,6 +96,18 @@ PERIOD_RANGES = [
     ((2, 3), 1, 1, 12),
     ((-1, -2), 1, 1, 9),
     ((1, 2), 0, 1, 6),
+]
+
+#: (a, b), r, n_from, n_to, each range inside the default box ceiling
+QPOLY_RANGES = [
+    ((1, -1), 1, 1, 12),
+    ((1, -1), 2, 2, 14),
+    ((1, -1), 3, 1, 12),
+    ((1, -2), 1, 3, 21),
+    ((1, -2), 2, 1, 20),
+    ((1, -3), 1, 1, 30),
+    ((2, -3), 1, 1, 36),
+    ((2, -3), 2, 4, 24),
 ]
 
 
@@ -169,6 +195,50 @@ def abacus_digest() -> tuple[int, str]:
     return calls, digest.hexdigest()
 
 
+def fit_tables():
+    """Seeded tables of integer samples: per period and degree bound, half on
+    one integer polynomial per residue class, half with random values, each
+    over consecutive orders; about one table in five leaves one class short."""
+    rng = random.Random(2015)
+    for period in FIT_PERIODS:
+        for degree_bound in FIT_DEGREE_BOUNDS:
+            for t in range(FIT_TABLES):
+                start = rng.randint(1, 9)
+                orders = range(start, start + period * (degree_bound + 2 + rng.randint(0, 3)))
+                if rng.random() < 0.2:
+                    orders = orders[:-1]
+                if t % 2:
+                    table = [(n, rng.randint(-10**4, 10**4)) for n in orders]
+                else:
+                    polys = [[rng.randint(-9, 9) for _ in range(rng.randint(1, degree_bound + 1))]
+                             for _ in range(period)]
+                    table = [(n, sum(c * n**k for k, c in enumerate(polys[n % period])))
+                             for n in orders]
+                yield table, period, degree_bound
+
+
+def analysis_digest() -> tuple[int, str]:
+    digest = hashlib.sha256()
+    calls = 0
+    for table, period, degree_bound in fit_tables():
+        try:
+            qp = fit_quasipolynomial(table, period, degree_bound)
+        except EqhilbError as exc:
+            digest.update(f"{type(exc).__name__}: {exc}".encode())
+        else:
+            digest.update(json.dumps(qp.to_json()).encode())
+        calls += 1
+    for n in range(1, COUNT_MAX_N + 1):
+        for r in range(COUNT_MAX_R + 1):
+            digest.update(repr((n, r, multipartition_count(n, r))).encode())
+            calls += 1
+    for (a, b), r, n_from, n_to in QPOLY_RANGES:
+        report = verify_quasipolynomial(GroupParams(a, b, n_from), r, n_from, n_to)
+        digest.update(json.dumps(report, sort_keys=True).encode())
+        calls += 1
+    return calls, digest.hexdigest()
+
+
 def main() -> None:
     digest = hashlib.sha256()
     count = 0
@@ -184,6 +254,8 @@ def main() -> None:
     print(f"{outputs} enumerate --format csv outputs sha256 {csv}")
     calls, abacus = abacus_digest()
     print(f"{calls} abacus calls sha256 {abacus}")
+    calls, analysis = analysis_digest()
+    print(f"{calls} analysis calls sha256 {analysis}")
 
 
 if __name__ == "__main__":

@@ -16,11 +16,11 @@ relabels the colors, so it visits the same nodes as a search on the key.
 With no argument it covers ``(3,4;n,3)`` for ``n`` in 37, 49, 73 and 97
 and the keys of ``test_families_past_the_ceiling_keep_their_digests``.
 Output is one JSON object keyed by ``(a,b;n,r)``.  It raises
-``EQHILB_MAX_BOXES`` for its own run.  ``tools/search_nodes.expected``
-holds what the ``37 49`` run prints and ``tools/search_nodes_all.expected``
-what the run with no argument prints, and CI diffs a run against each; a
-change that alters the search's nodes on purpose updates both files in
-the same change.
+``EQHILB_MAX_BOXES`` for its own run.  ``tools/search_nodes_all.expected``
+holds what the run with no argument prints, and CI diffs a run against it;
+a change that alters the search's nodes on purpose updates that file in
+the same change.  A run with orders is for quick looks and has no recorded
+file: its keys are the first entries of the full run.
 """
 
 from __future__ import annotations
