@@ -175,6 +175,9 @@ class Quasipolynomial(_Quasipolynomial):
         _require_ints(period=period, valid_from=valid_from)
         if period < 1:
             raise PreconditionError(f"period must be >= 1, got {period}")
+        for flag in class_validated:
+            if flag is not None and flag is not True and flag is not False:
+                raise PreconditionError(f"each flag must be True, False or None, got {flag!r}")
         if not len(polys) == len(class_validated) == period:
             raise PreconditionError(
                 f"needs one polynomial and one flag per residue mod {period}, "
@@ -185,6 +188,7 @@ class Quasipolynomial(_Quasipolynomial):
     _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks too
 
     def evaluate(self, n: int) -> Fraction:
+        _require_ints(n=n)
         poly = self.polys[n % self.period]
         if poly is None:
             raise PreconditionError(f"no polynomial fitted for residue {n % self.period}")
@@ -252,8 +256,8 @@ def _interpolate(points: list[tuple[int, int]]) -> tuple[Fraction, ...]:
 def fit_quasipolynomial(samples, period: int, degree_bound: int) -> Quasipolynomial:
     """Interpolate one polynomial per residue class and validate it.
 
-    ``period``, ``degree_bound`` and each order must be ints, and each order
-    may appear once.  Within each class the largest-n sample is held out.
+    ``period``, ``degree_bound`` and each order and value must be ints, and
+    each order may appear once.  Within each class the largest-n sample is held out.
     A polynomial of degree at most ``degree_bound`` is interpolated exactly,
     by Newton's divided differences, through the last ``degree_bound + 1``
     training points, and the class validates only if it reproduces every
@@ -267,7 +271,7 @@ def fit_quasipolynomial(samples, period: int, degree_bound: int) -> Quasipolynom
         raise PreconditionError(f"degree bound must be nonnegative, got {degree_bound}")
     by_class: dict[int, list[tuple[int, int]]] = {}
     for n, value in samples:
-        _require_ints(order=n)
+        _require_ints(order=n, value=value)
         by_class.setdefault(n % period, []).append((n, value))
     if not by_class:
         raise InsufficientSamplesError("no samples given")

@@ -297,7 +297,9 @@ def enumerate_balanced(g: GroupParams, r: int) -> tuple[Partition, ...]:
     the same step: close the columns past its end, then search below it.
     A balanced diagram's column ends take the residues ``i`` (module
     docstring), so the shrinking stops at the first row that closes a
-    column whose end residue is used up.  A row of length 1 is reached only when the count
+    column whose end residue is used up.  When the bound already equals the
+    row above, that repeat is the only child and closes no column, so it is
+    placed in one step.  A row of length 1 is reached only when the count
     covers every remaining box; then the rest of column 0 fits, so the
     all-ones tail is balanced and is emitted at once as the last child.
     The search thus emits rows in descending lexicographic order, and the
@@ -407,7 +409,11 @@ def _search(c: int, m: int, r: int) -> tuple[tuple[tuple[int, ...], ...], tuple[
     Its two bounds cost O(1) per node: the parent hands each child the
     column-0 count ``rows_left``, kept as a running minimum while it fills
     the row, and a node returns if the end residue of its last row is at
-    its cap among ``len(rows) + rows_left`` rows.
+    its cap among ``len(rows) + rows_left`` rows.  A node whose shortest row
+    is already the row above (``shortest == max_row > 1``) has that repeat
+    as its one child, which closes no column: it fills the row, keeping
+    only the last bound, and calls the child, with no bounds list or
+    shrink loop.
 
     A box ``(i, j)`` counts when ``i + c*(h_i - 1) = l_j + c*j mod m``
     (``h`` column heights, ``l`` row lengths), so a column adds, as it
@@ -478,6 +484,30 @@ def _search(c: int, m: int, r: int) -> tuple[tuple[tuple[int, ...], ...], tuple[
         # only the colors row j places fill it sooner, so bounds[t] is the
         # least of those below a row of t + 1 boxes
         bound = rows_left - 1
+        if shortest == max_row > 1:
+            # a forced repeat: no shorter row is allowed and no longer one
+            # fits, so the one child repeats row j-1, closes no column and
+            # needs only the last bound, which the boxes left never cut:
+            # remaining > (max_row - 1)*rows_left, so they are at least
+            # (max_row - 1)*(rows_left - 1) >= rows_left - 1 >= bound
+            for t, x in enumerate(cycle[row:row + max_row]):
+                v = counts[x] + 1
+                if v > r:
+                    for x in cycle[row:row + t]:
+                        counts[x] -= 1
+                    return
+                counts[x] = v
+                b = (first[x] - after) % m + wait[v]
+                if b < bound:
+                    bound = b
+            keys[last] += 1
+            rows.append(max_row)
+            extend(remaining - max_row, max_row, after, dim, run + 1, bound)
+            rows.pop()
+            keys[last] -= 1
+            for x in cycle[row:row + max_row]:
+                counts[x] -= 1
+            return
         bounds = []
         for x in cycle[row:row + min(max_row, remaining)]:
             v = counts[x] + 1

@@ -305,6 +305,13 @@ def test_fit_refuses_non_int_period_degree_bound_and_orders():
             fit_quasipolynomial(*args)
 
 
+def test_fit_refuses_non_int_values():
+    for samples, message in (([(1, 0.1), (2, 0.2), (3, 0.3)], r"^value must be an int, got 0\.1$"),
+                             ([(1, 1), (2, True), (3, 3)], "^value must be an int, got True$")):
+        with pytest.raises(PreconditionError, match=message):
+            fit_quasipolynomial(samples, 1, 1)
+
+
 def test_fit_refuses_repeated_order():
     with pytest.raises(PreconditionError, match=r"^samples repeat an order: \[1, 1, 2\]$"):
         fit_quasipolynomial([(1, 1), (1, 1), (2, 2)], 1, 1)

@@ -302,6 +302,16 @@ def test_search_matches_the_column_scan():
         assert coloring._search(*form) == search_by_column_scan(*form), form
 
 
+def test_forced_rows_match_the_column_scan():
+    """A node whose shortest row is the row above places that repeat in one
+    step, without the fill table or the shrink loop.  Such nodes make up
+    most of the larger searches (9,177 of the 10,740 nodes of (39, 40, 2)),
+    which lie past the range above; on these, the rows, order and statistics
+    are still those of the search that scans column 0 at every node."""
+    for form in ((39, 40, 2), (11, 12, 4), (13, 15, 3), (29, 30, 3)):
+        assert coloring._search(*form) == search_by_column_scan(*form), form
+
+
 def test_search_visits_exactly_the_recorded_nodes():
     """The seven deep families visit exactly these nodes: a bound looser than
     the column scan's, or a row-end cap that misses a dead node, visits

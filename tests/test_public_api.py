@@ -3,6 +3,7 @@ and the semantics of its records."""
 
 import copy
 import pickle
+import re
 
 import pytest
 
@@ -65,6 +66,9 @@ REFUSALS = [
      "^an alignment is None or an int, got True$"),
     (eqhilb.Quasipolynomial, (1.0, ((),), 1, (True,)), r"^period must be an int, got 1\.0$"),
     (eqhilb.Quasipolynomial, (1, ((),), 1.0, (True,)), r"^valid_from must be an int, got 1\.0$"),
+    (eqhilb.Quasipolynomial, (1, ((1,),), 1, (1.5,)),
+     r"^each flag must be True, False or None, got 1\.5$"),
+    (eqhilb.Quasipolynomial, (1, ((1,),), 1, (1,)), "^each flag must be True, False or None, got 1$"),
 ]
 
 
@@ -90,6 +94,14 @@ def test_records_refuse_bad_fields_on_every_path(record, args, message):
     good = next(value for value, _ in RECORDS if type(value) is record)
     with pytest.raises(eqhilb.PreconditionError, match=message):
         good._replace(**dict(zip(record._fields, args)))
+
+
+def test_quasipolynomial_evaluates_only_int_orders():
+    qp = eqhilb.Quasipolynomial(1, ((1, 1),), 1, (True,))
+    assert qp.evaluate(2) == 3
+    for n in (2.5, 2.0, True):
+        with pytest.raises(eqhilb.PreconditionError, match=f"^n must be an int, got {re.escape(repr(n))}$"):
+            qp.evaluate(n)
 
 
 def test_records_store_tuples():

@@ -1,0 +1,121 @@
+"""Mutation check: does a fast test subset catch each named break of the search?
+
+Each mutant is ``(name, old, new)``: a textual edit of the package source
+in which ``old`` occurs exactly once across ``src/eqhilb/*.py``.  For each
+mutant the tool copies ``src/``, ``tests/`` and ``pyproject.toml`` into a
+temporary directory, applies the edit there, runs
+
+    python -m pytest -q -x tests/test_coloring.py tests/test_tangent.py
+
+on the copy, and prints ``name KILLED`` if a test fails (or the run
+exceeds ``TIMEOUT_S``) and ``name SURVIVED`` if every test passes.  The
+checkout itself is never edited.
+
+    python3 tools/mutants.py
+
+``tools/mutants.expected`` holds what it prints, with a
+``#`` comment on why each expected survivor is equivalent; CI diffs a run
+against that file without its comments.  A change that adds a prune or a
+closed form adds its mutants here in the same change.  It exits 1 if an
+``old`` does not occur exactly once.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+TESTS = ("tests/test_coloring.py", "tests/test_tangent.py")
+TIMEOUT_S = 300
+
+#: (name, old, new); each old occurs exactly once in src/eqhilb/*.py
+MUTANTS = (
+    # the forced repeat row of coloring._search
+    ("forced_row_of_length_1",
+     "if shortest == max_row > 1:",
+     "if shortest == max_row > 0:"),
+    ("forced_row_no_undo_on_break",
+     "                    for x in cycle[row:row + t]:\n"
+     "                        counts[x] -= 1\n",
+     ""),
+    ("forced_row_bound_ignores_its_colors",
+     "extend(remaining - max_row, max_row, after, dim, run + 1, bound)",
+     "extend(remaining - max_row, max_row, after, dim, run + 1, rows_left - 1)"),
+    ("forced_row_bound_one_short",
+     "extend(remaining - max_row, max_row, after, dim, run + 1, bound)",
+     "extend(remaining - max_row, max_row, after, dim, run + 1, bound - 1)"),
+    ("forced_row_run_reset",
+     "extend(remaining - max_row, max_row, after, dim, run + 1, bound)",
+     "extend(remaining - max_row, max_row, after, dim, 1, bound)"),
+    # the bounds, caps, tallies and statistic folding of coloring._search
+    ("wait_one_visit_late",
+     "wait = [m * (r - v) for v",
+     "wait = [m * (r - v + 1) for v"),
+    ("leaf_without_run_laps",
+     "dims.append(dim + laps[run] + sum(",
+     "dims.append(dim + sum("),
+    ("ends_start_at_r_plus_1",
+     "ends = [r] * m",
+     "ends = [r + 1] * m"),
+    ("shortest_rounded_down",
+     "shortest = -(-remaining // rows_left)",
+     "shortest = remaining // rows_left"),
+    ("tail_count_one_row_short",
+     "starts[k:k + remaining].count(",
+     "starts[k:k + remaining - 1].count("),
+    ("shorter_row_run_reset_to_0",
+     "run + 1 if same else 1,",
+     "run + 1 if same else 0,"),
+    ("row_end_cap_strict",
+     "m * keys[last] + first[last] >= len(rows) + rows_left",
+     "m * keys[last] + first[last] > len(rows) + rows_left"),
+    ("fill_bound_non_strict",
+     "if b < bound:\n                bound = b\n            bounds.append(bound)",
+     "if b <= bound:\n                bound = b\n            bounds.append(bound)"),
+)
+
+
+def locate(old: str, sources: dict[Path, str]) -> Path:
+    """The one source file holding ``old``; exits 1 unless it occurs exactly once."""
+    hits = [path for path, text in sources.items() for _ in range(text.count(old))]
+    if len(hits) != 1:
+        sys.exit(f"mutant text occurs {len(hits)} times, not once: {old!r}")
+    return hits[0]
+
+
+def run(name: str, old: str, new: str, sources: dict[Path, str]) -> str:
+    """``KILLED`` or ``SURVIVED`` for one mutant, tested on a mutated copy of the tree."""
+    target = locate(old, sources)
+    with tempfile.TemporaryDirectory(prefix="eqhilb-mutant-") as tmp:
+        copy = Path(tmp)
+        for part in ("src", "tests"):
+            shutil.copytree(ROOT / part, copy / part,
+                            ignore=shutil.ignore_patterns("__pycache__", ".hypothesis"))
+        shutil.copy(ROOT / "pyproject.toml", copy)
+        (copy / target.relative_to(ROOT)).write_text(sources[target].replace(old, new))
+        env = dict(os.environ, PYTHONPATH=str(copy / "src"), PYTHONDONTWRITEBYTECODE="1")
+        try:
+            done = subprocess.run(
+                [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *TESTS],
+                cwd=copy, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+                timeout=TIMEOUT_S)
+        except subprocess.TimeoutExpired:
+            return "KILLED"
+    return "SURVIVED" if done.returncode == 0 else "KILLED"
+
+
+def main() -> None:
+    sources = {path: path.read_text() for path in sorted((ROOT / "src" / "eqhilb").glob("*.py"))}
+    for _, old, _ in MUTANTS:
+        locate(old, sources)
+    for name, old, new in MUTANTS:
+        print(name, run(name, old, new, sources), flush=True)
+
+
+if __name__ == "__main__":
+    main()
