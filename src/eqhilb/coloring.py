@@ -198,10 +198,9 @@ class LPolynomial:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs=()):
-        given = list(coeffs)
-        coeffs = list(map(int, given))
-        if coeffs != given or any(c < 0 for c in coeffs):
-            raise ValueError(f"coefficients must be nonnegative integers, got {given}")
+        coeffs = list(coeffs)
+        if any(type(c) is not int or c < 0 for c in coeffs):
+            raise ValueError(f"coefficients must be nonnegative integers, got {coeffs}")
         while coeffs and coeffs[-1] == 0:
             coeffs.pop()
         self.coeffs = tuple(coeffs)
@@ -283,27 +282,27 @@ def enumerate_balanced(g: GroupParams, r: int) -> tuple[Partition, ...]:
     tracking the color histogram.  Each later row puts one box in column
     0, so the column-0 boxes the histogram can still take (no color above
     ``r``) bound the rows left, and the next row is at least the remaining
-    boxes over that count.  Each row is filled once, as far as the
-    histogram and the row above allow, and then shrunk one box at a time
-    down to that bound; every shorter row is a prefix, so it fits too.
-    Each node receives the count from its parent, which reads it off the
+    boxes over that count; a node returns at once when that exceeds the
+    row above.  Each node receives the count from its parent, which reads it off the
     colors of the row it places: counts only grow, so a color that fills
     column 0 below the parent fills it one row sooner below the child, and
     a color placed ``v`` times fills it ``m*(r - v)`` rows after its next
     visit.  At most that many rows are left, and the row ends of a
     balanced diagram take the residues ``c*j`` (module docstring), so a
     node returns at once when the end residue of its last row already ends
-    as many rows as that allows.  The filled row and each shorter one take
-    the same step: close the columns past its end, then search below it.
-    A balanced diagram's column ends take the residues ``i`` (module
-    docstring), so the shrinking stops at the first row that closes a
-    column whose end residue is used up.  When the bound already equals the
-    row above, that repeat is the only child and closes no column, so it is
-    placed in one step.  A row of length 1 is reached only when the count
-    covers every remaining box; then the rest of column 0 fits, so the
-    all-ones tail is balanced and is emitted at once as the last child.
-    The search thus emits rows in descending lexicographic order, and the
-    family is that order reversed; a stretch keeps that order.  Row ``j``
+    as many rows as that allows.  A row closes the columns past its end,
+    and a balanced diagram's column ends take the residues ``i`` (module
+    docstring), so the node closes columns from the row above's end
+    leftwards, at most down to that bound, and stops at the first column
+    whose end residue is used up: that is its shortest row.  It then fills
+    the row once, box by box, as far as the histogram and the row above
+    allow; at each length from the shortest on it searches below that row
+    and reopens the column at its end for the next, longer row.  A row of
+    length 1 is allowed only when the count covers every remaining box;
+    then the rest of column 0 fits, so the all-ones tail is balanced and is
+    emitted at once as the first child.  The search thus emits rows in
+    ascending lexicographic order, the family's sorted order, and a stretch
+    keeps that order.  Row ``j``
     starts at color ``c*j`` and reads the cycle ``0, 1, ..., m-1`` from
     there, so the colors come from two lists of ``m*(r+1)`` entries: the
     column-0 colors, indexed by ``j mod m``, and that cycle.  The search
@@ -369,8 +368,8 @@ def _balanced_family(key: tuple[int, int, int, int]) -> _FamilyRecord:
     the order ``m``, and scaling both by the inverse of the x-weight only
     relabels the colors: ``_search`` runs on the normal form ``(1, c; m)``,
     once per ``(c, m, r)`` while ``_search_memo`` keeps it.  Its rows,
-    emitted in descending lexicographic order, are stretched and reversed,
-    and each member is built once; a stretch keeps the statistics, which
+    emitted in sorted order, are stretched, which keeps that order, and
+    each member is built once; a stretch keeps the statistics, which
     give the L-class.  The search recurses once per row, so a member with
     more rows than Python's frame limit allows is refused, and the refusal
     is not kept.  The search memo is read here rather than by wrapping
@@ -394,7 +393,7 @@ def _balanced_family(key: tuple[int, int, int, int]) -> _FamilyRecord:
     if wide * tall > 1:
         found = [_stretch(rows, wide, tall) for rows in found]
     by_dim = Counter(dims)
-    return _FamilyRecord(tuple(map(Partition._of, reversed(found))), tuple(reversed(dims)),
+    return _FamilyRecord(tuple(map(Partition._of, found)), dims,
                          LPolynomial(by_dim[k] for k in range(max(by_dim, default=-1) + 1)))
 
 
@@ -403,17 +402,15 @@ def _search(c: int, m: int, r: int) -> tuple[tuple[tuple[int, ...], ...], tuple[
     row search of ``enumerate_balanced`` emits them, and the statistic of each
     (``tangent._cell_dimension``), folded in as rows are placed.
 
-    Each node is one call of ``extend``: one loop tries its row lengths,
-    longest first, closing the columns past each row one at a time and
-    searching below it; length 1 is the all-ones tail, emitted at once.
-    Its two bounds cost O(1) per node: the parent hands each child the
-    column-0 count ``rows_left``, kept as a running minimum while it fills
-    the row, and a node returns if the end residue of its last row is at
-    its cap among ``len(rows) + rows_left`` rows.  A node whose shortest row
-    is already the row above (``shortest == max_row > 1``) has that repeat
-    as its one child, which closes no column: it fills the row, keeping
-    only the last bound, and calls the child, with no bounds list or
-    shrink loop.
+    Each node is one call of ``extend``, and every node runs one body: it
+    closes the columns past its shortest allowed row, then one loop fills
+    the row and tries its lengths, shortest first, searching below each and
+    reopening its end column before the next; length 1 is the all-ones
+    tail, emitted at once.  Its two bounds cost O(1) per node: the parent
+    hands each child the column-0 count ``rows_left``, the running minimum
+    at the moment it calls the child, and a node returns if the end residue
+    of its last row is at its cap among ``len(rows) + rows_left`` rows.  A
+    node whose shortest row is the row above tries only that repeat.
 
     A box ``(i, j)`` counts when ``i + c*(h_i - 1) = l_j + c*j mod m``
     (``h`` column heights, ``l`` row lengths), so a column adds, as it
@@ -478,38 +475,33 @@ def _search(c: int, m: int, r: int) -> tuple[tuple[tuple[int, ...], ...], tuple[
         if m * keys[last] + first[last] >= len(rows) + rows_left:
             return
         shortest = -(-remaining // rows_left)
+        if shortest > max_row:
+            # no row that long fits below row j-1
+            return
         row, after = starts[k], (k + 1) % m
+        # row j-1 joins the key histogram for this node and the nodes below
+        # it; a row j of length l ends the run above and closes columns
+        # l..max_row-1 at height j with the ends cycle[row + l:row + max_row].
+        # Columns close from the right down to shut, the shortest row
+        # allowed: a shorter row closes more columns, so the first column
+        # whose end is no longer open stops it.  closed counts the matches
+        # of columns shut..max_row-1, and each row tried reopens its column
+        keys[last] += 1
+        closed = dim + laps[run]
+        shut = max_row
+        while shut > shortest and ends[cycle[row + shut - 1]]:
+            shut -= 1
+            ends[cycle[row + shut]] -= 1
+            closed += keys[cycle[below + shut]]
         # each child's rows_left: counts only grow, so a color that fills
         # column 0 t rows below row j fills it t - 1 rows below row j+1, and
-        # only the colors row j places fill it sooner, so bounds[t] is the
-        # least of those below a row of t + 1 boxes
+        # only the colors row j places fill it sooner, so bound is the least
+        # of those below the boxes placed so far; each of those column-0
+        # boxes takes one of the boxes left, so it never exceeds them
         bound = rows_left - 1
-        if shortest == max_row > 1:
-            # a forced repeat: no shorter row is allowed and no longer one
-            # fits, so the one child repeats row j-1, closes no column and
-            # needs only the last bound, which the boxes left never cut:
-            # remaining > (max_row - 1)*rows_left, so they are at least
-            # (max_row - 1)*(rows_left - 1) >= rows_left - 1 >= bound
-            for t, x in enumerate(cycle[row:row + max_row]):
-                v = counts[x] + 1
-                if v > r:
-                    for x in cycle[row:row + t]:
-                        counts[x] -= 1
-                    return
-                counts[x] = v
-                b = (first[x] - after) % m + wait[v]
-                if b < bound:
-                    bound = b
-            keys[last] += 1
-            rows.append(max_row)
-            extend(remaining - max_row, max_row, after, dim, run + 1, bound)
-            rows.pop()
-            keys[last] -= 1
-            for x in cycle[row:row + max_row]:
-                counts[x] -= 1
-            return
-        bounds = []
-        for x in cycle[row:row + min(max_row, remaining)]:
+        length = 0
+        rows.append(0)
+        for x in cycle[row:row + (max_row if max_row < remaining else remaining)]:
             v = counts[x] + 1
             if v > r:
                 break
@@ -517,25 +509,9 @@ def _search(c: int, m: int, r: int) -> tuple[tuple[tuple[int, ...], ...], tuple[
             b = (first[x] - after) % m + wait[v]
             if b < bound:
                 bound = b
-            bounds.append(bound)
-        length = len(bounds)
-        # row j-1 joins the key histogram for this node and the nodes below
-        # it; a row j of length l ends the run above and closes columns
-        # l..max_row-1 at height j with the ends cycle[row + l:row + max_row],
-        # and closed counts the matches of columns shut..max_row-1, closed so far
-        keys[last] += 1
-        closed = dim + laps[run]
-        shut = max_row
-        rows.append(0)
-        while length >= shortest:
-            # a shorter row closes more columns, so the first row that
-            # closes one whose end is no longer open ends the loop
-            while shut > length and ends[cycle[row + shut - 1]]:
-                shut -= 1
-                ends[cycle[row + shut]] -= 1
-                closed += keys[cycle[below + shut]]
-            if shut > length:
-                break
+            length += 1
+            if length < shut:
+                continue
             rows[-1] = length
             if length == 1:
                 # shortest is 1, so every remaining column-0 box fits and
@@ -546,17 +522,21 @@ def _search(c: int, m: int, r: int) -> tuple[tuple[tuple[int, ...], ...], tuple[
                 found.append(tuple(rows) + (1,) * (remaining - 1))
                 dims.append(closed + laps[remaining] + keys[top]
                             + starts[k:k + remaining].count((top - 1) % m))
-                break
-            # only the first child can repeat the row above
-            same = length == max_row
-            left = remaining - length
-            extend(left, length, after, dim if same else closed, run + 1 if same else 1,
-                   left if left < bounds[length - 1] else bounds[length - 1])
-            length -= 1
-            counts[cycle[row + length]] -= 1
+            elif length == max_row:
+                # only the longest row repeats the row above
+                extend(remaining - length, length, after, dim, run + 1, bound)
+            else:
+                extend(remaining - length, length, after, closed, 1, bound)
+            if length < max_row:
+                # the next row leaves column length open (at the root of
+                # r*m = 1 the tail is the longest row, and nothing reopens)
+                ends[cycle[row + length]] += 1
+                closed -= keys[cycle[below + length]]
+                shut += 1
         rows.pop()
-        for col in cycle[row + shut:row + max_row]:
-            ends[col] += 1
+        while shut < max_row:
+            ends[cycle[row + shut]] += 1
+            shut += 1
         keys[last] -= 1
         for col in cycle[row:row + length]:
             counts[col] -= 1

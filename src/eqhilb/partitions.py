@@ -22,6 +22,8 @@ from typing import Callable, Iterable, Iterator, NamedTuple
 from .errors import PreconditionError
 
 EMPTY_TEXT = "∅"  # "∅"
+#: The one type a row length may have: a bool or a float is refused.
+_INT = frozenset((int,))
 
 
 class Box(NamedTuple):
@@ -42,12 +44,12 @@ class Partition:
     __slots__ = ("rows", "size", "_hash")
 
     def __init__(self, rows: Iterable[int] = ()):
-        given = tuple(rows)
-        rows = tuple(map(int, given))
-        if rows != given or (rows and rows[-1] < 1) or any(map(operator.lt, rows, rows[1:])):
-            for t, (r, x) in enumerate(zip(rows, given)):
-                if r != x or r < 1:
-                    raise ValueError(f"row lengths must be positive integers, got {x}")
+        rows = tuple(rows)
+        if (not _INT.issuperset(map(type, rows)) or (rows and rows[-1] < 1)
+                or any(map(operator.lt, rows, rows[1:]))):
+            for t, r in enumerate(rows):
+                if type(r) is not int or r < 1:
+                    raise ValueError(f"row lengths must be positive integers, got {r}")
                 if t and rows[t - 1] < r:
                     raise ValueError(f"rows must be weakly decreasing, got {rows}")
         self.rows = rows

@@ -98,6 +98,29 @@ def search_nodes(g, r):
     return nodes
 
 
+def rows_left_by_prefix(search, form):
+    """The ``rows_left`` of every node of ``search(*form)`` with boxes left,
+    keyed by the node's row prefix: a profile hook reads both as each call
+    of the search's inner ``extend`` returns, since neither changes in its
+    body.  ``search`` is ``coloring._search`` or ``search_by_column_scan``."""
+    filename = search.__code__.co_filename
+    seen = {}
+
+    def hook(frame, event, arg):
+        code = frame.f_code
+        if event == "return" and code.co_name == "extend" and code.co_filename == filename:
+            names = frame.f_locals
+            if names["remaining"]:
+                seen[tuple(names["rows"])] = names["rows_left"]
+
+    sys.setprofile(hook)
+    try:
+        search(*form)
+    finally:
+        sys.setprofile(None)
+    return seen
+
+
 def col_height(lam, i):
     """Height of column i: the number of rows longer than i."""
     return sum(1 for row in lam.rows if row > i)

@@ -23,7 +23,7 @@ from eqhilb import (
 )
 from eqhilb import coloring
 from oracles import (box_ceiling_by_environ_get, brute_force_balanced, live_prefixes,
-                     search_by_column_scan, search_nodes, weight_vector)
+                     rows_left_by_prefix, search_by_column_scan, search_nodes, weight_vector)
 
 
 def test_group_params_validation():
@@ -189,7 +189,8 @@ def test_single_column_and_single_row_closed_form():
 
 
 def test_families_strictly_increasing():
-    """The search order, reversed, is the only thing that sorts a family."""
+    """The search order is the only thing that sorts a family: it tries row
+    lengths shortest first, so it emits each family already sorted."""
     for g, r in _sweep(0):
         family = enumerate_balanced(g, r)
         assert all(map(operator.lt, family, family[1:])), (g, r)
@@ -299,17 +300,42 @@ def test_search_matches_the_column_scan():
              for r in range(1, 40 // m + 1)]
     assert len(forms) == 530
     for form in forms + [(2, 201, 1), (1, 101, 2), (1, 201, 1), (100, 201, 1)]:
-        assert coloring._search(*form) == search_by_column_scan(*form), form
+        assert coloring._search(*form) == _ascending_column_scan(form), form
+
+
+def _ascending_column_scan(form):
+    """The rows and statistics of ``search_by_column_scan``, which tries row
+    lengths longest first, in the ascending order ``_search`` emits."""
+    rows, dims = search_by_column_scan(*form)
+    return tuple(reversed(rows)), tuple(reversed(dims))
 
 
 def test_forced_rows_match_the_column_scan():
-    """A node whose shortest row is the row above places that repeat in one
-    step, without the fill table or the shrink loop.  Such nodes make up
-    most of the larger searches (9,177 of the 10,740 nodes of (39, 40, 2)),
-    which lie past the range above; on these, the rows, order and statistics
-    are still those of the search that scans column 0 at every node."""
+    """A node whose shortest row is the row above has that repeat as its only
+    child: the one node body tries only its last length.  Such nodes make
+    up most of the larger searches (9,177 of the 10,740 nodes of
+    (39, 40, 2)), which lie past the range above; on these, the rows, order
+    and statistics are still those of the search that scans column 0 at
+    every node."""
     for form in ((39, 40, 2), (11, 12, 4), (13, 15, 3), (29, 30, 3)):
-        assert coloring._search(*form) == search_by_column_scan(*form), form
+        assert coloring._search(*form) == _ascending_column_scan(form), form
+
+
+def test_each_child_receives_the_scanned_rows_left():
+    """The ``rows_left`` a parent hands each child, the running minimum over
+    the colors of the row it places, is the count a scan of column 0 reads
+    at that node: equal at every node with boxes left on the normal forms
+    with ``m <= 12`` and ``r*m <= 24``, and on (2, 5, 8), where a forced
+    row's minimum is 0 but the parent's own ``rows_left - 1`` is 1.  The
+    row-end cap cuts what a looser bound lets through, so the rows alone do
+    not show such a bound."""
+    forms = [(c, m, r) for m in range(1, 13) for c in range(m) if math.gcd(c, m) == 1
+             for r in range(1, 24 // m + 1)]
+    assert len(forms) == 166
+    for form in forms + [(2, 5, 8)]:
+        carried = rows_left_by_prefix(coloring._search, form)
+        scanned = rows_left_by_prefix(search_by_column_scan, form)
+        assert carried and all(scanned[rows] == n for rows, n in carried.items()), form
 
 
 def test_search_visits_exactly_the_recorded_nodes():

@@ -62,6 +62,10 @@ def test_validation():
         Partition((2, 0))
     with pytest.raises(ValueError, match=r"^row lengths must be positive integers, got 2\.5$"):
         Partition((2.5, 1))
+    with pytest.raises(ValueError, match=r"^row lengths must be positive integers, got 2\.0$"):
+        Partition((2.0, True))
+    with pytest.raises(ValueError, match=r"^row lengths must be positive integers, got True$"):
+        Partition((2, True))
     with pytest.raises(ValueError, match="^row index must be nonnegative$"):
         Partition((2, 1)).row_len(-1)
     with pytest.raises(ValueError, match="^m must be nonnegative$"):

@@ -427,3 +427,7 @@ def test_lpolynomial_refuses_non_integral_coefficients():
         LPolynomial([1.5, 2])
     with pytest.raises(ValueError, match=message + r"\[0, 2\.9, 1\]$"):
         LPolynomial.from_json('{"coeffs": [0, 2.9, 1]}')
+    with pytest.raises(ValueError, match=message + r"\[True, 2\.0\]$"):
+        LPolynomial([True, 2.0])
+    with pytest.raises(ValueError, match=message + r"\[1, False\]$"):
+        LPolynomial([1, False])

@@ -35,23 +35,28 @@ TIMEOUT_S = 300
 
 #: (name, old, new); each old occurs exactly once in src/eqhilb/*.py
 MUTANTS = (
-    # the forced repeat row of coloring._search
-    ("forced_row_of_length_1",
-     "if shortest == max_row > 1:",
-     "if shortest == max_row > 0:"),
-    ("forced_row_no_undo_on_break",
-     "                    for x in cycle[row:row + t]:\n"
-     "                        counts[x] -= 1\n",
+    # the node body of coloring._search
+    ("no_row_fits_return_dropped",
+     "        if shortest > max_row:\n            # no row that long fits below row j-1\n            return\n",
      ""),
-    ("forced_row_bound_ignores_its_colors",
-     "extend(remaining - max_row, max_row, after, dim, run + 1, bound)",
-     "extend(remaining - max_row, max_row, after, dim, run + 1, rows_left - 1)"),
-    ("forced_row_bound_one_short",
-     "extend(remaining - max_row, max_row, after, dim, run + 1, bound)",
-     "extend(remaining - max_row, max_row, after, dim, run + 1, bound - 1)"),
-    ("forced_row_run_reset",
-     "extend(remaining - max_row, max_row, after, dim, run + 1, bound)",
-     "extend(remaining - max_row, max_row, after, dim, 1, bound)"),
+    ("repeat_child_bound_ignores_its_colors",
+     "dim, run + 1, bound)",
+     "dim, run + 1, rows_left - 1)"),
+    ("column_reopen_dropped",
+     "                ends[cycle[row + length]] += 1\n",
+     ""),
+    ("closed_kept_on_reopen",
+     "                closed -= keys[cycle[below + length]]\n",
+     ""),
+    ("repeat_child_run_reset",
+     "dim, run + 1, bound)",
+     "dim, 1, bound)"),
+    ("shorter_child_run_0",
+     "closed, 1, bound)",
+     "closed, 0, bound)"),
+    ("fill_bound_non_strict",
+     "if b < bound:",
+     "if b <= bound:"),
     # the bounds, caps, tallies and statistic folding of coloring._search
     ("wait_one_visit_late",
      "wait = [m * (r - v) for v",
@@ -68,15 +73,9 @@ MUTANTS = (
     ("tail_count_one_row_short",
      "starts[k:k + remaining].count(",
      "starts[k:k + remaining - 1].count("),
-    ("shorter_row_run_reset_to_0",
-     "run + 1 if same else 1,",
-     "run + 1 if same else 0,"),
     ("row_end_cap_strict",
      "m * keys[last] + first[last] >= len(rows) + rows_left",
      "m * keys[last] + first[last] > len(rows) + rows_left"),
-    ("fill_bound_non_strict",
-     "if b < bound:\n                bound = b\n            bounds.append(bound)",
-     "if b <= bound:\n                bound = b\n            bounds.append(bound)"),
 )
 
 
