@@ -22,8 +22,9 @@ each runner form a beta-set of their own, whose partition is one
 component of the n-quotient; packing every runner's beads down to the
 levels ``0, 1, ...`` gives the beta-set of the n-core, and
 ``|lam| = |core| + n * sum(|quotient parts|)``.  ``runners`` reads both
-off the row tuple; ``from_core_quotient`` checks its candidates in closed
-form instead of decomposing them again.
+off the row tuple in one pass over the runners; ``from_core_quotient``
+reads the core's runner sizes off its rows and checks each candidate in
+closed form instead of decomposing it again.
 
 The runners are labelled from the window start, which sits at
 ``-(number of parts)``, so the labels depend on the number of parts mod
@@ -73,6 +74,12 @@ class Abacus(_Abacus):
         return "...11|" + "".join(str(x) for x in self.word) + "|00..."
 
 
+def _require_partition(name: str, value: object) -> None:
+    """Refuse a ``value`` that is not a ``Partition``, by its ``name``."""
+    if not isinstance(value, Partition):
+        raise PreconditionError(f"{name} must be a Partition, got {value!r}")
+
+
 def _beta(rows: tuple[int, ...], k: int) -> list[int]:
     """The ``k`` beta-numbers ``rows_t - t + k`` of a row tuple, largest first."""
     rows = rows + (0,) * (k - len(rows))
@@ -82,7 +89,9 @@ def _beta(rows: tuple[int, ...], k: int) -> list[int]:
 def _rows_of_beta(xs: list[int]) -> tuple[int, ...]:
     """The rows of the beads given largest first, ``x_1 > ... > x_k``: parts ``x_t - (k - t)``."""
     rows = list(map(operator.sub, xs, range(len(xs) - 1, -1, -1)))
-    return tuple(rows[:rows.index(0)] if 0 in rows else rows)  # zero parts come last
+    if rows and not rows[-1]:  # zero parts come last
+        del rows[rows.index(0):]
+    return tuple(rows)
 
 
 def to_abacus(lam: Partition) -> Abacus:
@@ -113,11 +122,19 @@ class MultiPartition(_MultiPartition):
         parts = tuple(parts)
         if len(parts) < 1:
             raise PreconditionError("a multipartition has at least one component")
+        for part in parts:
+            _require_partition("a component", part)
         if alignment is not None and type(alignment) is not int:
             raise PreconditionError(f"an alignment is None or an int, got {alignment!r}")
         return super().__new__(cls, parts, alignment)
 
     _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks too
+
+    @classmethod
+    def _of(cls, parts: tuple[Partition, ...], alignment: int) -> "MultiPartition":
+        """``MultiPartition(parts, alignment)`` unchecked, for the parts and
+        the int alignment that :func:`runners` built."""
+        return tuple.__new__(cls, (parts, alignment))
 
     def total(self) -> int:
         return sum(p.size for p in self.parts)
@@ -129,6 +146,7 @@ class MultiPartition(_MultiPartition):
 def runners(lam: Partition, n: int) -> tuple[MultiPartition, Partition]:
     """Runner decomposition: the n-quotient and the n-core, with runner ``i``
     the beads ``x % n == i`` counted from the window start (module docstring)."""
+    _require_partition("lam", lam)
     if type(n) is not int:
         raise PreconditionError(f"n must be an int, got {n!r}")
     if n < 1:
@@ -136,20 +154,31 @@ def runners(lam: Partition, n: int) -> tuple[MultiPartition, Partition]:
     rows = lam.rows
     m = len(rows)
     levels = [[] for _ in range(n)]
-    for t, row in enumerate(rows, 1):
-        level, s = divmod(row + m - t, n)
-        levels[s].append(level)
-    # each runner's levels come largest first; a packed runner is the empty part
-    parts = tuple([_rows_of_beta(run) if run and run[0] != len(run) - 1 else () for run in levels])
-    packed = [x for s, run in enumerate(levels) for x in range(s, s + n * len(run), n)]
-    core = _rows_of_beta(sorted(packed, reverse=True))
-    size_check = sum(core) + n * sum(map(sum, parts))
+    for x in map(operator.add, rows, range(m - 1, -1, -1)):
+        levels[x % n].append(x // n)
+    quot = []
+    beads = []
+    total = 0
+    for s, run in enumerate(levels):
+        # levels y_1 > ... > y_c pack down to s, s + n, ...; unless they are
+        # packed already they give the part with rows y_t - c + t
+        c = len(run)
+        if c:
+            beads += range(s, s + n * c, n)
+            if run[0] != c - 1:
+                part = Partition._of(_rows_of_beta(run))
+                total += part.size
+                quot.append(part)
+                continue
+        quot.append(_EMPTY)
+    beads.sort(reverse=True)
+    core = Partition._of(_rows_of_beta(beads))
+    size_check = core.size + n * total
     if size_check != lam.size:
         raise InvariantViolationError(
             f"size identity failed for {lam} at n={n}: {lam.size} != {size_check}"
         )
-    quot = tuple(Partition._of(p) if p else _EMPTY for p in parts)
-    return MultiPartition(quot, alignment=-m % n), Partition._of(core)
+    return MultiPartition._of(tuple(quot), -m % n), core
 
 
 def from_core_quotient(core: Partition, quot: MultiPartition) -> Partition:
@@ -165,13 +194,17 @@ def from_core_quotient(core: Partition, quot: MultiPartition) -> Partition:
     ``quot.parts``: ``core`` is an n-core and the rotation by
     ``(-len(rows) - alignment) % n`` fixes the parts.
     """
+    _require_partition("core", core)
+    if not isinstance(quot, MultiPartition):
+        raise PreconditionError(f"quot must be a MultiPartition, got {quot!r}")
     n = len(quot.parts)
-    sizes = [0] * n  # beads of the core on runner s (residue s), padded to a multiple of n
+    k = len(core.rows)
+    pad = -k % n  # beads 0..pad-1 pad the core's beta-set to a multiple of n
+    sizes = [1] * pad + [0] * (n - pad)  # beads of the core on runner s (residue s)
     levels = 0
-    for x in _beta(core.rows, -(-len(core.rows) // n) * n):
-        level, s = divmod(x, n)
-        sizes[s] += 1
-        levels += level
+    for x in map(operator.add, core.rows, range(k + pad - 1, pad - 1, -1)):
+        sizes[x % n] += 1
+        levels += x // n
     rotations = range(n) if quot.alignment is None else (quot.alignment % n,)
     prows = tuple(p.rows for p in quot.parts)
     # c distinct levels sum to at least c*(c-1)/2, with equality exactly when packed
@@ -179,12 +212,22 @@ def from_core_quotient(core: Partition, quot: MultiPartition) -> Partition:
         raise NotNCoreError(f"{core} is not an {n}-core")
     matches = set()  # alignments that rebuild one partition give one preimage
     for rho in rotations:
-        abs_parts = [prows[(s - rho) % n] for s in range(n)]
+        abs_parts = prows[-rho % n:] + prows[:-rho % n]  # runner s holds part (s - rho) % n
         # one more bead on every runner until each runner holds its part
-        extra = max(0, *(len(p) - c for p, c in zip(abs_parts, sizes)))
-        rows = _rows_of_beta(sorted(
-            [s + n * y for s, (p, c) in enumerate(zip(abs_parts, sizes)) for y in _beta(p, c + extra)],
-            reverse=True))
+        extra = 0
+        for p, c in zip(abs_parts, sizes):
+            if len(p) - c > extra:
+                extra = len(p) - c
+        # runner s holds c + extra beads: row t of its part at level
+        # row + c + extra - 1 - t, then the levels below them, packed
+        beads = []
+        for s, (p, c) in enumerate(zip(abs_parts, sizes)):
+            if p:
+                top = s + n * (c + extra - 1)
+                beads += [top + n * (row - t) for t, row in enumerate(p)]
+            beads += range(s, s + n * (c + extra - len(p)), n)
+        beads.sort(reverse=True)
+        rows = _rows_of_beta(beads)
         # the rebuilt beads number a multiple of n, so runners() reads the
         # parts rotated by d; they read back as given when d fixes them
         d = (-len(rows) - rho) % n
@@ -205,6 +248,7 @@ def from_core_quotient(core: Partition, quot: MultiPartition) -> Partition:
 
 def has_empty_core(lam: Partition, n: int) -> bool:
     """True when the n-core vanishes: ``lam`` is balanced for ``(1, -1; n)``."""
+    _require_partition("lam", lam)
     if type(n) is not int:
         raise PreconditionError(f"n must be an int, got {n!r}")
     if n < 1:

@@ -60,7 +60,10 @@ class Partition:
     def _of(cls, rows: tuple[int, ...]) -> "Partition":
         """``Partition(rows)`` unvalidated, for rows the package built decreasing and positive.
 
-        Callers: the abacus layer, ``partitions_of`` and the family memo in ``coloring``.
+        Callers: ``runners`` (quotient parts and core) and ``from_core_quotient``
+        (preimages) in the abacus layer, ``partitions_of`` and the family memo in
+        ``coloring``.  ``MultiPartition._of`` does the same for the quotients of
+        ``runners``.
         """
         lam = object.__new__(cls)
         lam.rows, lam.size, lam._hash = rows, sum(rows), hash(rows)

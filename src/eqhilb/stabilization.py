@@ -69,8 +69,10 @@ def _anchor(g: GroupParams, r: int, lam: Partition) -> Box:
 
 def _reassemble(rows: list[int], heights: list[int], j0: int) -> Partition:
     """The diagram with ``rows`` below row ``j0`` and, from row ``j0`` up,
-    the rows read off the column ``heights`` left of the anchor."""
-    rows = rows + [sum(1 for h in heights if h > j) for j in range(j0, max(heights, default=0))]
+    the rows read off the column ``heights`` left of the anchor: row ``j``
+    counts the heights above ``j``, the conjugate of the sorted heights.
+    Extends ``rows`` in place."""
+    rows += _column_heights(sorted(heights, reverse=True))[j0:]
     while rows and rows[-1] == 0:
         rows.pop()
     try:
@@ -83,13 +85,16 @@ def _reassemble(rows: list[int], heights: list[int], j0: int) -> Partition:
 
 def _shift(g: GroupParams, r: int, lam: Partition, sign: int) -> Partition:
     """``lam`` cut at its anchor for ``g``, with ``sign`` times the wraps past
-    multiples of ``g.n`` added to each column left of it and each row below it."""
+    multiples of ``g.n`` added to each column left of it and each row below
+    it; the rows below the anchor are ``lam.rows`` cut or padded with 0s to
+    ``j0`` of them."""
     a, b, order = g.a, g.b, g.n
     i0, j0 = _anchor(g, r, lam)
     heights = [h + sign * a * ((a * i + b * h) // order)
                for i, h in enumerate(_column_heights(lam.rows)[:i0])]
+    below = lam.rows[:j0]
     rows = [l + sign * b * ((b * j + a * l) // order)
-            for j, l in enumerate(map(lam.row_len, range(j0)))]
+            for j, l in enumerate(below + (0,) * (j0 - len(below)))]
     return _reassemble(rows, heights, j0)
 
 

@@ -10,6 +10,8 @@ from eqhilb import (
     AmbiguousQuotientError,
     Box,
     InsufficientSamplesError,
+    InvariantViolationError,
+    MultiPartition,
     NotNCoreError,
     Partition,
     PreconditionError,
@@ -20,10 +22,11 @@ from eqhilb import (
     partitions_of,
     psi,
     runners,
+    to_abacus,
 )
 from eqhilb import coloring
 from eqhilb.abacus import _beta, _rows_of_beta
-from eqhilb.stabilization import _anchor, _positive_weights, _reassemble
+from eqhilb.stabilization import _anchor, _positive_weights
 
 
 @functools.cache
@@ -220,6 +223,22 @@ def psi_inverse_by_search(g, r, mu):
     return next((lam for lam in enumerate_balanced(g, r) if psi(g, r, lam) == mu), None)
 
 
+def reassemble_by_counts(rows, heights, j0):
+    """The diagram with ``rows`` below row ``j0`` and, from row ``j0`` up,
+    row ``j`` the number of column ``heights`` above ``j``, counted row by
+    row: ``stabilization._reassemble`` before it read those rows as the
+    conjugate of the sorted heights."""
+    rows = rows + [sum(1 for h in heights if h > j) for j in range(j0, max(heights, default=0))]
+    while rows and rows[-1] == 0:
+        rows.pop()
+    try:
+        return Partition(rows)
+    except ValueError as exc:
+        raise InvariantViolationError(
+            f"the regions reassemble to a non-monotone profile: {rows}"
+        ) from exc
+
+
 def psi_by_boxes(g, r, lam):
     """The insertion step box by box: per region-A box colored in [n-b, n-1]
     its column gains a cells, per region-B box colored in [n-a, n-1] its row
@@ -235,7 +254,7 @@ def psi_by_boxes(g, r, lam):
             heights[box.i] += a
         elif k >= n - a and box.i >= i0:
             rows[box.j] += b  # box.j < j0: the anchor lies outside lam
-    return _reassemble(rows, heights, j0)
+    return reassemble_by_counts(rows, heights, j0)
 
 
 def psi_inverse_by_boxes(g, r, mu):
@@ -253,7 +272,7 @@ def psi_inverse_by_boxes(g, r, mu):
                 heights[box.i] += 1
             if box.j < j0:
                 rows[box.j] += 1
-    return _reassemble(rows, heights, j0)
+    return reassemble_by_counts(rows, heights, j0)
 
 
 def split_of_class(g, lam, anchor, k):
@@ -354,6 +373,19 @@ def core_by_hook_removal(lam, n):
             return Partition(r for r in rows if r)
         i, j, leg = hook
         rows[j:j + leg + 1] = [above - 1 for above in rows[j + 1:j + leg + 1]] + [i]
+
+
+def runners_by_abacus(lam, n):
+    """``runners(lam, n)`` read off the word of ``to_abacus(lam)``: runner
+    ``s`` is every ``n``-th position of the word from ``s``, its part is the
+    partition of that runner's own word (``from_abacus``), the core is the
+    partition of the word with every runner's beads slid down to its start,
+    and the alignment is the window start mod ``n``."""
+    ab = to_abacus(lam)
+    counts = [sum(ab.word[s::n]) for s in range(n)]
+    parts = tuple(from_abacus(Abacus(ab.word[s::n], 0)) for s in range(n))
+    core_word = tuple(int(p // n < counts[p % n]) for p in range(n * max(counts, default=0)))
+    return MultiPartition(parts, ab.offset % n), from_abacus(Abacus(core_word, 0))
 
 
 def from_core_quotient_by_redecomposition(core, quot):

@@ -24,6 +24,7 @@ from oracles import (
     from_abacus,
     from_core_quotient_by_redecomposition,
     hook_lengths,
+    runners_by_abacus,
 )
 
 
@@ -95,6 +96,15 @@ def test_core_matches_hook_removal_oracle():
                 assert runners(lam, n)[1] == core_by_hook_removal(lam, n), (lam, n)
 
 
+def test_runners_match_abacus_oracle():
+    """Quotient parts, alignment and core all agree with the runners read
+    off the abacus word, on every partition of at most 16 boxes, n <= 8."""
+    for m in range(17):
+        for lam in partitions_of(m):
+            for n in range(1, 9):
+                assert runners(lam, n) == runners_by_abacus(lam, n), (lam, n)
+
+
 def test_core_quotient_roundtrip_exhaustive():
     for m in range(16):
         for lam in partitions_of(m):
@@ -110,6 +120,8 @@ def test_unvalidated_partitions_match_validated_ones():
         for lam in partitions_of(m):
             for n in range(1, 9):
                 quot, core = runners(lam, n)
+                assert type(quot) is MultiPartition, (lam, n)
+                assert MultiPartition(quot.parts, quot.alignment) == quot, (lam, n)
                 for p in (*quot.parts, core, from_core_quotient(core, quot)):
                     assert Partition(p.rows) == p, (lam, n, p)
                     assert p.size == sum(p.rows), (lam, n, p)
@@ -245,6 +257,24 @@ def test_runners_and_empty_core_refuse_non_int_n():
             runners(Partition((3, 1)), n)
         with pytest.raises(PreconditionError, match=f"^n must be an int, got {n!r}$"):
             has_empty_core(Partition((3, 1)), n)
+
+
+def test_abacus_layer_refuses_non_partitions():
+    """A tuple or list where a partition belongs is refused by name, not
+    left to end in an AttributeError (a MultiPartition's components are
+    checked with the other record fields in test_public_api.py)."""
+    for lam in ((3, 1), [3, 1]):
+        message = f"^lam must be a Partition, got {re.escape(repr(lam))}$"
+        with pytest.raises(PreconditionError, match=message):
+            runners(lam, 2)
+        with pytest.raises(PreconditionError, match=message):
+            has_empty_core(lam, 2)
+    quot = MultiPartition((Partition(),) * 2, 0)
+    with pytest.raises(PreconditionError, match=r"^core must be a Partition, got \(1,\)$"):
+        from_core_quotient((1,), quot)
+    with pytest.raises(PreconditionError,
+                       match=r"^quot must be a MultiPartition, got \(\(\), \(\)\)$"):
+        from_core_quotient(Partition(), ((), ()))
 
 
 def test_empty_core_tally_matches_oracles():

@@ -69,6 +69,7 @@ REFUSALS = [
     (eqhilb.Quasipolynomial, (1, ((1,),), 1, (1.5,)),
      r"^each flag must be True, False or None, got 1\.5$"),
     (eqhilb.Quasipolynomial, (1, ((1,),), 1, (1,)), "^each flag must be True, False or None, got 1$"),
+    (eqhilb.MultiPartition, (((1,),), 0), r"^a component must be a Partition, got \(1,\)$"),
 ]
 
 

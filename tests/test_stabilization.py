@@ -1,4 +1,6 @@
+import itertools
 import math
+import re
 
 import pytest
 
@@ -18,9 +20,9 @@ from eqhilb import (
     verify_period,
 )
 from eqhilb import stabilization
-from eqhilb.stabilization import _anchor
+from eqhilb.stabilization import _anchor, _reassemble
 from oracles import (diagonal, phi, psi_by_boxes, psi_inverse_by_boxes, psi_inverse_by_search,
-                     split_of_class)
+                     reassemble_by_counts, split_of_class)
 
 
 def representable(k, rab, a, b):
@@ -201,6 +203,36 @@ def test_row_walks_match_box_by_box_oracles():
                             assert psi_inverse_by_boxes(g, r, mu) == lam, (g, r, mu)
                             members += 1
     assert members == 3480
+
+
+def test_reassemble_refuses_a_non_monotone_profile():
+    """Rows below the anchor that a longer row above follows, or that end
+    in a 0 under a nonempty row, are reported, not repaired."""
+    for rows, heights, j0, profile in (([1], [3, 3], 1, "[1, 2, 2]"),
+                                       ([2, 0], [3], 2, "[2, 0, 1]")):
+        message = f"^the regions reassemble to a non-monotone profile: {re.escape(profile)}$"
+        with pytest.raises(InvariantViolationError, match=message):
+            _reassemble(rows, heights, j0)
+
+
+def _reassembled(reassemble, rows, heights, j0):
+    try:
+        return reassemble(list(rows), list(heights), j0)
+    except InvariantViolationError as exc:
+        return str(exc)
+
+
+def test_reassemble_matches_the_row_by_row_count():
+    """Every profile of up to three rows of length 0..4 below the anchor and
+    up to three column heights 0..5, in every order, reassembles as the
+    row-by-row count of the heights above each row does, refusals included."""
+    for j0 in range(4):
+        for rows in itertools.product(range(5), repeat=j0):
+            for width in range(4):
+                for heights in itertools.product(range(6), repeat=width):
+                    args = rows, heights, j0
+                    assert (_reassembled(_reassemble, *args)
+                            == _reassembled(reassemble_by_counts, *args)), args
 
 
 def test_psi_inverse_examples():

@@ -1,11 +1,12 @@
-"""Mutation check: does a fast test subset catch each named break of the search?
+"""Mutation check: does a fast test subset catch each named break of the kernels?
 
 Each mutant is ``(name, old, new)``: a textual edit of the package source
 in which ``old`` occurs exactly once across ``src/eqhilb/*.py``.  For each
 mutant the tool copies ``src/``, ``tests/`` and ``pyproject.toml`` into a
 temporary directory, applies the edit there, runs
 
-    python -m pytest -q -x tests/test_coloring.py tests/test_tangent.py
+    python -m pytest -q -x tests/test_coloring.py tests/test_tangent.py \
+        tests/test_abacus.py tests/test_stabilization.py
 
 on the copy, and prints ``name KILLED`` if a test fails (or the run
 exceeds ``TIMEOUT_S``) and ``name SURVIVED`` if every test passes.  The
@@ -30,7 +31,8 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-TESTS = ("tests/test_coloring.py", "tests/test_tangent.py")
+TESTS = ("tests/test_coloring.py", "tests/test_tangent.py", "tests/test_abacus.py",
+         "tests/test_stabilization.py")
 TIMEOUT_S = 300
 
 #: (name, old, new); each old occurs exactly once in src/eqhilb/*.py
@@ -76,6 +78,28 @@ MUTANTS = (
     ("row_end_cap_strict",
      "m * keys[last] + first[last] >= len(rows) + rows_left",
      "m * keys[last] + first[last] > len(rows) + rows_left"),
+    # abacus.runners and abacus.from_core_quotient
+    ("size_identity_raise_dropped",
+     "    if size_check != lam.size:\n        raise InvariantViolationError(\n"
+     "            f\"size identity failed for {lam} at n={n}: {lam.size} != {size_check}\"\n"
+     "        )\n",
+     ""),
+    ("alignment_m_mod_n",
+     "MultiPartition._of(tuple(quot), -m % n)",
+     "MultiPartition._of(tuple(quot), m % n)"),
+    ("rotation_offset_d_off_by_one",
+     "d = (-len(rows) - rho) % n",
+     "d = (-len(rows) - rho + 1) % n"),
+    ("core_level_test_le",
+     "if levels != sum(c * (c - 1) // 2 for c in sizes):",
+     "if levels <= sum(c * (c - 1) // 2 for c in sizes):"),
+    ("extra_starts_at_minus_1",
+     "        extra = 0\n",
+     "        extra = -1\n"),
+    # stabilization._anchor
+    ("anchor_skips_the_last_point",
+     "    for t in range(r + 1):\n        pt = Box(",
+     "    for t in range(r):\n        pt = Box("),
 )
 
 
