@@ -41,7 +41,7 @@ from typing import NamedTuple
 
 from .coloring import _tallies_match
 from .errors import AmbiguousQuotientError, InvariantViolationError, NotNCoreError, PreconditionError
-from .partitions import Partition
+from .partitions import Partition, _require_partition
 
 _EMPTY = Partition()
 
@@ -74,12 +74,6 @@ class Abacus(_Abacus):
         return "...11|" + "".join(str(x) for x in self.word) + "|00..."
 
 
-def _require_partition(name: str, value: object) -> None:
-    """Refuse a ``value`` that is not a ``Partition``, by its ``name``."""
-    if not isinstance(value, Partition):
-        raise PreconditionError(f"{name} must be a Partition, got {value!r}")
-
-
 def _beta(rows: tuple[int, ...], k: int) -> list[int]:
     """The ``k`` beta-numbers ``rows_t - t + k`` of a row tuple, largest first."""
     rows = rows + (0,) * (k - len(rows))
@@ -96,6 +90,7 @@ def _rows_of_beta(xs: list[int]) -> tuple[int, ...]:
 
 def to_abacus(lam: Partition) -> Abacus:
     """Canonical (charge-0) abacus of a partition."""
+    _require_partition("lam", lam)
     m = len(lam.rows)
     beads = set(_beta(lam.rows, m))
     word = tuple(int(x in beads) for x in range(max(beads, default=-1) + 1))

@@ -18,7 +18,7 @@ from typing import TYPE_CHECKING, NamedTuple
 from .coloring import (MAX_BOXES_ENV, GroupParams, _box_ceiling, _order_range, _reflections,
                        _require_ints, _stretch, enumerate_balanced)
 from .errors import EnumerationLimitError, InsufficientSamplesError, PreconditionError
-from .partitions import Partition
+from .partitions import Partition, _require_partition
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -49,6 +49,7 @@ def rectangle_map(g: GroupParams, lam: Partition) -> Partition:
     Row ``lam_j`` becomes ``-b`` consecutive rows of length ``a*lam_j``,
     so the image has ``-a*b`` times as many boxes.
     """
+    _require_partition("lam", lam)
     if not (g.a > 0 > g.b):
         raise PreconditionError(f"requires a > 0 > b, got ({g.a}, {g.b})")
     return Partition(_stretch(lam.rows, g.a, -g.b))
@@ -58,6 +59,7 @@ def satisfies_star(mu: Partition, a: int, b: int) -> bool:
     """Membership test for the rectangle-map image of coprime ``a > 0 > b``:
     ``mu`` has a multiple of ``-b`` rows, and stretching its rows ``0, -b,
     -2b, ...``, each divided by ``a``, gives ``mu`` back."""
+    _require_partition("mu", mu)
     _require_ints(a=a, b=b)
     if not (a > 0 > b):
         raise PreconditionError(f"requires a > 0 > b, got ({a}, {b})")

@@ -14,9 +14,10 @@ one multiset of residues; likewise for ``b`` with the column ends
 ``a*i + b*h_i`` and the ``a*i``.  As ``a`` and ``b`` are coprime, a histogram
 invariant under both is flat, and so is one invariant under a unit ``a``.
 
-One memo entry per coloring key holds what is computed per family: the
-members, the attracting-cell statistic of each one and their L-class.
-Below it, one memo entry per normal form ``(c, m, r)`` holds the rows and
+Two ``lru_cache`` memos hold what is computed per family.
+``_balanced_family``, keyed by the coloring key, holds the members, the
+attracting-cell statistic of each one and their L-class.  Below it,
+``_search``, keyed by the normal form ``(c, m, r)``, holds the rows and
 statistics of its search, so coloring keys with one normal form search once.
 """
 
@@ -45,10 +46,6 @@ _ENV_KEY = os.environ.encodekey(MAX_BOXES_ENV)
 #: Records kept by the family memo (one per ``_family_key``) and by the search
 #: memo (one per normal form), so memory stays bounded.
 _MEMO_SIZE = 256
-
-#: The search memo: the rows and statistics ``_search`` returns, keyed by the
-#: normal form ``(c, m, r)``; the oldest entry is evicted first.
-_search_memo: dict[tuple[int, int, int], tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]] = {}
 
 
 class _GroupParams(NamedTuple):
@@ -97,6 +94,8 @@ def is_balanced(g: GroupParams, lam: Partition) -> tuple[bool, int | None]:
     The empty partition is balanced with multiplicity 0.  The size and the
     boundary tallies decide, so a huge ``n`` costs nothing.
     """
+    if not isinstance(lam, Partition):
+        raise PreconditionError(f"lam must be a Partition, got {lam!r}")
     if lam.size % g.n or not _tallies_match(g.a, g.b, g.n, lam.rows):
         return (False, None)
     return (True, lam.size // g.n)
@@ -347,7 +346,7 @@ def _reflections(a: int, b: int, n: int) -> tuple[int, int]:
 def _normal_form(key: tuple[int, int, int, int]) -> tuple[int, int, tuple[int, int, int]]:
     """``(wide, tall, (c, m, r))``: the pseudo-reflections of ``key`` and the
     normal form ``(1, c; m)`` with ``r`` that ``_search`` runs on, the key
-    of the search memo (``_balanced_family``)."""
+    of its memo."""
     am, bm, n, r = key
     wide, tall = _reflections(am, bm, n)
     m = n // (wide * tall)
@@ -367,29 +366,21 @@ def _balanced_family(key: tuple[int, int, int, int]) -> _FamilyRecord:
     columns, each row repeated ``h`` times.  Then the weights are units mod
     the order ``m``, and scaling both by the inverse of the x-weight only
     relabels the colors: ``_search`` runs on the normal form ``(1, c; m)``,
-    once per ``(c, m, r)`` while ``_search_memo`` keeps it.  Its rows,
-    emitted in sorted order, are stretched, which keeps that order, and
-    each member is built once; a stretch keeps the statistics, which
-    give the L-class.  The search recurses once per row, so a member with
-    more rows than Python's frame limit allows is refused, and the refusal
-    is not kept.  The search memo is read here rather than by wrapping
-    ``_search``: a wrapper would add a frame to every search and refuse
-    members one row shorter.
+    once per ``(c, m, r)`` while its memo keeps it.  Its rows, emitted in
+    sorted order, are stretched, which keeps that order, and each member
+    is built once; a stretch keeps the statistics, which give the L-class.
+    The search recurses once per row, so a member with more rows than
+    Python's frame limit allows is refused; a call that raises leaves no
+    memo entry.
     """
     wide, tall, form = _normal_form(key)
-    searched = _search_memo.get(form)
-    if searched is None:
-        try:
-            searched = _search(*form)
-        except RecursionError:
-            am, bm, n, r = key
-            raise EnumerationLimitError(
-                f"the balanced search of ({am},{bm};{n}) r={r} places more rows than "
-                f"the frame limit of {sys.getrecursionlimit()} allows") from None
-        if len(_search_memo) >= _MEMO_SIZE:
-            del _search_memo[next(iter(_search_memo))]
-        _search_memo[form] = searched
-    found, dims = searched
+    try:
+        found, dims = _search(*form)
+    except RecursionError:
+        am, bm, n, r = key
+        raise EnumerationLimitError(
+            f"the balanced search of ({am},{bm};{n}) r={r} places more rows than "
+            f"the frame limit of {sys.getrecursionlimit()} allows") from None
     if wide * tall > 1:
         found = [_stretch(rows, wide, tall) for rows in found]
     by_dim = Counter(dims)
@@ -397,6 +388,7 @@ def _balanced_family(key: tuple[int, int, int, int]) -> _FamilyRecord:
                          LPolynomial(by_dim[k] for k in range(max(by_dim, default=-1) + 1)))
 
 
+@functools.lru_cache(maxsize=_MEMO_SIZE)
 def _search(c: int, m: int, r: int) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
     """The member rows of ``(1, c; m)``, ``c`` a unit mod ``m``, in the order the
     row search of ``enumerate_balanced`` emits them, and the statistic of each

@@ -118,6 +118,12 @@ class Partition:
         return ",".join(str(r) for r in self.rows) if self.rows else EMPTY_TEXT
 
 
+def _require_partition(name: str, value: object) -> None:
+    """Refuse a ``value`` that is not a ``Partition``, by its ``name``."""
+    if not isinstance(value, Partition):
+        raise PreconditionError(f"{name} must be a Partition, got {value!r}")
+
+
 def _column_heights(rows) -> list[int]:
     """Heights of the columns of the weakly decreasing ``rows``, column 0 first."""
     heights: list[int] = []
@@ -162,6 +168,7 @@ def diagram(lam: Partition, cell: Callable[[Box], str] | None = None) -> str:
     ``cell`` may supply the character for each box (used for residue
     coloring); the default is '#'.
     """
+    _require_partition("lam", lam)
     if not lam.rows:
         return EMPTY_TEXT
     fill = cell if cell is not None else (lambda box: "#")

@@ -38,7 +38,7 @@ from __future__ import annotations
 from .coloring import (GroupParams, _family_record, _order_range, _require_balanced, _require_ints,
                        is_balanced)
 from .errors import InvariantViolationError, PreconditionError
-from .partitions import Box, Partition, _column_heights
+from .partitions import Box, Partition, _column_heights, _require_partition
 
 
 def _positive_weights(g: GroupParams) -> GroupParams:
@@ -140,6 +140,7 @@ def psi_inverse(g: GroupParams, r: int, mu: Partition) -> Partition:
     drops the boxes colored in ``[n, m-1]`` that the insertion added.  The
     answer is verified by re-applying the insertion.
     """
+    _require_partition("mu", mu)
     return _insert(g, r, mu, -1)
 
 

@@ -34,7 +34,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .coloring import GroupParams, _require_balanced
-from .partitions import Box, Partition, _column_heights
+from .partitions import Box, Partition, _column_heights, _require_partition
 
 ARROW_D = "D"
 ARROW_U = "U"
@@ -58,6 +58,7 @@ class Arrow(NamedTuple):
 
 def distinguished_arrows(lam: Partition) -> tuple[Arrow, ...]:
     """The 2*size(lam) distinguished arrows, two per box, row-major."""
+    _require_partition("lam", lam)
     heights = _column_heights(lam.rows)
     arrows: list[Arrow] = []
     for j, length in enumerate(lam.rows):

@@ -116,3 +116,30 @@ def test_records_store_tuples():
     assert type(qp.class_validated) is tuple
     assert {qp: 1}[eqhilb.Quasipolynomial(2, ((1, 2), None), 1, (True, None))] == 1
     assert qp._replace(polys=[None, [3]]).polys == (None, (3,))
+
+
+_G = eqhilb.GroupParams(1, 1, 2)
+_MIXED = eqhilb.GroupParams(1, -1, 2)
+
+#: each public function that takes a partition, with the tuple ``(2,)`` in
+#: its place, and the name of that argument
+TUPLE_FOR_PARTITION = [
+    pytest.param(lambda lam: eqhilb.is_balanced(_G, lam), "lam", id="is_balanced"),
+    pytest.param(lambda lam: eqhilb.betti_statistic(_G, lam), "lam", id="betti_statistic"),
+    pytest.param(lambda lam: eqhilb.psi(_G, 1, lam), "lam", id="psi"),
+    pytest.param(lambda mu: eqhilb.psi_inverse(_G, 1, mu), "mu", id="psi_inverse"),
+    pytest.param(eqhilb.to_abacus, "lam", id="to_abacus"),
+    pytest.param(eqhilb.distinguished_arrows, "lam", id="distinguished_arrows"),
+    pytest.param(lambda lam: eqhilb.invariant_arrows(_G, lam), "lam", id="invariant_arrows"),
+    pytest.param(eqhilb.diagram, "lam", id="diagram"),
+    pytest.param(lambda lam: eqhilb.rectangle_map(_MIXED, lam), "lam", id="rectangle_map"),
+    pytest.param(lambda mu: eqhilb.satisfies_star(mu, 1, -1), "mu", id="satisfies_star"),
+]
+
+
+@pytest.mark.parametrize("call, name", TUPLE_FOR_PARTITION)
+def test_functions_refuse_a_tuple_for_a_partition(call, name):
+    """A tuple where a partition belongs is refused by the argument's name,
+    not left to end in an AttributeError."""
+    with pytest.raises(eqhilb.PreconditionError, match=rf"^{name} must be a Partition, got \(2,\)$"):
+        call((2,))

@@ -202,7 +202,7 @@ def test_memos_are_bounded_and_recompute_evicted_keys():
         l_class(g, 1)
     memo = coloring._balanced_family
     assert memo.cache_info().currsize <= bound
-    assert len(coloring._search_memo) <= bound
+    assert coloring._search.cache_info().currsize <= bound
     misses = memo.cache_info().misses
     assert enumerate_balanced(first, 1) == family == brute_force_balanced(first, 1)
     assert l_class(first, 1) == lc
@@ -210,50 +210,81 @@ def test_memos_are_bounded_and_recompute_evicted_keys():
 
 
 def test_search_memo_is_bounded_and_recomputes_evicted_forms():
-    """More normal forms ``(c, m, 1)`` than the search memo holds: the oldest
-    are evicted first and searched again, equal to the brute-force filter."""
+    """More normal forms ``(c, m, 1)`` than the search memo holds: the least
+    recent are evicted first and searched again, equal to the brute-force
+    filter."""
     bound = coloring._MEMO_SIZE
+    search = coloring._search
     coloring._balanced_family.cache_clear()
-    coloring._search_memo.clear()
+    search.cache_clear()
     groups = [GroupParams(1, c, m) for m in range(2, 31) for c in range(m) if math.gcd(c, m) == 1]
     assert len(groups) > bound
     for g in groups:
         enumerate_balanced(g, 1)
-    assert len(coloring._search_memo) <= bound
+    full = search.cache_info()
+    assert full.currsize <= bound
     first = groups[0]
-    assert (1, 2, 1) not in coloring._search_memo
-    size = len(coloring._search_memo)
     assert enumerate_balanced(first, 1) == brute_force_balanced(first, 1)
-    assert (1, 2, 1) in coloring._search_memo and len(coloring._search_memo) == size
+    again = search.cache_info()
+    assert (again.misses, again.currsize) == (full.misses + 1, full.currsize)
+    assert coloring._normal_form(coloring._family_key(first, 1))[2] == (1, 2, 1)
+    search(1, 2, 1)
+    assert search.cache_info().hits == again.hits + 1
+
+
+def test_search_memo_hit_refreshes_its_form():
+    """A hit makes its form the most recent: the first form, requested again
+    once the memo is full, is still held after ``_MEMO_SIZE - 1`` new forms,
+    where evicting the oldest entry first would have dropped it."""
+    bound = coloring._MEMO_SIZE
+    search = coloring._search
+    search.cache_clear()
+    forms = [(c, m, 1) for m in range(2, 46) for c in range(m) if math.gcd(c, m) == 1]
+    assert len(forms) >= 2 * bound - 1
+    for form in forms[:bound]:
+        search(*form)
+    search(*forms[0])
+    for form in forms[bound:2 * bound - 1]:
+        search(*form)
+    info = search.cache_info()
+    assert (info.currsize, info.misses) == (bound, 2 * bound - 1)
+    search(*forms[0])
+    assert search.cache_info().hits == info.hits + 1
 
 
 def test_search_memo_serves_the_keys_of_one_normal_form():
     """(1,1;1), (2,3;2), (3,2;3) and (2,3;6) are four coloring keys; divided
     by their pseudo-reflections each is the trivial group, searched as
-    (0, 1, r).  Only the first request searches."""
+    (0, 1, r).  Only the first request searches; the others hit."""
+    search = coloring._search
     coloring._balanced_family.cache_clear()
-    coloring._search_memo.clear()
+    search.cache_clear()
     groups = [GroupParams(1, 1, 1), GroupParams(2, 3, 2), GroupParams(3, 2, 3), GroupParams(2, 3, 6)]
     for r in (1, 2, 3):
-        assert len({coloring._family_key(g, r) for g in groups}) == len(groups)
+        keys = {coloring._family_key(g, r) for g in groups}
+        assert len(keys) == len(groups)
+        assert {coloring._normal_form(key)[2] for key in keys} == {(0, 1, r)}
         for k, g in enumerate(groups):
-            size = len(coloring._search_memo)
+            before = search.cache_info()
             assert enumerate_balanced(g, r) == brute_force_balanced(g, r), (g, r)
-            assert len(coloring._search_memo) == size + (k == 0), (g, r)
-        assert (0, 1, r) in coloring._search_memo
+            after = search.cache_info()
+            assert (after.misses, after.hits) == (before.misses + (k == 0),
+                                                  before.hits + (k > 0)), (g, r)
 
 
 def test_refused_searches_leave_no_memo_entry(monkeypatch):
     """A family past the ceiling is refused before the search, one with more
-    rows than the frame limit allows inside it; neither is kept."""
-    before = dict(coloring._search_memo)
+    rows than the frame limit allows inside it; neither is kept, so the
+    second request of the deep family searches again."""
+    before = coloring._search.cache_info()
     with pytest.raises(EnumerationLimitError):
         enumerate_balanced(GroupParams(1, 2, 81), 1)
     monkeypatch.setenv("EQHILB_MAX_BOXES", "5000")
     for _ in range(2):
         with pytest.raises(EnumerationLimitError, match="frame limit"):
             enumerate_balanced(GroupParams(1, 2, 2001), 1)
-    assert coloring._search_memo == before
+    after = coloring._search.cache_info()
+    assert (after.currsize, after.misses) == (before.currsize, before.misses + 2)
 
 
 def test_l_class_matches_gottsche_product():

@@ -4,8 +4,8 @@ For each workload of ``perfbench/workloads.py`` (``grid``, ``deep`` and
 ``checks``, at full scale) it empties both memos of ``eqhilb.coloring``,
 runs one pass of the workload's operations untraced, and counts the
 misses of the family memo (one per coloring key ``(a mod n, b mod n, n,
-r)``) and of the search memo below it (one per normal form ``(c, m, r)``,
-counted as calls of ``coloring._search``).  The seed orders the requests
+r)``) and of the search memo below it (one per normal form ``(c, m, r)``),
+each read from its ``cache_info()``.  The seed orders the requests
 but does not change which keys they hit, so the misses do not depend on it.
 
     PYTHONPATH=src python3 tools/memo_traffic.py
@@ -31,26 +31,14 @@ import workloads  # noqa: E402
 def cold_pass_misses(workload: str, golden: dict) -> dict[str, int]:
     """Family-memo and search-memo misses of one pass from empty memos."""
     coloring._balanced_family.cache_clear()
-    coloring._search_memo.clear()
-    search = coloring._search
-    searches = 0
-
-    def counted(c: int, m: int, r: int):
-        nonlocal searches
-        searches += 1
-        return search(c, m, r)
-
-    coloring._search = counted
-    try:
-        tracer = workloads.Tracer(enabled=False)
-        ops = workloads.build_ops(workload, "full", 0, golden, tracer)
-        _, _, failed, _ = workloads.run_pass(ops, tracer)
-    finally:
-        coloring._search = search
+    coloring._search.cache_clear()
+    tracer = workloads.Tracer(enabled=False)
+    ops = workloads.build_ops(workload, "full", 0, golden, tracer)
+    _, _, failed, _ = workloads.run_pass(ops, tracer)
     if failed:
         raise SystemExit(f"{failed} operations of {workload} failed")
     return {"family_misses": coloring._balanced_family.cache_info().misses,
-            "search_misses": searches}
+            "search_misses": coloring._search.cache_info().misses}
 
 
 def main() -> None:

@@ -78,6 +78,26 @@ MUTANTS = (
     ("row_end_cap_strict",
      "m * keys[last] + first[last] >= len(rows) + rows_left",
      "m * keys[last] + first[last] > len(rows) + rows_left"),
+    # the balance test coloring._tallies_match
+    ("tally_row_residues_a_j",
+     "sorted([b * j % n for j in range(len(rows))])",
+     "sorted([a * j % n for j in range(len(rows))])"),
+    ("tally_column_end_one_low",
+     "(a * i + b * h) % n for i, h in",
+     "(a * i + b * (h - 1)) % n for i, h in"),
+    ("tally_unit_shortcut_dropped",
+     "    if math.gcd(a, n) == 1:\n        return True\n",
+     ""),
+    # the statistic tangent._cell_dimension
+    ("cell_key_one_column_long",
+     "key[:length].count(",
+     "key[:length + 1].count("),
+    ("cell_row_end_leg_off_by_one",
+     "if b * (heights[length - 1] - j) % n == 0:",
+     "if b * (heights[length - 1] - j - 1) % n == 0:"),
+    ("cell_column_key_at_height",
+     "key = [(a * i + b * (h - 1)) % n",
+     "key = [(a * i + b * h) % n"),
     # abacus.runners and abacus.from_core_quotient
     ("size_identity_raise_dropped",
      "    if size_check != lam.size:\n        raise InvariantViolationError(\n"
