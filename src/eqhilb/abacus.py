@@ -22,9 +22,15 @@ each runner form a beta-set of their own, whose partition is one
 component of the n-quotient; packing every runner's beads down to the
 levels ``0, 1, ...`` gives the beta-set of the n-core, and
 ``|lam| = |core| + n * sum(|quotient parts|)``.  ``runners`` reads both
-off the row tuple in one pass over the runners; ``from_core_quotient``
-reads the core's runner sizes off its rows and checks each candidate in
-closed form instead of decomposing it again.
+off the row tuple in one pass over the runners.  ``from_core_quotient``
+reads the core's runner sizes ``c`` off its rows and checks each candidate
+in closed form instead of decomposing it again: the core is an n-core
+when the levels of its beads sum to ``sum(c*(c-1)/2)``, and a candidate's
+parts read back as given when the rotation by
+``(-len(rows) - alignment) % n`` fixes them.  The row ends ``l_j - j`` are
+the beta-numbers up to one common shift, so an empty n-core is the same
+as balance for ``(1, -1; n)``: ``has_empty_core`` checks the size and the
+row-end tally of ``coloring``.
 
 The runners are labelled from the window start, which sits at
 ``-(number of parts)``, so the labels depend on the number of parts mod
@@ -139,8 +145,7 @@ class MultiPartition(_MultiPartition):
 
 
 def runners(lam: Partition, n: int) -> tuple[MultiPartition, Partition]:
-    """Runner decomposition: the n-quotient and the n-core, with runner ``i``
-    the beads ``x % n == i`` counted from the window start (module docstring)."""
+    """The n-quotient, with its alignment, and the n-core (module docstring)."""
     _require_partition("lam", lam)
     if type(n) is not int:
         raise PreconditionError(f"n must be an int, got {n!r}")
@@ -177,17 +182,13 @@ def runners(lam: Partition, n: int) -> tuple[MultiPartition, Partition]:
 
 
 def from_core_quotient(core: Partition, quot: MultiPartition) -> Partition:
-    """The partition with the given n-core and n-quotient.
+    """The partition with the given n-core and n-quotient (module docstring).
 
     When ``quot`` carries its alignment (every value produced by
     :func:`runners` does), the preimage is unique and this inverts the
     decomposition.  A bare tuple without alignment is reconstructed only
     if the consistent alignments rebuild one partition; otherwise the
     call raises ``AmbiguousQuotientError`` listing the candidates.
-
-    A candidate is kept when :func:`runners` would give back ``core`` and
-    ``quot.parts``: ``core`` is an n-core and the rotation by
-    ``(-len(rows) - alignment) % n`` fixes the parts.
     """
     _require_partition("core", core)
     if not isinstance(quot, MultiPartition):

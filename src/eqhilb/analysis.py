@@ -29,16 +29,9 @@ _HOLDOUT = 2
 
 
 def normalize_group(g: GroupParams) -> GroupParams:
-    """Divide common factors of each weight with the order out of both.
-
-    The resulting parameters have both weights coprime to the order and
-    describe the same Hilbert scheme, hence the same L-class for every
-    multiplicity: the common factors act as pseudo-reflections, and the
-    balanced family of ``g`` is that of the result with each box stretched
-    into a block, each statistic kept.  The family search
-    (``coloring._balanced_family``) runs on that identity and divides by
-    the same ``coloring._reflections``.
-    """
+    """``g`` with its pseudo-reflections divided out: both weights coprime to
+    the order, and the same L-class for every multiplicity
+    (``coloring._balanced_family``)."""
     wide, tall = _reflections(g.a, g.b, g.n)
     return GroupParams(g.a // tall, g.b // wide, g.n // (wide * tall))
 

@@ -14,11 +14,17 @@ one multiset of residues; likewise for ``b`` with the column ends
 ``a*i + b*h_i`` and the ``a*i``.  As ``a`` and ``b`` are coprime, a histogram
 invariant under both is flat, and so is one invariant under a unit ``a``.
 
-Two ``lru_cache`` memos hold what is computed per family.
-``_balanced_family``, keyed by the coloring key, holds the members, the
-attracting-cell statistic of each one and their L-class.  Below it,
-``_search``, keyed by the normal form ``(c, m, r)``, holds the rows and
-statistics of its search, so coloring keys with one normal form search once.
+A family is searched on the normal form of its key (``_balanced_family``)
+by a row search (``_search``).  Two ``lru_cache`` memos hold what is
+computed per family, each keeping its ``_MEMO_SIZE`` most recently used
+entries and no call that raised, such as a refused search.
+``_balanced_family``, keyed by the coloring key ``(a mod n, b mod n, n, r)``
+(``_family_key``), holds the members, the attracting-cell statistic of each
+one and their L-class, so signed weights with equal residues share one
+entry; every reader goes through ``_family_record``, which checks the box
+ceiling first, memo hits included.  Below it, ``_search``, keyed by the
+normal form ``(c, m, r)``, holds the rows and statistics of its search, so
+coloring keys with one normal form search once.
 """
 
 from __future__ import annotations
@@ -163,13 +169,9 @@ def _order_range(r: int, n_from: int, n_to: int) -> range:
 
 
 def _family_key(g: GroupParams, r: int) -> tuple[int, int, int, int]:
-    """The memo key ``(a mod n, b mod n, n, r)`` of the balanced family of ``g``.
-
-    Checks ``r`` and the ceiling on ``r*n`` first.  The coloring sees the
-    weights only through their residues, so signed weights with equal
-    residues share one key; every ``r = 0`` family is ``{empty}`` and
-    shares the trivial group's key.
-    """
+    """The family memo key ``(a mod n, b mod n, n, r)`` (module docstring),
+    after checking ``r`` and the ceiling on ``r*n``; every ``r = 0`` family is
+    ``{empty}`` and takes the trivial group's key."""
     if type(r) is not int:
         raise PreconditionError(f"multiplicity must be an int, got {r!r}")
     if r < 0:
@@ -273,44 +275,12 @@ class _FamilyRecord(NamedTuple):
 def enumerate_balanced(g: GroupParams, r: int) -> tuple[Partition, ...]:
     """All balanced partitions of ``r*n`` for the coloring ``g``, sorted.
 
-    Common factors of a weight and ``n`` act as pseudo-reflections: the
-    family is that of the smaller group whose weights are units mod its
-    order ``m``, with each box stretched into a block; scaling both weights
-    by a unit relabels the colors, so only its normal form ``(1, c; m)``
-    is searched.  Diagrams are built row by row (largest row first) while
-    tracking the color histogram.  Each later row puts one box in column
-    0, so the column-0 boxes the histogram can still take (no color above
-    ``r``) bound the rows left, and the next row is at least the remaining
-    boxes over that count; a node returns at once when that exceeds the
-    row above.  Each node receives the count from its parent, which reads it off the
-    colors of the row it places: counts only grow, so a color that fills
-    column 0 below the parent fills it one row sooner below the child, and
-    a color placed ``v`` times fills it ``m*(r - v)`` rows after its next
-    visit.  At most that many rows are left, and the row ends of a
-    balanced diagram take the residues ``c*j`` (module docstring), so a
-    node returns at once when the end residue of its last row already ends
-    as many rows as that allows.  A row closes the columns past its end,
-    and a balanced diagram's column ends take the residues ``i`` (module
-    docstring), so the node closes columns from the row above's end
-    leftwards, at most down to that bound, and stops at the first column
-    whose end residue is used up: that is its shortest row.  It then fills
-    the row once, box by box, as far as the histogram and the row above
-    allow; at each length from the shortest on it searches below that row
-    and reopens the column at its end for the next, longer row.  A row of
-    length 1 is allowed only when the count covers every remaining box;
-    then the rest of column 0 fits, so the all-ones tail is balanced and is
-    emitted at once as the first child.  The search thus emits rows in
-    ascending lexicographic order, the family's sorted order, and a stretch
-    keeps that order.  Row ``j``
-    starts at color ``c*j`` and reads the cycle ``0, 1, ..., m-1`` from
-    there, so the colors come from two lists of ``m*(r+1)`` entries: the
-    column-0 colors, indexed by ``j mod m``, and that cycle.  The search
-    returns rows and statistics (``tangent._cell_dimension``, folded in as
-    rows are placed); ``_balanced_family`` builds each member once.  Two
-    memos serve repeated requests: one per coloring key holds the family,
-    and below it one per normal form holds the search's rows and
-    statistics, so keys with one normal form search once.  The brute-force
-    filter over all partitions of ``r*n`` is the tests' oracle.
+    ``r`` must be a nonnegative int.  An ``r*n`` above the box ceiling is
+    refused with ``EnumerationLimitError``, and so is a family whose search
+    would place more rows than Python's frame limit allows.  The family is
+    read from the family memo (module docstring); ``_balanced_family``
+    reduces ``g`` to its normal form and ``_search`` finds the rows.  The
+    tests' oracle is the brute-force filter over all partitions of ``r*n``.
     """
     return _family_record(g, r).members
 
@@ -319,8 +289,8 @@ def l_class(g: GroupParams, r: int) -> LPolynomial:
     """Motivic class of the fixed-point family: sum of L^beta over balanced diagrams.
 
     Coefficient of ``L^k`` counts the balanced partitions with statistic
-    ``k``; its evaluation at 1 is the number of balanced partitions.
-    It is built and memoised with the family.
+    ``k``; its evaluation at 1 is the number of balanced partitions.  It is
+    read from the family memo, with the refusals of ``enumerate_balanced``.
     """
     return _family_record(g, r).l_class
 
@@ -337,16 +307,15 @@ def _stretch(rows: tuple[int, ...], wide: int, tall: int) -> tuple[int, ...]:
 
 
 def _reflections(a: int, b: int, n: int) -> tuple[int, int]:
-    """The orders ``(wide, tall) = (gcd(b, n), gcd(a, n))`` of the
-    pseudo-reflections of ``(a, b; n)``; dividing ``b`` by ``wide``, ``a`` by
-    ``tall`` and ``n`` by both leaves unit weights (``_normal_form``)."""
+    """``(wide, tall) = (gcd(b, n), gcd(a, n))``, the orders of the
+    pseudo-reflections of ``(a, b; n)`` (``_balanced_family``)."""
     return math.gcd(b, n), math.gcd(a, n)
 
 
 def _normal_form(key: tuple[int, int, int, int]) -> tuple[int, int, tuple[int, int, int]]:
-    """``(wide, tall, (c, m, r))``: the pseudo-reflections of ``key`` and the
-    normal form ``(1, c; m)`` with ``r`` that ``_search`` runs on, the key
-    of its memo."""
+    """``(wide, tall, (c, m, r))``: the pseudo-reflections of ``key`` and its
+    normal form ``(1, c; m)`` with ``r``, the key of ``_search``
+    (``_balanced_family``)."""
     am, bm, n, r = key
     wide, tall = _reflections(am, bm, n)
     m = n // (wide * tall)
@@ -355,23 +324,20 @@ def _normal_form(key: tuple[int, int, int, int]) -> tuple[int, int, tuple[int, i
 
 @functools.lru_cache(maxsize=_MEMO_SIZE)
 def _balanced_family(key: tuple[int, int, int, int]) -> _FamilyRecord:
-    """The record of ``key``, searched on the key with its pseudo-reflections
-    divided out: the one place that assembles a record.
+    """The record of ``key``: the one place that assembles a record.
 
-    With ``g = gcd(b, n)``, the subgroup of order ``g`` acts on ``x`` alone
-    and ``A^2`` over it is again ``A^2``: the balanced diagrams of
-    ``(a, b; n)`` are those of ``(a, b/g; n/g)`` with every row ``g`` times
-    as long, and each keeps its statistic (``analysis.normalize_group``
-    divides the same way).  With ``h = gcd(a, n)`` the same holds for
-    columns, each row repeated ``h`` times.  Then the weights are units mod
-    the order ``m``, and scaling both by the inverse of the x-weight only
-    relabels the colors: ``_search`` runs on the normal form ``(1, c; m)``,
-    once per ``(c, m, r)`` while its memo keeps it.  Its rows, emitted in
-    sorted order, are stretched, which keeps that order, and each member
-    is built once; a stretch keeps the statistics, which give the L-class.
-    The search recurses once per row, so a member with more rows than
-    Python's frame limit allows is refused; a call that raises leaves no
-    memo entry.
+    Common factors of a weight and ``n`` act as pseudo-reflections.  With
+    ``g = gcd(b, n)``, the subgroup of order ``g`` acts on ``x`` alone and
+    ``A^2`` over it is again ``A^2``: the balanced diagrams of ``(a, b; n)``
+    are those of ``(a, b/g; n/g)`` with every row ``g`` times as long, and
+    each keeps its statistic.  With ``h = gcd(a, n)`` the same holds for
+    columns, each row repeated ``h`` times.  Then both weights are units mod
+    ``m = n/(g*h)``, and scaling both by the inverse of the x-weight only
+    relabels the colors, so ``_search`` runs on the normal form
+    ``(1, c; m)``, ``c = (b/g) * (a/h)^-1 mod m``.  A stretch keeps the sorted
+    order and the statistics, which give the L-class; each member is built
+    once.  The search recurses once per row, so a member with more rows
+    than Python's frame limit allows is refused.
     """
     wide, tall, form = _normal_form(key)
     try:
@@ -390,25 +356,25 @@ def _balanced_family(key: tuple[int, int, int, int]) -> _FamilyRecord:
 
 @functools.lru_cache(maxsize=_MEMO_SIZE)
 def _search(c: int, m: int, r: int) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
-    """The member rows of ``(1, c; m)``, ``c`` a unit mod ``m``, in the order the
-    row search of ``enumerate_balanced`` emits them, and the statistic of each
-    (``tangent._cell_dimension``), folded in as rows are placed.
+    """The member rows of ``(1, c; m)``, ``c`` a unit mod ``m``, in ascending
+    lexicographic order, and the statistic of each, folded in as rows are placed.
 
-    Each node is one call of ``extend``, and every node runs one body: it
-    closes the columns past its shortest allowed row, then one loop fills
-    the row and tries its lengths, shortest first, searching below each and
-    reopening its end column before the next; length 1 is the all-ones
-    tail, emitted at once.  Its two bounds cost O(1) per node: the parent
-    hands each child the column-0 count ``rows_left``, the running minimum
-    at the moment it calls the child, and a node returns if the end residue
-    of its last row is at its cap among ``len(rows) + rows_left`` rows.  A
-    node whose shortest row is the row above tries only that repeat.
+    The search places rows longest first, one node (one call of ``extend``,
+    whose comments give the details) per row.  Every later row puts one box
+    in column 0, so ``rows_left``, the column-0 boxes the color counts can
+    still take, bounds the rows left, and the next row holds at least the
+    remaining boxes over it.  Row ends take the residues ``c*j`` (module
+    docstring), so a node returns when its last row's end residue is at its
+    cap among ``len(rows) + rows_left`` rows.  Column ends take the residues
+    ``i``, so a node closes columns from the row above's end leftwards until
+    an end residue is used up, which gives its shortest row, and tries its
+    lengths shortest first: the rows come out sorted.  Length 1 needs
+    ``rows_left`` to cover every remaining box, and that all-ones tail is
+    emitted at once.  Both bounds cost O(1) per node.
 
-    A box ``(i, j)`` counts when ``i + c*(h_i - 1) = l_j + c*j mod m``
-    (``h`` column heights, ``l`` row lengths), so a column adds, as it
-    closes, the earlier rows with its key.  A row-end box counts when
-    ``c*k = 0 mod m`` for the ``k`` rows from its own to the end of its
-    run of equal rows, so a run of ``k`` rows adds ``k // m``.
+    The statistic is the hook count of ``tangent`` with weights ``(1, c)``: a
+    column adds, as it closes, the earlier rows with its key, and a run of
+    ``k`` equal rows adds ``k // m`` row ends.
     """
     total = r * m
     # two lists of m*(r+1) colors: row j is the cycle 0, 1, ..., m-1 read

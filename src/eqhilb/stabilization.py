@@ -24,7 +24,8 @@ met once per wrap past a multiple of ``n``: column ``i < i0`` of height
 ``h`` becomes ``h + a*((a*i + b*h) // n)`` and row ``j < j0`` of length
 ``l`` becomes ``l + b*((b*j + a*l) // n)``.  The inverse subtracts the
 same terms with wraps counted at ``m = n + a*b``, as ``h' = h + a*w``
-gives ``w*m <= a*i + b*h' < w*m + n``.
+gives ``w*m <= a*i + b*h' < w*m + n``: it drops the boxes colored in
+``[n, m-1]`` that the insertion added.
 
 ``psi`` and ``psi_inverse`` share one checked step that checks each fact
 once: ``r >= 0``, ``n > r*a*b`` with ``n`` the smaller order, the input
@@ -84,10 +85,8 @@ def _reassemble(rows: list[int], heights: list[int], j0: int) -> Partition:
 
 
 def _shift(g: GroupParams, r: int, lam: Partition, sign: int) -> Partition:
-    """``lam`` cut at its anchor for ``g``, with ``sign`` times the wraps past
-    multiples of ``g.n`` added to each column left of it and each row below
-    it; the rows below the anchor are ``lam.rows`` cut or padded with 0s to
-    ``j0`` of them."""
+    """``lam`` with ``sign`` times the wraps past multiples of ``g.n`` added
+    left of and below its anchor (module docstring), unchecked."""
     a, b, order = g.a, g.b, g.n
     i0, j0 = _anchor(g, r, lam)
     heights = [h + sign * a * ((a * i + b * h) // order)
@@ -121,25 +120,15 @@ def _insert(g: GroupParams, r: int, lam: Partition, sign: int) -> Partition:
 
 
 def psi(g: GroupParams, r: int, lam: Partition) -> Partition:
-    """Insertion step: maps balanced diagrams at order n to order n + a*b.
-
-    Column ``i < i0`` of height ``h`` becomes ``h + a*((a*i + b*h) // n)``
-    and row ``j < j0`` of length ``l`` becomes ``l + b*((b*j + a*l) // n)``.
-    The result is balanced of ``r*(n+a*b)`` boxes with the same Betti
-    statistic; any failure of these guarantees raises, it is never repaired.
-    """
+    """Insertion step: maps a balanced diagram at order ``n`` to one at order
+    ``n + a*b`` with the same Betti statistic, by the checked step of the
+    module docstring; a failed check raises, it is never repaired."""
     return _insert(g, r, lam, 1)
 
 
 def psi_inverse(g: GroupParams, r: int, mu: Partition) -> Partition:
-    """The unique preimage of ``mu`` under the insertion step.
-
-    Splits ``mu`` at the anchor of the larger order ``m = n + a*b``: column
-    ``i < i0`` of height ``h`` becomes ``h - a*((a*i + b*h) // m)`` and row
-    ``j < j0`` of length ``l`` becomes ``l - b*((b*j + a*l) // m)``, which
-    drops the boxes colored in ``[n, m-1]`` that the insertion added.  The
-    answer is verified by re-applying the insertion.
-    """
+    """The unique preimage of ``mu`` under ``psi``, by the checked step of the
+    module docstring, which verifies it by re-applying the insertion."""
     _require_partition("mu", mu)
     return _insert(g, r, mu, -1)
 
@@ -150,7 +139,8 @@ def verify_period(g: GroupParams, r: int, n_from: int, n_to: int) -> dict:
     The orders run from ``n_from >= 1`` to ``n_to``, and at least one of
     them must exceed ``r*a*b``.  For every n with ``n > r*a*b`` the
     report records the two coefficient vectors, whether they agree, and a
-    witness that the insertion realizes a statistic-preserving bijection.
+    witness that the insertion realizes a statistic-preserving bijection;
+    an image outside the next family has ``betti_image`` None.
     """
     _require_ints(multiplicity=r, n_from=n_from, n_to=n_to)
     g = _positive_weights(g)

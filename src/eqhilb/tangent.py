@@ -16,10 +16,12 @@ plus every row-end box (``arm = 0``) with ``b*(leg+1) = 0 mod n``.  The
 level sets of this hook count over the balanced diagrams are the
 compactly supported Betti numbers, summed up by ``coloring.l_class``.
 
-The box condition compares a key of its column with a key of its row,
-so ``_cell_dimension`` makes one pass over the column heights and then
-one per row; the balanced search folds the same count in as it places
-rows (``coloring._search``).
+With ``h_i`` the column heights and ``l_j`` the row lengths, the box
+condition reads ``a*i + b*(h_i - 1) = a*l_j + b*j mod n``: a key of its
+column against a key of its row.  So ``_cell_dimension`` makes one pass
+over the column heights and then one per row, and the balanced search
+folds the same count in on the normal form as it places rows
+(``coloring._search``).
 
 ``Arrow`` spells the same weights out as lattice arrows that hug the
 boundary of the diagram (``D``: tail ``(l(j), j)``, head ``(i, c(i)-1)``;
@@ -84,13 +86,8 @@ def invariant_arrows(g: GroupParams, lam: Partition) -> tuple[Arrow, ...]:
 
 
 def _cell_dimension(a: int, b: int, n: int, lam: Partition) -> int:
-    """The hook count of the module docstring; ``lam`` must be balanced.
-
-    Every condition is a congruence mod ``n``, so ``(a, b)`` may be any
-    representatives of the weights' residues.  For box ``(i, j)`` the hook
-    condition reads ``a*i + b*(h_i - 1) = a*l_j + b*j`` (``h`` column
-    heights, ``l`` row lengths): one key per column, counted row by row.
-    """
+    """The hook count of the module docstring for the balanced ``lam``;
+    ``(a, b)`` may be any representatives of the weights' residues mod ``n``."""
     heights = _column_heights(lam.rows)
     key = [(a * i + b * (h - 1)) % n for i, h in enumerate(heights)]
     dim = 0

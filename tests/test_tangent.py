@@ -140,6 +140,24 @@ def test_betti_bounds_and_top_cell():
             assert betas.count(2 * r) == 1
 
 
+def test_l_class_has_one_top_cell():
+    """The family is connected of dimension 2r: the statistic the search folds
+    in puts exactly one member at L^(2r), on every coprime a, b in -6..6 with
+    r*n <= 24."""
+    requests = 0
+    for a in range(-6, 7):
+        for b in range(-6, 7):
+            if math.gcd(a, b) != 1:
+                continue
+            for n in range(1, 25):
+                g = GroupParams(a, b, n)
+                for r in range(1, 24 // n + 1):
+                    cls = l_class(g, r)
+                    assert cls.degree() == 2 * r and cls.coeff(2 * r) == 1, (g, r, cls)
+                    requests += 1
+    assert requests == 8064
+
+
 def test_l_class_values():
     assert l_class(GroupParams(1, -1, 3), 1) == LPolynomial([0, 2, 1])
     assert l_class(GroupParams(1, 1, 4), 0) == LPolynomial([1])

@@ -15,7 +15,12 @@ as the CLI would.
 
 Output is one JSON list with one entry per run: the weights, the order,
 the multiplicity, the exit code, the seconds, the peak RSS in MB, and the
-last line of stdout and of stderr.
+last line of stdout and of stderr.  ``tools/past_ceiling.expected`` holds
+the answers, that is the output without its ``seconds`` and
+``peak_rss_mb`` lines, and CI diffs a run against it:
+
+    python3 tools/past_ceiling.py | grep -Ev '^  "(seconds|peak_rss_mb)": ' \\
+        | diff tools/past_ceiling.expected -
 """
 
 from __future__ import annotations

@@ -10,17 +10,14 @@ keys have unit weights, so the search runs on each key's normal form
 ``(1, c; n)``, ``c = b * a^-1 mod n``; scaling both weights by a unit only
 relabels the colors, so it visits the same nodes as a search on the key.
 
-    PYTHONPATH=src python3 tools/search_nodes.py          # all keys below
-    PYTHONPATH=src python3 tools/search_nodes.py 37 49    # (3,4;n,3) only
+    PYTHONPATH=src python3 tools/search_nodes.py
 
-With no argument it covers ``(3,4;n,3)`` for ``n`` in 37, 49, 73 and 97
-and the keys of ``test_families_past_the_ceiling_keep_their_digests``.
-Output is one JSON object keyed by ``(a,b;n,r)``.  It raises
-``EQHILB_MAX_BOXES`` for its own run.  ``tools/search_nodes_all.expected``
-holds what the run with no argument prints, and CI diffs a run against it;
-a change that alters the search's nodes on purpose updates that file in
-the same change.  A run with orders is for quick looks and has no recorded
-file: its keys are the first entries of the full run.
+It covers ``(3,4;n,3)`` for ``n`` in 37, 49, 73 and 97 and the keys of
+``test_families_past_the_ceiling_keep_their_digests``.  Output is one JSON
+object keyed by ``(a,b;n,r)``.  It raises ``EQHILB_MAX_BOXES`` for its own
+run.  ``tools/search_nodes_all.expected`` holds what it prints, and CI
+diffs a run against it; a change that alters the search's nodes on purpose
+updates that file in the same change.
 """
 
 from __future__ import annotations
@@ -35,18 +32,15 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
 from eqhilb import GroupParams, coloring  # noqa: E402
 from oracles import live_prefixes, search_nodes  # noqa: E402
 
-ORDERS = (37, 49, 73, 97)
-DIGEST_KEYS = ((3, 4, 37, 3), (3, 4, 49, 3), (2, 5, 31, 3), (2, 5, 41, 3), (2, -3, 37, 3))
+#: (a, b, n, r): (3,4;n,3) for n in 37, 49, 73 and 97, then the other digest keys
+KEYS = ((3, 4, 37, 3), (3, 4, 49, 3), (3, 4, 73, 3), (3, 4, 97, 3), (2, 5, 31, 3), (2, 5, 41, 3),
+        (2, -3, 37, 3))
 
 
-def main(argv: list[str]) -> None:
-    orders = [int(arg) for arg in argv] or ORDERS
-    keys = [(3, 4, n, 3) for n in orders]
-    if not argv:
-        keys += [key for key in DIGEST_KEYS if key not in keys]
-    os.environ[coloring.MAX_BOXES_ENV] = str(max(r * n for _, _, n, r in keys))
+def main() -> None:
+    os.environ[coloring.MAX_BOXES_ENV] = str(max(r * n for _, _, n, r in KEYS))
     report = {}
-    for a, b, n, r in keys:
+    for a, b, n, r in KEYS:
         g = GroupParams(a, b, n)
         members = coloring.enumerate_balanced(g, r)
         report[f"({a},{b};{n},{r})"] = {"members": len(members),
@@ -56,4 +50,4 @@ def main(argv: list[str]) -> None:
 
 
 if __name__ == "__main__":
-    main(sys.argv[1:])
+    main()
