@@ -7,7 +7,10 @@ deterministic (identical invocations are byte-identical); ``--format
 json`` emits objects that parse back into the originating types, and
 ``--format csv`` emits one row per ``(a, b, n, r)`` with the Euler
 characteristic and the compactly supported Betti numbers.  Exit status
-is 0 exactly when every requested check passed.
+is 0 exactly when every requested check passed.  Every call pays for
+the modules it loads, so the top of this module imports only what every
+command needs, and each command imports the one further module it uses
+(``abacus``, ``analysis``, ``stabilization`` or ``tangent``) when it runs.
 """
 
 from __future__ import annotations
@@ -18,11 +21,7 @@ import os
 import sys
 from typing import Callable, NamedTuple
 
-from . import abacus as ab
-from . import analysis
 from . import coloring
-from . import stabilization
-from . import tangent
 from .errors import EqhilbError
 from .partitions import Partition, diagram
 
@@ -157,6 +156,7 @@ def _cmd_enumerate(args) -> _Report:
 
 
 def _cmd_betti(args) -> _Report:
+    from . import tangent
     g = _group(args)
     lam = _partition(args)
     beta = tangent.betti_statistic(g, lam)
@@ -201,6 +201,7 @@ def _cmd_poincare(args) -> _Report:
 
 
 def _cmd_psi(args) -> _Report:
+    from . import stabilization
     g = _group(args)
     lam = _partition(args)
     if args.inverse:
@@ -215,6 +216,7 @@ def _cmd_psi(args) -> _Report:
 
 
 def _cmd_verify_period(args) -> _Report:
+    from . import stabilization
     g = coloring.GroupParams(args.a, args.b, args.n_from)
     report = stabilization.verify_period(g, args.r, args.n_from, args.n_to)
     ok = report["all_equal"] and report["all_bijections_ok"]
@@ -224,6 +226,7 @@ def _cmd_verify_period(args) -> _Report:
 
 
 def _cmd_verify_qpoly(args) -> _Report:
+    from . import analysis
     g = coloring.GroupParams(args.a, args.b, args.n_from)
     report = analysis.verify_quasipolynomial(g, args.r, args.n_from, args.n_to)
     text = [f"counts: {report['counts']}"]
@@ -235,13 +238,14 @@ def _cmd_verify_qpoly(args) -> _Report:
 
 
 def _cmd_core_quotient(args) -> _Report:
+    from . import abacus
     lam = _partition(args)
     ceiling = coloring._box_ceiling()
     if args.n > ceiling + 1:  # the beads lie in 0..ceiling: more runners add only empty parts
         raise EqhilbError(f"--n is {args.n}, more than one above the ceiling of {ceiling} "
                           f"(raise {coloring.MAX_BOXES_ENV})")
-    quot, core = ab.runners(lam, args.n)
-    word = ab.to_abacus(lam)
+    quot, core = abacus.runners(lam, args.n)
+    word = abacus.to_abacus(lam)
     holds = lam.size == core.size + args.n * quot.total()
     payload = {
         "partition": str(lam),
@@ -264,6 +268,7 @@ def _cmd_core_quotient(args) -> _Report:
 
 
 def _cmd_hj(args) -> _Report:
+    from . import analysis
     terms = analysis.hj_expand(args.n, args.k)
     return _Report({"n": args.n, "k": args.k, "terms": list(terms), "length": len(terms)},
                    [f"{args.n}/{args.k} = [[{', '.join(str(t) for t in terms)}]], "
@@ -271,6 +276,7 @@ def _cmd_hj(args) -> _Report:
 
 
 def _cmd_check_star(args) -> _Report:
+    from . import analysis
     if args.partition is not None and (args.n is not None or args.r is not None):
         raise EqhilbError("check-star takes --partition or --n and --r, not both")
     if args.partition is not None:
@@ -289,6 +295,7 @@ def _cmd_check_star(args) -> _Report:
 
 
 def _cmd_normalize(args) -> _Report:
+    from . import analysis
     g = analysis.normalize_group(_group(args))
     return _Report(_group_json(g), [f"normalized parameters: {g}"])
 

@@ -308,6 +308,49 @@ def cotangent_weights(g, lam):
     return tuple(sorted(ar.weight for ar in invariant_arrows(g, lam)))
 
 
+def tangent_character_by_hom(lam):
+    """The torus character ``{(u, v): dimension}`` of the tangent space
+    ``Hom(I, A/I)`` at the monomial ideal ``I`` of ``lam``, from its
+    definition rather than from arm and leg lengths.
+
+    A map of weight ``(u, v)`` sends each monomial ``m`` of ``I`` to
+    ``c_m * m*x^u*y^v``, and ``c_m`` can be nonzero only where that product
+    is a box.  Commuting with ``x`` ties ``c_m`` to ``c_{x*m}`` when both
+    products are boxes, and forces ``c_{x*m} = 0`` when ``m`` lies in ``I``
+    but ``m*x^u*y^v`` leaves the quadrant; likewise for ``y``.  So the
+    dimension counts the components of the tied monomials (union-find) that
+    hold no forced zero.  For ``u < -width`` every row of monomials reaches
+    a forced zero left of column 0, and ``u >= width`` puts no box at all in
+    reach; likewise for ``v`` and the height, so only those weights are read.
+    """
+    boxes = set(lam.boxes())
+    width, height = (lam.rows[0], len(lam.rows)) if lam.rows else (0, 0)
+
+    def in_ideal(i, j):
+        return i >= 0 and j >= 0 and (i, j) not in boxes
+
+    def find(m):
+        while parent[m] != m:
+            parent[m] = m = parent[parent[m]]
+        return m
+
+    character = {}
+    for u in range(-width, width):
+        for v in range(-height, height):
+            parent = {(i - u, j - v): (i - u, j - v) for i, j in boxes if in_ideal(i - u, j - v)}
+            for i, j in parent:
+                for tied in ((i + 1, j), (i, j + 1)):
+                    if tied in parent:
+                        parent[find(tied)] = find((i, j))
+            dead = {find((i, j)) for i, j in parent
+                    for pi, pj in ((i - 1, j), (i, j - 1))
+                    if in_ideal(pi, pj) and (pi + u < 0 or pj + v < 0)}
+            live = len({find(m) for m in parent} - dead)
+            if live:
+                character[u, v] = live
+    return character
+
+
 def is_lex_positive(weight):
     """Positivity under any torus direction with p >> q > 0."""
     return weight[0] > 0 or (weight[0] == 0 and weight[1] > 0)

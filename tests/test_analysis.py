@@ -263,6 +263,9 @@ def test_fit_flags_inconsistent_class():
     samples = [(n, n * n) for n in range(6)]
     qp = fit_quasipolynomial(samples, 1, 1)
     assert qp.class_validated == (False,)
+    # the line through the last two training points (3, 9) and (4, 16); the
+    # held-out (5, 25) is not fitted
+    assert qp.polys == ((Fraction(-12), Fraction(7)),)
 
 
 def test_interpolate_matches_the_lagrange_basis():

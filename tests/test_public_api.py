@@ -2,6 +2,7 @@
 and the semantics of its records."""
 
 import copy
+import importlib
 import pickle
 import re
 
@@ -29,6 +30,26 @@ def test_all_is_the_pinned_list_and_resolves():
     assert sorted(eqhilb.__all__) == PUBLIC
     for name in eqhilb.__all__:
         getattr(eqhilb, name)
+
+
+def test_star_import_binds_exactly_all_and_dir_lists_it():
+    namespace = {}
+    exec("from eqhilb import *", namespace)
+    assert sorted(set(namespace) - {"__builtins__"}) == PUBLIC
+    assert set(eqhilb.__all__) <= set(dir(eqhilb))
+
+
+def test_each_name_is_its_defining_modules_object():
+    """The lazy exports hand out the objects of the modules that define them."""
+    for name in PUBLIC:
+        home = importlib.import_module(f"eqhilb.{eqhilb._EXPORTS[name]}")
+        value = getattr(eqhilb, name)
+        assert value is getattr(home, name) and value.__module__ == home.__name__, name
+
+
+def test_unknown_attribute_is_an_attribute_error():
+    with pytest.raises(AttributeError, match="^module 'eqhilb' has no attribute 'no_such_name'$"):
+        eqhilb.no_such_name
 
 
 #: one value of each public record, its repr, and what each validating

@@ -1,3 +1,4 @@
+import functools
 import math
 from collections import Counter
 
@@ -27,6 +28,7 @@ from oracles import (
     cotangent_weights,
     gottsche_l_class,
     is_lex_positive,
+    tangent_character_by_hom,
 )
 
 
@@ -120,6 +122,42 @@ def test_exactly_2r_invariant_arrows():
         for r in range(4):
             for lam in enumerate_balanced(g, r):
                 assert len(invariant_arrows(g, lam)) == 2 * r
+
+
+def test_tangent_space_by_hom_is_the_negated_arrow_weights():
+    """The arm-leg weights against the tangent space read off its definition:
+    on every partition of at most 10 boxes, ``Hom(I, A/I)`` has the arrow
+    weights negated as its character, of total dimension ``2|lam|``."""
+    for size in range(11):
+        for lam in partitions_of(size):
+            character = tangent_character_by_hom(lam)
+            assert character == Counter((-w1, -w2) for *_, (w1, w2) in distinguished_arrows(lam))
+            assert sum(character.values()) == 2 * size, lam
+
+
+def test_invariant_tangent_space_by_hom_gives_the_statistic():
+    """On the 545 balanced families with ``r*n <= 12``, ``r >= 1`` and coprime
+    weights ``1 <= a, b <= n``, the invariant part of ``Hom(I, A/I)`` has
+    ``2r`` weights at every member, and those that are lexicographically
+    negative (the tangent weights of the attracting cell) number
+    ``betti_statistic``."""
+    character = functools.cache(tangent_character_by_hom)
+    families = 0
+    for n in range(1, 13):
+        for a in range(1, n + 1):
+            for b in range(1, n + 1):
+                if math.gcd(a, b) != 1:
+                    continue
+                g = GroupParams(a, b, n)
+                for r in range(1, 12 // n + 1):
+                    families += 1
+                    for lam in enumerate_balanced(g, r):
+                        fixed = [(u, v) for (u, v), dim in character(lam).items()
+                                 if (a * u + b * v) % n == 0 for _ in range(dim)]
+                        assert len(fixed) == 2 * r, (g, r, lam)
+                        assert sum(is_lex_positive((-u, -v)) for u, v in fixed) == \
+                            betti_statistic(g, lam), (g, r, lam)
+    assert families == 545
 
 
 def test_cotangent_weights_values():
