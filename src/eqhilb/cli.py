@@ -7,7 +7,9 @@ deterministic (identical invocations are byte-identical); ``--format
 json`` emits objects that parse back into the originating types, and
 ``--format csv`` emits one row per ``(a, b, n, r)`` with the Euler
 characteristic and the compactly supported Betti numbers.  Exit status
-is 0 exactly when every requested check passed.  Every call pays for
+is 0 exactly when every requested check passed.  The table ``_COMMANDS``
+is the one place a subcommand and its options are declared, and
+``_build_parser`` builds every subparser from it.  Every call pays for
 the modules it loads, so the top of this module imports only what every
 command needs, and each command imports the one further module it uses
 (``abacus``, ``analysis``, ``stabilization`` or ``tangent``) when it runs.
@@ -300,105 +302,58 @@ def _cmd_normalize(args) -> _Report:
     return _Report(_group_json(g), [f"normalized parameters: {g}"])
 
 
+#: every subcommand in ``--help`` order: name, handler, help line, the
+#: options in order (``partition`` takes text, ``inverse`` is a switch and
+#: every other option an int; each is required unless a trailing ``?`` makes
+#: it optional), and whether it also offers ``--format csv`` and
+#: ``--render``/``--out``
+_COMMANDS = [
+    ("enumerate", _cmd_enumerate, "list balanced partitions with their statistic",
+     "a b n r", True, True),
+    ("betti", _cmd_betti, "statistic and invariant arrows of one partition",
+     "a b n partition", False, True),
+    ("poincare", _cmd_poincare, "L-class, Poincare polynomial and Euler characteristic",
+     "a b n? n-from? n-to? r", True, False),
+    ("psi", _cmd_psi, "apply the insertion map (or its inverse)",
+     "a b n r partition inverse?", False, False),
+    ("verify-period", _cmd_verify_period, "check periodicity of the L-class in n",
+     "a b r n-from n-to", False, False),
+    ("verify-qpoly", _cmd_verify_qpoly, "check quasipolynomiality of the count in n",
+     "a b r n-from n-to", False, False),
+    ("core-quotient", _cmd_core_quotient, "abacus word, n-core and n-quotient",
+     "n partition", False, False),
+    ("hj", _cmd_hj, "Hirzebruch-Jung continued fraction of n/k",
+     "n k", False, False),
+    ("check-star", _cmd_check_star, "rectangle condition / rectangle-map bijection",
+     "a b partition? n? r?", False, False),
+    ("normalize", _cmd_normalize, "reduce parameters to weights coprime to n",
+     "a b n", False, False),
+]
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
-    """The parser of every subcommand, built once per process: parsing leaves
-    it unchanged, and help is formatted only when printed."""
+    """The parser of every subcommand, built once per process from
+    ``_COMMANDS``: parsing leaves it unchanged, and help is formatted only
+    when printed."""
     parser = argparse.ArgumentParser(
         prog="eqhilb",
         description="Topological invariants of equivariant Hilbert schemes "
         "via balanced-partition combinatorics.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def fmt(p, csv=False):
-        choices = ["text", "json"] + (["csv"] if csv else [])
-        p.add_argument("--format", choices=choices, default="text")
-
-    def render(p):
-        p.add_argument("--render", choices=["ascii", "svg"])
-        p.add_argument("--out", help="output file for --render svg")
-
-    def group_args(p):
-        p.add_argument("--a", type=int, required=True)
-        p.add_argument("--b", type=int, required=True)
-
-    p = sub.add_parser("enumerate", help="list balanced partitions with their statistic")
-    group_args(p)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--r", type=int, required=True)
-    fmt(p, csv=True)
-    render(p)
-    p.set_defaults(func=_cmd_enumerate)
-
-    p = sub.add_parser("betti", help="statistic and invariant arrows of one partition")
-    group_args(p)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--partition", required=True)
-    fmt(p)
-    render(p)
-    p.set_defaults(func=_cmd_betti)
-
-    p = sub.add_parser("poincare", help="L-class, Poincare polynomial and Euler characteristic")
-    group_args(p)
-    p.add_argument("--n", type=int)
-    p.add_argument("--n-from", type=int)
-    p.add_argument("--n-to", type=int)
-    p.add_argument("--r", type=int, required=True)
-    fmt(p, csv=True)
-    p.set_defaults(func=_cmd_poincare)
-
-    p = sub.add_parser("psi", help="apply the insertion map (or its inverse)")
-    group_args(p)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--r", type=int, required=True)
-    p.add_argument("--partition", required=True)
-    p.add_argument("--inverse", action="store_true")
-    fmt(p)
-    p.set_defaults(func=_cmd_psi)
-
-    p = sub.add_parser("verify-period", help="check periodicity of the L-class in n")
-    group_args(p)
-    p.add_argument("--r", type=int, required=True)
-    p.add_argument("--n-from", type=int, required=True)
-    p.add_argument("--n-to", type=int, required=True)
-    fmt(p)
-    p.set_defaults(func=_cmd_verify_period)
-
-    p = sub.add_parser("verify-qpoly", help="check quasipolynomiality of the count in n")
-    group_args(p)
-    p.add_argument("--r", type=int, required=True)
-    p.add_argument("--n-from", type=int, required=True)
-    p.add_argument("--n-to", type=int, required=True)
-    fmt(p)
-    p.set_defaults(func=_cmd_verify_qpoly)
-
-    p = sub.add_parser("core-quotient", help="abacus word, n-core and n-quotient")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--partition", required=True)
-    fmt(p)
-    p.set_defaults(func=_cmd_core_quotient)
-
-    p = sub.add_parser("hj", help="Hirzebruch-Jung continued fraction of n/k")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    fmt(p)
-    p.set_defaults(func=_cmd_hj)
-
-    p = sub.add_parser("check-star", help="rectangle condition / rectangle-map bijection")
-    group_args(p)
-    p.add_argument("--partition")
-    p.add_argument("--n", type=int)
-    p.add_argument("--r", type=int)
-    fmt(p)
-    p.set_defaults(func=_cmd_check_star)
-
-    p = sub.add_parser("normalize", help="reduce parameters to weights coprime to n")
-    group_args(p)
-    p.add_argument("--n", type=int, required=True)
-    fmt(p)
-    p.set_defaults(func=_cmd_normalize)
-
+    for name, func, summary, options, csv, render in _COMMANDS:
+        p = sub.add_parser(name, help=summary)
+        for option in options.split():
+            flag = option.removesuffix("?")
+            kind = {"partition": {}, "inverse": {"action": "store_true"}}.get(flag, {"type": int})
+            p.add_argument(f"--{flag}", required=flag == option, **kind)
+        p.add_argument("--format", choices=["text", "json"] + (["csv"] if csv else []),
+                       default="text")
+        if render:
+            p.add_argument("--render", choices=["ascii", "svg"])
+            p.add_argument("--out", help="output file for --render svg")
+        p.set_defaults(func=func)
     return parser
 
 

@@ -8,7 +8,9 @@ statistic, the abacus and the insertion map run ``KERNELS``
     python -m pytest -q -x tests/test_coloring.py tests/test_tangent.py \
         tests/test_abacus.py tests/test_stabilization.py
 
-and the analysis layer runs ``ANALYSIS``, ``tests/test_analysis.py`` alone.
+the analysis layer runs ``ANALYSIS``, ``tests/test_analysis.py`` alone,
+and the subcommand table of the CLI runs ``CLI``, ``tests/test_cli.py`` and
+the three golden replays ``tests/test_cli_*golden.py``.
 For each mutant the tool copies ``src/``, ``tests/`` and ``pyproject.toml``
 into a temporary directory, applies the edit there, runs the mutant's tests
 on the copy, and prints ``name KILLED`` if a test fails (or the run exceeds
@@ -37,6 +39,8 @@ ROOT = Path(__file__).resolve().parents[1]
 KERNELS = ("tests/test_coloring.py", "tests/test_tangent.py", "tests/test_abacus.py",
            "tests/test_stabilization.py")
 ANALYSIS = ("tests/test_analysis.py",)
+CLI = ("tests/test_cli.py", "tests/test_cli_golden.py", "tests/test_cli_formats_golden.py",
+       "tests/test_cli_help_golden.py")
 TIMEOUT_S = 300
 
 #: (name, old, new, tests); each old occurs exactly once in src/eqhilb/*.py
@@ -65,10 +69,10 @@ MUTANTS = (
      "if b <= bound:", KERNELS),
     # the bounds, caps, tallies and statistic folding of coloring._search
     ("wait_one_visit_late",
-     "wait = [m * (r - v) for v",
-     "wait = [m * (r - v + 1) for v", KERNELS),
+     "+ m * (r - v)",
+     "+ m * (r - v + 1)", KERNELS),
     ("leaf_without_run_laps",
-     "dims.append(dim + laps[run] + sum(",
+     "dims.append(dim + run // m + sum(",
      "dims.append(dim + sum(", KERNELS),
     ("ends_start_at_r_plus_1",
      "ends = [r] * m",
@@ -180,6 +184,16 @@ MUTANTS = (
     ("r0_range_ceiling_dropped",
      "if r == 0 and n_to - n_from >= (ceiling",
      "if r == -1 and n_to - n_from >= (ceiling", ANALYSIS),
+    # the subcommand table cli._COMMANDS
+    ("poincare_without_csv",
+     '"a b n? n-from? n-to? r", True, False)',
+     '"a b n? n-from? n-to? r", False, False)', CLI),
+    ("hj_k_optional",
+     '"n k", False, False)',
+     '"n k?", False, False)', CLI),
+    ("check_star_n_required",
+     '"a b partition? n? r?"',
+     '"a b partition? n r?"', CLI),
 )
 
 
