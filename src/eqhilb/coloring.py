@@ -383,11 +383,14 @@ def _search(c: int, m: int, r: int) -> tuple[tuple[tuple[int, ...], ...], tuple[
     # the colors along row j - 1 are also the keys of rows of those lengths
     starts = [c * j % m for j in range(m)] * (r + 1)
     cycle = list(range(m)) * (r + 1)
+    # a run of k equal rows holds laps[k] row ends that count
+    laps = [t // m for t in range(total + 1)]
     # column 0 has color x in the rows first[x] + m*q; a color already
     # placed v times can take column 0 at its next r - v visits, so it
-    # fills column 0 m*(r - v) rows after its next visit
+    # fills column 0 wait[v] rows after its next visit
     inverse = pow(c, -1, m)
     first = [x * inverse % m for x in range(m)]
+    wait = [m * (r - v) for v in range(r + 1)]
     counts = [0] * m
     # how many open column ends have each key i + c*h_i mod m: a balanced
     # diagram's take the residues of the i below its first row (module
@@ -413,7 +416,7 @@ def _search(c: int, m: int, r: int) -> tuple[tuple[tuple[int, ...], ...], tuple[
             # the open columns close, each matching the earlier rows and row j-1
             cols = cycle[below:below + max_row]
             found.append(tuple(rows))
-            dims.append(dim + run // m + sum(map(keys.__getitem__, cols))
+            dims.append(dim + laps[run] + sum(map(keys.__getitem__, cols))
                         + cols.count(cycle[below + max_row]))
             return
         # every row from j on puts one box in column 0, and rows_left is
@@ -442,7 +445,7 @@ def _search(c: int, m: int, r: int) -> tuple[tuple[tuple[int, ...], ...], tuple[
         # whose end is no longer open stops it.  closed counts the matches
         # of columns shut..max_row-1, and each row tried reopens its column
         keys[last] += 1
-        closed = dim + run // m
+        closed = dim + laps[run]
         shut = max_row
         while shut > shortest and ends[cycle[row + shut - 1]]:
             shut -= 1
@@ -461,7 +464,7 @@ def _search(c: int, m: int, r: int) -> tuple[tuple[tuple[int, ...], ...], tuple[
             if v > r:
                 break
             counts[x] = v
-            b = (first[x] - after) % m + m * (r - v)
+            b = (first[x] - after) % m + wait[v]
             if b < bound:
                 bound = b
             length += 1
@@ -475,7 +478,7 @@ def _search(c: int, m: int, r: int) -> tuple[tuple[tuple[int, ...], ...], tuple[
                 # the tail rows j + t, keyed 1 + c*(j + t)
                 top = starts[k + remaining - 1]
                 found.append(tuple(rows) + (1,) * (remaining - 1))
-                dims.append(closed + remaining // m + keys[top]
+                dims.append(closed + laps[remaining] + keys[top]
                             + starts[k:k + remaining].count((top - 1) % m))
             elif length == max_row:
                 # only the longest row repeats the row above

@@ -69,10 +69,10 @@ MUTANTS = (
      "if b <= bound:", KERNELS),
     # the bounds, caps, tallies and statistic folding of coloring._search
     ("wait_one_visit_late",
-     "+ m * (r - v)",
-     "+ m * (r - v + 1)", KERNELS),
+     "wait = [m * (r - v) for v",
+     "wait = [m * (r - v + 1) for v", KERNELS),
     ("leaf_without_run_laps",
-     "dims.append(dim + run // m + sum(",
+     "dims.append(dim + laps[run] + sum(",
      "dims.append(dim + sum(", KERNELS),
     ("ends_start_at_r_plus_1",
      "ends = [r] * m",
