@@ -16,7 +16,7 @@ import operator
 from typing import TYPE_CHECKING, NamedTuple
 
 from .coloring import (MAX_BOXES_ENV, GroupParams, _box_ceiling, _order_range, _reflections,
-                       _require_ints, _stretch, enumerate_balanced)
+                       _require_group, _require_ints, _stretch, enumerate_balanced)
 from .errors import EnumerationLimitError, InsufficientSamplesError, PreconditionError
 from .partitions import Partition, _require_partition
 
@@ -32,6 +32,7 @@ def normalize_group(g: GroupParams) -> GroupParams:
     """``g`` with its pseudo-reflections divided out: both weights coprime to
     the order, and the same L-class for every multiplicity
     (``coloring._balanced_family``)."""
+    _require_group(g)
     wide, tall = _reflections(g.a, g.b, g.n)
     return GroupParams(g.a // tall, g.b // wide, g.n // (wide * tall))
 
@@ -42,6 +43,7 @@ def rectangle_map(g: GroupParams, lam: Partition) -> Partition:
     Row ``lam_j`` becomes ``-b`` consecutive rows of length ``a*lam_j``,
     so the image has ``-a*b`` times as many boxes.
     """
+    _require_group(g)
     _require_partition("lam", lam)
     if not (g.a > 0 > g.b):
         raise PreconditionError(f"requires a > 0 > b, got ({g.a}, {g.b})")
@@ -69,6 +71,7 @@ def check_rectangle_bijection(g: GroupParams, r: int) -> dict:
     Requires mixed signs and both weights coprime to the order.  The
     report carries both cardinalities and any mismatch witnesses.
     """
+    _require_group(g)
     if not (g.a > 0 > g.b):
         raise PreconditionError(f"requires a > 0 > b, got ({g.a}, {g.b})")
     if math.gcd(g.a, g.n) != 1 or math.gcd(g.b, g.n) != 1:
@@ -302,6 +305,7 @@ def verify_quasipolynomial(g: GroupParams, r: int, n_from: int, n_to: int) -> di
     fit on all of them names the last order it misses, ``valid_from`` is
     the next fitted order, and the fit from there is reported.
     """
+    _require_group(g)
     _require_ints(multiplicity=r, n_from=n_from, n_to=n_to)
     if g.a * g.b >= 0:
         raise PreconditionError(f"requires weights of opposite sign, got ({g.a}, {g.b})")

@@ -89,8 +89,22 @@ class GroupParams(_GroupParams):
         return f"({self.a},{self.b};{self.n})"
 
 
+def _group_refusal(g: object) -> PreconditionError:
+    """The refusal of a ``g`` that is not a ``GroupParams``, a plain tuple among them."""
+    return PreconditionError(f"g must be a GroupParams, got {g!r}")
+
+
+def _require_group(g: object) -> None:
+    """Refuse a ``g`` that is not a ``GroupParams``.  The two warm-path readers,
+    ``is_balanced`` and ``_family_key``, catch the ``AttributeError`` instead,
+    which costs nothing when nothing is raised."""
+    if not isinstance(g, GroupParams):
+        raise _group_refusal(g)
+
+
 def color(g: GroupParams, box: Box) -> int:
     """Residue ``a*i + b*j mod n`` of a box, always in ``[0, n)``."""
+    _require_group(g)
     return (g.a * box[0] + g.b * box[1]) % g.n
 
 
@@ -102,9 +116,13 @@ def is_balanced(g: GroupParams, lam: Partition) -> tuple[bool, int | None]:
     """
     if not isinstance(lam, Partition):
         raise PreconditionError(f"lam must be a Partition, got {lam!r}")
-    if lam.size % g.n or not _tallies_match(g.a, g.b, g.n, lam.rows):
+    try:
+        a, b, n = g.a, g.b, g.n
+    except AttributeError:
+        raise _group_refusal(g) from None
+    if lam.size % n or not _tallies_match(a, b, n, lam.rows):
         return (False, None)
-    return (True, lam.size // g.n)
+    return (True, lam.size // n)
 
 
 def _tallies_match(a: int, b: int, n: int, rows: tuple[int, ...]) -> bool:
@@ -170,14 +188,18 @@ def _order_range(r: int, n_from: int, n_to: int) -> range:
 
 def _family_key(g: GroupParams, r: int) -> tuple[int, int, int, int]:
     """The family memo key ``(a mod n, b mod n, n, r)`` (module docstring),
-    after checking ``r`` and the ceiling on ``r*n``; every ``r = 0`` family is
-    ``{empty}`` and takes the trivial group's key."""
+    after checking ``g``, ``r`` and the ceiling on ``r*n``; every ``r = 0``
+    family is ``{empty}`` and takes the trivial group's key."""
     if type(r) is not int:
         raise PreconditionError(f"multiplicity must be an int, got {r!r}")
     if r < 0:
         raise PreconditionError(f"multiplicity must be nonnegative, got {r}")
+    try:
+        a, b, n = g.a, g.b, g.n
+    except AttributeError:
+        raise _group_refusal(g) from None
     ceiling = _box_ceiling()
-    total = r * g.n
+    total = r * n
     if total > ceiling:
         raise EnumerationLimitError(
             f"enumerating balanced partitions of {total} boxes exceeds the "
@@ -185,7 +207,7 @@ def _family_key(g: GroupParams, r: int) -> tuple[int, int, int, int]:
         )
     if r == 0:
         return (0, 0, 1, 0)
-    return (g.a % g.n, g.b % g.n, g.n, r)
+    return (a % n, b % n, n, r)
 
 
 class LPolynomial:

@@ -38,10 +38,12 @@ class Partition:
     """An immutable integer partition identified with its Young diagram.
 
     Partitions compare by size first, then lexicographically on the row
-    tuple, which gives the canonical order used for all enumerations.
+    tuple, which gives the canonical order used for all enumerations.  An
+    instance holds its rows and its size and nothing else: the hash is
+    computed from ``rows`` when asked for and equals ``hash(rows)``.
     """
 
-    __slots__ = ("rows", "size", "_hash")
+    __slots__ = ("rows", "size")
 
     def __init__(self, rows: Iterable[int] = ()):
         rows = tuple(rows)
@@ -54,7 +56,6 @@ class Partition:
                     raise ValueError(f"rows must be weakly decreasing, got {rows}")
         self.rows = rows
         self.size = sum(rows)
-        self._hash = hash(rows)
 
     @classmethod
     def _of(cls, rows: tuple[int, ...]) -> "Partition":
@@ -63,10 +64,11 @@ class Partition:
         Callers: ``runners`` (quotient parts and core) and ``from_core_quotient``
         (preimages) in the abacus layer, ``partitions_of`` and the family memo in
         ``coloring``.  ``MultiPartition._of`` does the same for the quotients of
-        ``runners``.
+        ``runners``.  Like ``__init__`` it stores the rows and their sum only;
+        the hash is ``hash(rows)``, computed on demand.
         """
         lam = object.__new__(cls)
-        lam.rows, lam.size, lam._hash = rows, sum(rows), hash(rows)
+        lam.rows, lam.size = rows, sum(rows)
         return lam
 
     @classmethod
@@ -109,7 +111,7 @@ class Partition:
         return (self.size, self.rows) < (other.size, other.rows)
 
     def __hash__(self) -> int:
-        return self._hash
+        return hash(self.rows)
 
     def __repr__(self) -> str:
         return f"Partition({self.rows!r})"

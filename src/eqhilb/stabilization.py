@@ -36,14 +36,16 @@ error; a failed output check raises ``InvariantViolationError``.
 
 from __future__ import annotations
 
-from .coloring import (GroupParams, _family_record, _order_range, _require_balanced, _require_ints,
-                       is_balanced)
+from .coloring import (GroupParams, _family_record, _order_range, _require_balanced, _require_group,
+                       _require_ints, is_balanced)
 from .errors import InvariantViolationError, PreconditionError
 from .partitions import Box, Partition, _column_heights, _require_partition
 
 
 def _positive_weights(g: GroupParams) -> GroupParams:
-    """Normalize (-a,-b) to (a,b); reject mixed signs."""
+    """Normalize (-a,-b) to (a,b); reject a ``g`` that is not a ``GroupParams``
+    and mixed signs."""
+    _require_group(g)
     if g.a > 0 and g.b > 0:
         return g
     if g.a < 0 and g.b < 0:

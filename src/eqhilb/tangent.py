@@ -35,7 +35,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .coloring import GroupParams, _require_balanced
+from .coloring import GroupParams, _require_balanced, _require_group
 from .partitions import Box, Partition, _column_heights, _require_partition
 
 ARROW_D = "D"
@@ -78,6 +78,7 @@ def distinguished_arrows(lam: Partition) -> tuple[Arrow, ...]:
 
 def invariant_arrows(g: GroupParams, lam: Partition) -> tuple[Arrow, ...]:
     """The distinguished arrows fixed by the group action."""
+    _require_group(g)
     return tuple(
         ar
         for ar in distinguished_arrows(lam)

@@ -1,6 +1,7 @@
 import pytest
 
-from eqhilb import Box, Partition, PreconditionError, diagram, partitions_of
+from eqhilb import (Box, GroupParams, Partition, PreconditionError, diagram, enumerate_balanced,
+                    from_core_quotient, partitions_of, runners)
 
 from oracles import col_height, partitions_by_recursion
 
@@ -159,3 +160,41 @@ def test_conjugate_involution_small_exhaustive():
     for m in range(13):
         for lam in partitions_of(m):
             assert lam.conjugate().conjugate() == lam
+
+
+def test_partition_holds_its_rows_and_size_only():
+    """Two slots and no ``__dict__``: a per-member cache would be a change
+    to this line, made on purpose."""
+    assert Partition.__slots__ == ("rows", "size")
+    for lam in (Partition((3, 1)), Partition._of((3, 1)), next(partitions_of(4))):
+        assert not hasattr(lam, "__dict__")
+        with pytest.raises(AttributeError):
+            lam.extra = 1
+
+
+def test_partitions_from_every_path_are_interchangeable_keys():
+    """Equal rows give equal hashes, equal to ``hash(rows)``, and one dict or
+    set key on every path that builds a partition: the constructor,
+    ``_of``, ``parse``, ``partitions_of``, family members (stretched ones
+    included), the parts and core of ``runners`` and ``from_core_quotient``."""
+    made = []
+    for m in range(9):
+        made += enumerate_balanced(GroupParams(1, 1, 1), m)
+        if m % 2 == 0:
+            # (1, 2; 2) stretches the members of its normal form two boxes wide
+            made += enumerate_balanced(GroupParams(1, 2, 2), m // 2)
+        for lam in partitions_of(m):
+            made += [lam, Partition(lam.rows), Partition._of(lam.rows), Partition.parse(str(lam))]
+            for n in range(1, 5):
+                quot, core = runners(lam, n)
+                made += [*quot.parts, core, from_core_quotient(core, quot)]
+    by_rows = {}
+    for lam in made:
+        assert type(lam) is Partition and not hasattr(lam, "__dict__"), lam
+        by_rows.setdefault(lam.rows, []).append(lam)
+    assert len(set(made)) == len(by_rows) == sum(1 for m in range(9) for _ in partitions_of(m))
+    for rows, group in by_rows.items():
+        table, seen = {group[0]: rows}, {group[-1]}
+        for lam in group:
+            assert hash(lam) == hash(rows), lam
+            assert table[lam] == rows and lam in seen, lam

@@ -164,3 +164,33 @@ def test_functions_refuse_a_tuple_for_a_partition(call, name):
     not left to end in an AttributeError."""
     with pytest.raises(eqhilb.PreconditionError, match=rf"^{name} must be a Partition, got \(2,\)$"):
         call((2,))
+
+
+_NOT_A_GROUP = (1, 2, 3)
+_LAM = eqhilb.Partition((2,))
+
+#: each public function that takes a ``GroupParams``, with the tuple
+#: ``(1, 2, 3)`` in its place
+TUPLE_FOR_GROUP = [
+    pytest.param(lambda g: eqhilb.enumerate_balanced(g, 1), id="enumerate_balanced"),
+    pytest.param(lambda g: eqhilb.l_class(g, 1), id="l_class"),
+    pytest.param(lambda g: eqhilb.is_balanced(g, _LAM), id="is_balanced"),
+    pytest.param(lambda g: eqhilb.color(g, eqhilb.Box(0, 0)), id="color"),
+    pytest.param(lambda g: eqhilb.psi(g, 1, _LAM), id="psi"),
+    pytest.param(lambda g: eqhilb.psi_inverse(g, 1, _LAM), id="psi_inverse"),
+    pytest.param(lambda g: eqhilb.verify_period(g, 1, 1, 3), id="verify_period"),
+    pytest.param(eqhilb.normalize_group, id="normalize_group"),
+    pytest.param(lambda g: eqhilb.betti_statistic(g, _LAM), id="betti_statistic"),
+    pytest.param(lambda g: eqhilb.invariant_arrows(g, _LAM), id="invariant_arrows"),
+    pytest.param(lambda g: eqhilb.verify_quasipolynomial(g, 1, 1, 3), id="verify_quasipolynomial"),
+    pytest.param(lambda g: eqhilb.rectangle_map(g, _LAM), id="rectangle_map"),
+    pytest.param(lambda g: eqhilb.check_rectangle_bijection(g, 1), id="check_rectangle_bijection"),
+]
+
+
+@pytest.mark.parametrize("call", TUPLE_FOR_GROUP)
+def test_functions_refuse_a_tuple_for_a_group(call):
+    """A tuple where a ``GroupParams`` belongs is refused, not left to end in
+    an AttributeError."""
+    with pytest.raises(eqhilb.PreconditionError, match=r"^g must be a GroupParams, got \(1, 2, 3\)$"):
+        call(_NOT_A_GROUP)
