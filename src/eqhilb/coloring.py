@@ -14,17 +14,15 @@ one multiset of residues; likewise for ``b`` with the column ends
 ``a*i + b*h_i`` and the ``a*i``.  As ``a`` and ``b`` are coprime, a histogram
 invariant under both is flat, and so is one invariant under a unit ``a``.
 
-A family is searched on the normal form of its key (``_balanced_family``)
-by a row search (``_search``).  Two ``lru_cache`` memos hold what is
-computed per family, each keeping its ``_MEMO_SIZE`` most recently used
-entries and no call that raised, such as a refused search.
-``_balanced_family``, keyed by the coloring key ``(a mod n, b mod n, n, r)``
-(``_family_key``), holds the members, the attracting-cell statistic of each
-one and their L-class, so signed weights with equal residues share one
-entry; every reader goes through ``_family_record``, which checks the box
-ceiling first, memo hits included.  Below it, ``_search``, keyed by the
-normal form ``(c, m, r)``, holds the rows and statistics of its search, so
-coloring keys with one normal form search once.
+One ``lru_cache`` memo, ``_balanced_family``, keeps the records (members,
+statistics, L-class) of its ``_MEMO_SIZE`` most recently used families and
+no call that raised.  Its key is the coloring key ``(a mod n, b mod n, n,
+r)`` (``_family_key``), not the normal form, which costs about as much to
+find as a warm family call.  Every reader goes through ``_family_record``,
+which checks the box ceiling first, memo hits included.  A miss reads the
+record of its normal form's base key through the memo, and only a base key
+runs the row search (``_search``), so the keys of one normal form share
+one record's statistics and L-class.
 """
 
 from __future__ import annotations
@@ -49,8 +47,7 @@ MAX_BOXES_ENV = "EQHILB_MAX_BOXES"
 #: The variable's key in ``os.environ``'s own store (see ``_box_ceiling``).
 _ENV_KEY = os.environ.encodekey(MAX_BOXES_ENV)
 
-#: Records kept by the family memo (one per ``_family_key``) and by the search
-#: memo (one per normal form), so memory stays bounded.
+#: Records kept by the family memo, one per ``_family_key``, so memory stays bounded.
 _MEMO_SIZE = 256
 
 
@@ -335,9 +332,8 @@ def _reflections(a: int, b: int, n: int) -> tuple[int, int]:
 
 
 def _normal_form(key: tuple[int, int, int, int]) -> tuple[int, int, tuple[int, int, int]]:
-    """``(wide, tall, (c, m, r))``: the pseudo-reflections of ``key`` and its
-    normal form ``(1, c; m)`` with ``r``, the key of ``_search``
-    (``_balanced_family``)."""
+    """``(wide, tall, (c, m, r))``: the pseudo-reflections of ``key`` and
+    its normal form ``(1, c; m)`` with ``r`` (``_balanced_family``)."""
     am, bm, n, r = key
     wide, tall = _reflections(am, bm, n)
     m = n // (wide * tall)
@@ -355,28 +351,30 @@ def _balanced_family(key: tuple[int, int, int, int]) -> _FamilyRecord:
     each keeps its statistic.  With ``h = gcd(a, n)`` the same holds for
     columns, each row repeated ``h`` times.  Then both weights are units mod
     ``m = n/(g*h)``, and scaling both by the inverse of the x-weight only
-    relabels the colors, so ``_search`` runs on the normal form
-    ``(1, c; m)``, ``c = (b/g) * (a/h)^-1 mod m``.  A stretch keeps the sorted
-    order and the statistics, which give the L-class; each member is built
-    once.  The search recurses once per row, so a member with more rows
-    than Python's frame limit allows is refused.
+    relabels the colors, to the normal form ``(1, c; m)``, ``c = (b/g) *
+    (a/h)^-1 mod m``.  Its base key ``(1 mod m, c, m, r)`` alone is searched;
+    other keys share its record, stretched, as a stretch keeps the sorted
+    order and the statistics.  The search recurses once per row, so more rows
+    than Python's frame limit allows are refused, by the key asked for.
     """
-    wide, tall, form = _normal_form(key)
+    wide, tall, (c, m, r) = _normal_form(key)
+    base = (1 % m, c, m, r)
     try:
-        found, dims = _search(*form)
-    except RecursionError:
-        am, bm, n, r = key
+        if key != base:
+            record = _balanced_family(base)
+            return record if wide * tall == 1 else record._replace(members=tuple(
+                Partition._of(_stretch(lam.rows, wide, tall)) for lam in record.members))
+        found, dims = _search(c, m, r)
+    except (RecursionError, EnumerationLimitError):
+        am, bm, n, _ = key
         raise EnumerationLimitError(
             f"the balanced search of ({am},{bm};{n}) r={r} places more rows than "
             f"the frame limit of {sys.getrecursionlimit()} allows") from None
-    if wide * tall > 1:
-        found = [_stretch(rows, wide, tall) for rows in found]
     by_dim = Counter(dims)
     return _FamilyRecord(tuple(map(Partition._of, found)), dims,
                          LPolynomial(by_dim[k] for k in range(max(by_dim, default=-1) + 1)))
 
 
-@functools.lru_cache(maxsize=_MEMO_SIZE)
 def _search(c: int, m: int, r: int) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
     """The member rows of ``(1, c; m)``, ``c`` a unit mod ``m``, in ascending
     lexicographic order, and the statistic of each, folded in as rows are placed.

@@ -74,6 +74,8 @@ class Partition:
     @classmethod
     def parse(cls, text: str) -> "Partition":
         """Parse the text form: comma-separated rows, '' or '∅' for empty."""
+        if not isinstance(text, str):
+            raise PreconditionError(f"text must be a str, got {text!r}")
         text = text.strip()
         if text in ("", EMPTY_TEXT):
             return cls()

@@ -82,9 +82,9 @@ def partitions_by_recursion(m):
 def search_nodes(g, r):
     """Nodes the balanced search visits for the family of ``(g, r)``: the
     calls of its inner ``extend``, counted by a profile hook on a fresh
-    search of the family's normal form ``(1, c; m)``.  The search runs
-    through ``coloring._search.__wrapped__``, past both memos, so it counts
-    every node whatever they hold."""
+    search of the family's normal form ``(1, c; m)``.  It calls
+    ``coloring._search``, which keeps no memo, so it counts every node
+    whatever the family memo holds."""
     _, _, form = coloring._normal_form(coloring._family_key(g, r))
     nodes = 0
 
@@ -96,7 +96,7 @@ def search_nodes(g, r):
 
     sys.setprofile(hook)
     try:
-        coloring._search.__wrapped__(*form)
+        coloring._search(*form)
     finally:
         sys.setprofile(None)
     return nodes
@@ -106,10 +106,8 @@ def rows_left_by_prefix(search, form):
     """The ``rows_left`` of every node of ``search(*form)`` with boxes left,
     keyed by the node's row prefix: a profile hook reads both as each call
     of the search's inner ``extend`` returns, since neither changes in its
-    body.  ``search`` is ``coloring._search`` or ``search_by_column_scan``;
-    a memoized one runs through its ``__wrapped__``, so the search is fresh
-    whatever the memo holds."""
-    search = getattr(search, "__wrapped__", search)
+    body.  ``search`` is ``coloring._search`` or ``search_by_column_scan``,
+    neither memoized, so the search is fresh whatever the family memo holds."""
     filename = search.__code__.co_filename
     seen = {}
 

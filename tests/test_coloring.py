@@ -271,8 +271,8 @@ def test_search_nodes_stay_within_the_recorded_counts(monkeypatch):
     Where the weights are units the search runs on the key itself, and
     every live prefix of its members is a node, so a hook that counts no
     node fails.  The family is requested first, so the count is taken with
-    both memos warm: it must still count a fresh search, and every search
-    visits its root."""
+    the family memo warm: it must still count a fresh search, and every
+    search visits its root."""
 
     def check(g, r, most):
         members = enumerate_balanced(g, r)

@@ -118,6 +118,14 @@ def test_records_refuse_bad_fields_on_every_path(record, args, message):
         good._replace(**dict(zip(record._fields, args)))
 
 
+@pytest.mark.parametrize("text", [None, 21, (2,), b"2"], ids=repr)
+def test_partition_parse_refuses_text_that_is_not_a_str(text):
+    """Text that is not a ``str`` is refused by the argument's name, not left
+    to end in an AttributeError."""
+    with pytest.raises(eqhilb.PreconditionError, match=rf"^text must be a str, got {re.escape(repr(text))}$"):
+        eqhilb.Partition.parse(text)
+
+
 def test_quasipolynomial_evaluates_only_int_orders():
     qp = eqhilb.Quasipolynomial(1, ((1, 1),), 1, (True,))
     assert qp.evaluate(2) == 3

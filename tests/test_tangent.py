@@ -1,5 +1,6 @@
 import functools
 import math
+import re
 from collections import Counter
 
 import pytest
@@ -246,101 +247,111 @@ def test_l_class_memo_holds_one_entry_per_coloring():
 
 
 def test_memos_are_bounded_and_recompute_evicted_keys():
+    """More coloring keys than the memo holds: the least recent are evicted
+    first and recomputed.  (1,1;13) is its own normal form, which no key of
+    order below 13 reaches, so its second request is one miss."""
     bound = coloring._MEMO_SIZE
     groups = [GroupParams(a, b, n) for n in range(2, 12) for a in range(n) for b in range(n)
               if math.gcd(a, b) == 1]
     # distinct keys, each a family of n boxes
     assert len({coloring._family_key(g, 1) for g in groups}) > bound
-    first = groups[0]
+    first = GroupParams(1, 1, 13)
     family, lc = enumerate_balanced(first, 1), l_class(first, 1)
     for g in groups:
         enumerate_balanced(g, 1)
         l_class(g, 1)
     memo = coloring._balanced_family
     assert memo.cache_info().currsize <= bound
-    assert coloring._search.cache_info().currsize <= bound
     misses = memo.cache_info().misses
     assert enumerate_balanced(first, 1) == family == brute_force_balanced(first, 1)
     assert l_class(first, 1) == lc
     assert memo.cache_info().misses == misses + 1
 
 
-def test_search_memo_is_bounded_and_recomputes_evicted_forms():
-    """More normal forms ``(c, m, 1)`` than the search memo holds: the least
-    recent are evicted first and searched again, equal to the brute-force
-    filter."""
+def test_family_memo_hit_refreshes_its_key():
+    """A hit makes its key the most recent: the first key, requested again
+    once the memo is full, is still held after ``_MEMO_SIZE - 1`` new keys,
+    where evicting the oldest entry first would have dropped it.  Each key
+    is its own normal form, so each miss adds one entry."""
     bound = coloring._MEMO_SIZE
-    search = coloring._search
-    coloring._balanced_family.cache_clear()
-    search.cache_clear()
-    groups = [GroupParams(1, c, m) for m in range(2, 31) for c in range(m) if math.gcd(c, m) == 1]
-    assert len(groups) > bound
-    for g in groups:
-        enumerate_balanced(g, 1)
-    full = search.cache_info()
-    assert full.currsize <= bound
-    first = groups[0]
-    assert enumerate_balanced(first, 1) == brute_force_balanced(first, 1)
-    again = search.cache_info()
-    assert (again.misses, again.currsize) == (full.misses + 1, full.currsize)
-    assert coloring._normal_form(coloring._family_key(first, 1))[2] == (1, 2, 1)
-    search(1, 2, 1)
-    assert search.cache_info().hits == again.hits + 1
-
-
-def test_search_memo_hit_refreshes_its_form():
-    """A hit makes its form the most recent: the first form, requested again
-    once the memo is full, is still held after ``_MEMO_SIZE - 1`` new forms,
-    where evicting the oldest entry first would have dropped it."""
-    bound = coloring._MEMO_SIZE
-    search = coloring._search
-    search.cache_clear()
-    forms = [(c, m, 1) for m in range(2, 46) for c in range(m) if math.gcd(c, m) == 1]
-    assert len(forms) >= 2 * bound - 1
-    for form in forms[:bound]:
-        search(*form)
-    search(*forms[0])
-    for form in forms[bound:2 * bound - 1]:
-        search(*form)
-    info = search.cache_info()
+    memo = coloring._balanced_family
+    memo.cache_clear()
+    keys = [(1, c, m, 1) for m in range(2, 46) for c in range(m) if math.gcd(c, m) == 1]
+    assert len(keys) >= 2 * bound - 1
+    assert all(coloring._normal_form(key) == (1, 1, key[1:]) for key in keys)
+    for key in keys[:bound]:
+        memo(key)
+    memo(keys[0])
+    for key in keys[bound:2 * bound - 1]:
+        memo(key)
+    info = memo.cache_info()
     assert (info.currsize, info.misses) == (bound, 2 * bound - 1)
-    search(*forms[0])
-    assert search.cache_info().hits == info.hits + 1
+    memo(keys[0])
+    assert memo.cache_info().hits == info.hits + 1
 
 
-def test_search_memo_serves_the_keys_of_one_normal_form():
+def test_keys_of_one_normal_form_share_one_record(monkeypatch):
     """(1,1;1), (2,3;2), (3,2;3) and (2,3;6) are four coloring keys; divided
     by their pseudo-reflections each is the trivial group, searched as
-    (0, 1, r).  Only the first request searches; the others hit."""
+    (0, 1, r), and only the first request searches.  (2,3;5) has the normal
+    form (1,4;5) and no pseudo-reflection, so both get the one record, and
+    a stretched key shares its base record's statistics and L-class."""
+    searches = []
     search = coloring._search
+    monkeypatch.setattr(coloring, "_search", lambda *form: searches.append(form) or search(*form))
     coloring._balanced_family.cache_clear()
-    search.cache_clear()
     groups = [GroupParams(1, 1, 1), GroupParams(2, 3, 2), GroupParams(3, 2, 3), GroupParams(2, 3, 6)]
     for r in (1, 2, 3):
         keys = {coloring._family_key(g, r) for g in groups}
         assert len(keys) == len(groups)
         assert {coloring._normal_form(key)[2] for key in keys} == {(0, 1, r)}
-        for k, g in enumerate(groups):
-            before = search.cache_info()
+        for g in groups:
             assert enumerate_balanced(g, r) == brute_force_balanced(g, r), (g, r)
-            after = search.cache_info()
-            assert (after.misses, after.hits) == (before.misses + (k == 0),
-                                                  before.hits + (k > 0)), (g, r)
+            assert searches == [(0, 1, r)], (g, r)
+        base = coloring._family_record(groups[0], r)
+        for g in groups[1:]:
+            record = coloring._family_record(g, r)
+            assert record is not base and record.members != base.members, (g, r)
+            assert record.statistics is base.statistics and record.l_class is base.l_class, (g, r)
+        searches.clear()
+        alias, own = GroupParams(2, 3, 5), GroupParams(1, 4, 5)
+        assert coloring._family_record(alias, r) is coloring._family_record(own, r)
+        assert enumerate_balanced(alias, r) == brute_force_balanced(alias, r), r
+        assert searches == [(4, 5, r)], r
+        searches.clear()
 
 
 def test_refused_searches_leave_no_memo_entry(monkeypatch):
-    """A family past the ceiling is refused before the search, one with more
-    rows than the frame limit allows inside it; neither is kept, so the
-    second request of the deep family searches again."""
-    before = coloring._search.cache_info()
+    """A family past the ceiling is refused before the memo, one with more
+    rows than the frame limit allows inside the search; neither is kept, so
+    the second request of the deep family, its own normal form, misses
+    again."""
+    before = coloring._balanced_family.cache_info()
     with pytest.raises(EnumerationLimitError):
         enumerate_balanced(GroupParams(1, 2, 81), 1)
     monkeypatch.setenv("EQHILB_MAX_BOXES", "5000")
     for _ in range(2):
         with pytest.raises(EnumerationLimitError, match="frame limit"):
             enumerate_balanced(GroupParams(1, 2, 2001), 1)
-    after = coloring._search.cache_info()
+    after = coloring._balanced_family.cache_info()
     assert (after.currsize, after.misses) == (before.currsize, before.misses + 2)
+
+
+def test_frame_limit_refusals_name_the_key_asked_for(monkeypatch):
+    """(1,4;4002) is (1,2;2001) with every row twice as long, and
+    (1000,-1;2001) has the normal form (1,2;2001); both reach the search
+    through the base key (1,2;2001), whose member (2, ..., 2, 1) has 1,001
+    rows.  Each refusal names the key asked for, in residues, and neither
+    leaves a memo entry."""
+    monkeypatch.setenv("EQHILB_MAX_BOXES", "5000")
+    coloring._balanced_family.cache_clear()
+    for g, name in ((GroupParams(1, 4, 4002), "(1,4;4002)"),
+                    (GroupParams(1000, -1, 2001), "(1000,2000;2001)")):
+        with pytest.raises(EnumerationLimitError,
+                           match=rf"^the balanced search of {re.escape(name)} r=1 places more "
+                                 r"rows than the frame limit of \d+ allows$"):
+            enumerate_balanced(g, 1)
+    assert coloring._balanced_family.cache_info().currsize == 0
 
 
 def test_l_class_matches_gottsche_product():

@@ -1,16 +1,19 @@
-"""Memo misses of one cold pass of each benchmark workload.
+"""Memo traffic of one cold pass of each benchmark workload.
 
 For each workload of ``perfbench/workloads.py`` (``grid``, ``deep`` and
-``checks``, at full scale) it empties both memos of ``eqhilb.coloring``,
-runs one pass of the workload's operations untraced, and counts the
-misses of the family memo (one per coloring key ``(a mod n, b mod n, n,
-r)``) and of the search memo below it (one per normal form ``(c, m, r)``),
-each read from its ``cache_info()``.  After counting them it reads back, through
-the distinct family keys the pass asked for, the members the pass leaves in
-the family memo: ``members_held`` counts every member of every record, and
-``distinct_members`` the distinct partitions among them, which records of
-different keys may share.  The seed orders the requests but does not change
-which keys they hit, so none of these depend on it.
+``checks``, at full scale) it empties the family memo of
+``eqhilb.coloring``, runs one pass of the workload's operations untraced,
+and counts the memo's misses from its ``cache_info()``: one per coloring key
+``(a mod n, b mod n, n, r)`` the pass asked for, and one per base key of a
+normal form that a stretched or aliased key read through the memo.  It
+records each missed key as the miss reduces it to its normal form, then
+reads back through those keys what the pass leaves in the memo: ``records``
+counts the distinct records, as the keys of one normal form without a
+pseudo-reflection share one; ``members_held`` counts every member of every
+distinct record, and ``distinct_members`` the distinct partitions among
+them, which the records of different keys may share.  The seed orders the
+requests but does not change which keys they hit, so none of these depend
+on it.
 
     PYTHONPATH=src python3 tools/memo_traffic.py
 
@@ -33,34 +36,34 @@ import workloads  # noqa: E402
 
 
 def cold_pass_traffic(workload: str, golden: dict) -> dict[str, int]:
-    """Family-memo and search-memo misses of one pass from empty memos, and
-    the members the pass leaves in the family memo."""
-    coloring._balanced_family.cache_clear()
-    coloring._search.cache_clear()
-    keys = set()
-    family_key = coloring._family_key
+    """Family-memo misses of one pass from an empty memo, and the records and
+    members the pass leaves in it."""
+    memo = coloring._balanced_family
+    memo.cache_clear()
+    missed = []
+    normal_form = coloring._normal_form
 
-    def recording_key(g, r):
-        key = family_key(g, r)
-        keys.add(key)
-        return key
+    def recording_form(key):
+        missed.append(key)
+        return normal_form(key)
 
     tracer = workloads.Tracer(enabled=False)
     ops = workloads.build_ops(workload, "full", 0, golden, tracer)
-    coloring._family_key = recording_key
+    coloring._normal_form = recording_form
     try:
         _, _, failed, _ = workloads.run_pass(ops, tracer)
     finally:
-        coloring._family_key = family_key
+        coloring._normal_form = normal_form
     if failed:
         raise SystemExit(f"{failed} operations of {workload} failed")
-    report = {"family_misses": coloring._balanced_family.cache_info().misses,
-              "search_misses": coloring._search.cache_info().misses}
-    if len(keys) > coloring._MEMO_SIZE:
-        raise SystemExit(f"{workload} asks for {len(keys)} families, more than the memo holds")
-    members = [lam for key in keys for lam in coloring._balanced_family(key).members]
-    report.update(members_held=len(members), distinct_members=len(set(members)))
-    return report
+    info = memo.cache_info()
+    if info.misses > coloring._MEMO_SIZE or info.currsize != len(missed):
+        raise SystemExit(f"{workload} keeps {info.currsize} of {info.misses} missed families; "
+                         f"reading back needs each kept, at most {coloring._MEMO_SIZE}")
+    records = {id(record): record for record in map(memo, missed)}.values()
+    members = [lam for record in records for lam in record.members]
+    return {"family_misses": info.misses, "records": len(records),
+            "members_held": len(members), "distinct_members": len(set(members))}
 
 
 def main() -> None:
