@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import gc
 import os
 import sys
 from typing import Callable, NamedTuple
@@ -395,6 +396,13 @@ def main(argv=None) -> int:
         # point stdout at devnull so that flushing the rest at exit does not raise again
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
+    except MemoryError:
+        pass  # reported below, once leaving the handler has dropped its traceback
+    # only a MemoryError gets here; the search's recursive inner function
+    # holds its tables in a reference cycle, which unwinding does not free
+    gc.collect()
+    print("error: out of memory", file=sys.stderr)
+    return 1
 
 
 if __name__ == "__main__":

@@ -19,7 +19,8 @@ statistics, L-class) of its ``_MEMO_SIZE`` most recently used families and
 no call that raised.  Its key is the coloring key ``(a mod n, b mod n, n,
 r)`` (``_family_key``), not the normal form, which costs about as much to
 find as a warm family call.  Every reader goes through ``_family_record``,
-which checks the box ceiling first, memo hits included.  A miss reads the
+which checks the box ceiling first, memo hits included, and is the one
+place that refuses a search too deep for Python's frames.  A miss reads the
 record of its normal form's base key through the memo, and only a base key
 runs the row search (``_search``), so the keys of one normal form share
 one record's statistics and L-class.
@@ -49,6 +50,10 @@ _ENV_KEY = os.environ.encodekey(MAX_BOXES_ENV)
 
 #: Records kept by the family memo, one per ``_family_key``, so memory stays bounded.
 _MEMO_SIZE = 256
+
+#: Frames below Python's frame limit that ``_search`` leaves to its callers:
+#: it places at most ``sys.getrecursionlimit() - _ROW_MARGIN`` rows by recursion.
+_ROW_MARGIN = 100
 
 
 class _GroupParams(NamedTuple):
@@ -296,7 +301,8 @@ def enumerate_balanced(g: GroupParams, r: int) -> tuple[Partition, ...]:
 
     ``r`` must be a nonnegative int.  An ``r*n`` above the box ceiling is
     refused with ``EnumerationLimitError``, and so is a family whose search
-    would place more rows than Python's frame limit allows.  The family is
+    would place more rows than Python's frame limit, less a fixed margin,
+    allows.  The family is
     read from the family memo (module docstring); ``_balanced_family``
     reduces ``g`` to its normal form and ``_search`` finds the rows.  The
     tests' oracle is the brute-force filter over all partitions of ``r*n``.
@@ -315,8 +321,23 @@ def l_class(g: GroupParams, r: int) -> LPolynomial:
 
 
 def _family_record(g: GroupParams, r: int) -> _FamilyRecord:
-    """The memo entry of the balanced family of ``g`` and ``r``."""
-    return _balanced_family(_family_key(g, r))
+    """The memo entry of the balanced family of ``g`` and ``r``.
+
+    The one place that refuses a search too deep for Python's frames: the
+    ``RecursionError`` of ``_search``'s row budget, or Python's own for a
+    caller deeper than ``_ROW_MARGIN`` frames, passes up through any nested
+    memo call and is renamed here, by the key asked for.  The budget is
+    fixed, so the refusal depends on the normal form alone, not on the
+    caller's depth or on what the memo holds.
+    """
+    key = _family_key(g, r)
+    try:
+        return _balanced_family(key)
+    except RecursionError:
+        am, bm, n, _ = key
+        raise EnumerationLimitError(
+            f"the balanced search of ({am},{bm};{n}) r={r} places more rows than "
+            f"the frame limit of {sys.getrecursionlimit()} allows") from None
 
 
 def _stretch(rows: tuple[int, ...], wide: int, tall: int) -> tuple[int, ...]:
@@ -354,22 +375,16 @@ def _balanced_family(key: tuple[int, int, int, int]) -> _FamilyRecord:
     relabels the colors, to the normal form ``(1, c; m)``, ``c = (b/g) *
     (a/h)^-1 mod m``.  Its base key ``(1 mod m, c, m, r)`` alone is searched;
     other keys share its record, stretched, as a stretch keeps the sorted
-    order and the statistics.  The search recurses once per row, so more rows
-    than Python's frame limit allows are refused, by the key asked for.
+    order and the statistics.  A search too deep for Python's frames raises
+    ``RecursionError`` through here, which ``_family_record`` renames.
     """
     wide, tall, (c, m, r) = _normal_form(key)
     base = (1 % m, c, m, r)
-    try:
-        if key != base:
-            record = _balanced_family(base)
-            return record if wide * tall == 1 else record._replace(members=tuple(
-                Partition._of(_stretch(lam.rows, wide, tall)) for lam in record.members))
-        found, dims = _search(c, m, r)
-    except (RecursionError, EnumerationLimitError):
-        am, bm, n, _ = key
-        raise EnumerationLimitError(
-            f"the balanced search of ({am},{bm};{n}) r={r} places more rows than "
-            f"the frame limit of {sys.getrecursionlimit()} allows") from None
+    if key != base:
+        record = _balanced_family(base)
+        return record if wide * tall == 1 else record._replace(members=tuple(
+            Partition._of(_stretch(lam.rows, wide, tall)) for lam in record.members))
+    found, dims = _search(c, m, r)
     by_dim = Counter(dims)
     return _FamilyRecord(tuple(map(Partition._of, found)), dims,
                          LPolynomial(by_dim[k] for k in range(max(by_dim, default=-1) + 1)))
@@ -392,11 +407,15 @@ def _search(c: int, m: int, r: int) -> tuple[tuple[tuple[int, ...], ...], tuple[
     ``rows_left`` to cover every remaining box, and that all-ones tail is
     emitted at once.  Both bounds cost O(1) per node.
 
+    A live node with ``sys.getrecursionlimit() - _ROW_MARGIN`` rows placed
+    raises ``RecursionError`` instead of placing another (``_family_record``).
+
     The statistic is the hook count of ``tangent`` with weights ``(1, c)``: a
     column adds, as it closes, the earlier rows with its key, and a run of
     ``k`` equal rows adds ``k // m`` row ends.
     """
     total = r * m
+    budget = sys.getrecursionlimit() - _ROW_MARGIN
     # two lists of m*(r+1) colors: row j is the cycle 0, 1, ..., m-1 read
     # from cycle[starts[k]], its start c*j with k = j mod m, for up to r*m
     # boxes, and column 0 from row k reads starts[k:], at most r*m boxes;
@@ -452,6 +471,9 @@ def _search(c: int, m: int, r: int) -> tuple[tuple[tuple[int, ...], ...], tuple[
         last = cycle[below + max_row]
         if m * keys[last] + first[last] >= len(rows) + rows_left:
             return
+        if len(rows) >= budget:
+            # one frame per row: refuse before Python's frame limit does
+            raise RecursionError
         shortest = -(-remaining // rows_left)
         if shortest > max_row:
             # no row that long fits below row j-1

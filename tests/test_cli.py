@@ -393,17 +393,16 @@ def test_handlers_print_nothing(tmp_path, capsys):
         assert not target.exists(), name
 
 
-def _limited_address_space():
-    limit = 600 * 2**20
-    resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
-
-
-def _run_limited(argv, program=("-m", "eqhilb.cli")):
+def _run_limited(argv, program=("-m", "eqhilb.cli"), limit_mb=600):
+    """A child on the ``src`` next to the tests, with ``EQHILB_MAX_BOXES``
+    unset and its address space limited to ``limit_mb`` MB."""
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env = {k: v for k, v in os.environ.items() if k != "EQHILB_MAX_BOXES"}
     env["PYTHONPATH"] = src
-    return subprocess.run([sys.executable, *program, *argv], capture_output=True,
-                          text=True, env=env, timeout=60, preexec_fn=_limited_address_space)
+    limit = limit_mb * 2**20
+    return subprocess.run([sys.executable, *program, *argv], capture_output=True, text=True,
+                          env=env, timeout=60,
+                          preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)))
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -521,6 +520,37 @@ def test_search_deeper_than_the_frame_limit_is_refused():
                         program=_PAST_THE_CEILING)
     assert (proc.returncode, proc.stdout) == (1, "")
     assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
+
+
+def test_running_out_of_memory_is_an_error_line():
+    """``(1,-1;2)`` r=40 is within the default ceiling, but its members do
+    not fit in 150 MB: one ``error:`` line and exit 1, not a traceback, and
+    nothing on stdout.  (``(1,1;1)`` r=80 runs out as well, but there in
+    some runs CPython 3.11 loses the ``MemoryError`` while it unwinds the
+    search and ends in a ``SystemError`` traceback.)"""
+    proc = _run_limited(["poincare", "--a", "1", "--b", "-1", "--n", "2", "--r", "40"],
+                        limit_mb=150)
+    assert (proc.returncode, proc.stdout) == (1, ""), proc.stderr
+    assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr, proc.stderr
+    assert proc.stderr.count("\n") == 1, proc.stderr
+
+
+def test_running_out_of_memory_leaves_no_memo_entry():
+    """An ``l_class`` call that raised ``MemoryError`` leaves the family memo
+    as it was, since ``lru_cache`` stores nothing for a raise.  The child
+    collects the search's reference cycle before it prints, as the CLI does."""
+    proc = _run_limited([], limit_mb=150, program=(
+        "-c", "import gc\n"
+              "from eqhilb import GroupParams, coloring, l_class\n"
+              "l_class(GroupParams(1, -1, 3), 1)\n"
+              "before = coloring._balanced_family.cache_info().currsize\n"
+              "try:\n"
+              "    l_class(GroupParams(1, -1, 2), 40)\n"
+              "except MemoryError:\n"
+              "    raised = True\n"
+              "gc.collect()\n"
+              "print(raised, before, coloring._balanced_family.cache_info().currsize)\n"))
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "True 1 1\n", "")
 
 
 def test_closed_stdout_ends_without_traceback():

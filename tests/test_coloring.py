@@ -260,46 +260,22 @@ def test_reflection_orders_match_the_nested_gcd():
     assert checked == 43_424
 
 
-def test_search_nodes_stay_within_the_recorded_counts(monkeypatch):
-    """The bounds on each row prune as far as when they were recorded, on
-    large families of the benchmark's deep workload.  The search of
-    (1,2;20,4) runs on (1,1;10,4), each row stretched by 2, and that of
-    (3,4;30,2) on (1,2;5,2), stretched by 2 x 3; on the whole key with the
-    column-0 bound alone they visit 23,585 and 2,377 nodes.  The tally of
-    open column ends takes the seven deep families from 41,049 nodes to
-    17,703, and (3,4;37,3), past the ceiling, from 1,575,662 to 19,699.
-    Where the weights are units the search runs on the key itself, and
-    every live prefix of its members is a node, so a hook that counts no
-    node fails.  The family is requested first, so the count is taken with
-    the family memo warm: it must still count a fresh search, and every
-    search visits its root."""
-
-    def check(g, r, most):
-        members = enumerate_balanced(g, r)
-        nodes = search_nodes(g, r)
-        assert 0 < nodes <= most, (g, r)
-        if math.gcd(g.a, g.n) == math.gcd(g.b, g.n) == 1:
-            assert nodes >= live_prefixes(members), (g, r)
-
-    recorded = {(1, 2, 20, 4): 2573, (3, 4, 30, 2): 33, (1, 5, 36, 2): 2445,
-                (1, -2, 15, 3): 7467, (1, -1, 40, 2): 10740}
-    for (a, b, n, r), most in recorded.items():
-        check(GroupParams(a, b, n), r, most)
-    monkeypatch.setenv("EQHILB_MAX_BOXES", "111")
-    check(GroupParams(3, 4, 37), 3, 19699)
-
-
 def test_search_matches_the_column_scan():
     """The column-0 bound each node receives from its parent is the one a
     scan of column 0 reads there, and the row-end cap only cuts nodes with
     no member below: on every normal form with ``m <= 25`` and ``r*m <= 40``,
-    and on chains such as (2, 201, 1), whose member (2, ..., 2, 1) places 101
-    rows, the search returns the rows, order and statistics of the search
-    that scans column 0 at every node."""
+    on chains such as (2, 201, 1), whose member (2, ..., 2, 1) places 101
+    rows, and on four larger forms, the search returns the rows, order and
+    statistics of the search that scans column 0 at every node.  A node
+    whose shortest row is the row above has that repeat as its only child:
+    the one node body tries only its last length.  Such nodes make up most
+    of the larger searches (9,177 of the 10,740 nodes of (39, 40, 2))."""
     forms = [(c, m, r) for m in range(1, 26) for c in range(m) if math.gcd(c, m) == 1
              for r in range(1, 40 // m + 1)]
     assert len(forms) == 530
-    for form in forms + [(2, 201, 1), (1, 101, 2), (1, 201, 1), (100, 201, 1)]:
+    chains = [(2, 201, 1), (1, 101, 2), (1, 201, 1), (100, 201, 1)]
+    forced = [(39, 40, 2), (11, 12, 4), (13, 15, 3), (29, 30, 3)]
+    for form in forms + chains + forced:
         assert coloring._search(*form) == _ascending_column_scan(form), form
 
 
@@ -308,17 +284,6 @@ def _ascending_column_scan(form):
     lengths longest first, in the ascending order ``_search`` emits."""
     rows, dims = search_by_column_scan(*form)
     return tuple(reversed(rows)), tuple(reversed(dims))
-
-
-def test_forced_rows_match_the_column_scan():
-    """A node whose shortest row is the row above has that repeat as its only
-    child: the one node body tries only its last length.  Such nodes make
-    up most of the larger searches (9,177 of the 10,740 nodes of
-    (39, 40, 2)), which lie past the range above; on these, the rows, order
-    and statistics are still those of the search that scans column 0 at
-    every node."""
-    for form in ((39, 40, 2), (11, 12, 4), (13, 15, 3), (29, 30, 3)):
-        assert coloring._search(*form) == _ascending_column_scan(form), form
 
 
 def test_each_child_receives_the_scanned_rows_left():
@@ -338,16 +303,32 @@ def test_each_child_receives_the_scanned_rows_left():
         assert carried and all(scanned[rows] == n for rows, n in carried.items()), form
 
 
-def test_search_visits_exactly_the_recorded_nodes():
-    """The seven deep families visit exactly these nodes: a bound looser than
-    the column scan's, or a row-end cap that misses a dead node, visits
-    more, and one that is too tight loses members (and nodes) as well.  The
-    row-end cap cuts (1,3;26,3) from 1,922 and (1,-2;15,3) from 3,461."""
+def test_search_visits_exactly_the_recorded_nodes(monkeypatch):
+    """The seven deep families, and (3,4;37,3) past the ceiling, visit
+    exactly these nodes: a bound looser than the column scan's, or a row-end
+    cap that misses a dead node, visits more, and one that is too tight
+    loses members (and nodes) as well.  The row-end cap cuts (1,3;26,3) from
+    1,922 and (1,-2;15,3) from 3,461.  The search of (1,2;20,4) runs on
+    (1,1;10,4), each row stretched by 2, and that of (3,4;30,2) on
+    (1,2;5,2), stretched by 2 x 3.  Where the weights are units the search
+    runs on the key itself, and every live prefix of its members is a node,
+    so a hook that counts no node fails.  Each family is requested first, so
+    the count is taken with the family memo warm: it must still count a
+    fresh search."""
+
+    def check(g, r, nodes):
+        members = enumerate_balanced(g, r)
+        assert search_nodes(g, r) == nodes, (g, r)
+        if math.gcd(g.a, g.n) == math.gcd(g.b, g.n) == 1:
+            assert nodes >= live_prefixes(members), (g, r)
+
     recorded = {(1, 2, 20, 4): 926, (1, 3, 26, 3): 1752, (1, 5, 36, 2): 613,
                 (3, 4, 30, 2): 30, (2, 5, 30, 2): 11, (1, -1, 40, 2): 10740,
                 (1, -2, 15, 3): 3165}
     for (a, b, n, r), nodes in recorded.items():
-        assert search_nodes(GroupParams(a, b, n), r) == nodes, (a, b, n, r)
+        check(GroupParams(a, b, n), r, nodes)
+    monkeypatch.setenv("EQHILB_MAX_BOXES", "111")
+    check(GroupParams(3, 4, 37), 3, 15867)
 
 
 def test_families_past_the_ceiling_keep_their_digests(monkeypatch):

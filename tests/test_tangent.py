@@ -1,6 +1,7 @@
 import functools
 import math
 import re
+import sys
 from collections import Counter
 
 import pytest
@@ -354,12 +355,90 @@ def test_frame_limit_refusals_name_the_key_asked_for(monkeypatch):
     assert coloring._balanced_family.cache_info().currsize == 0
 
 
+def _from_deeper(frames, call, *args):
+    """``call(*args)`` from ``frames`` helper frames deeper."""
+    return call(*args) if frames == 0 else _from_deeper(frames - 1, call, *args)
+
+
+def test_one_frame_limit_boundary_per_normal_form(monkeypatch):
+    """``_search`` places at most ``sys.getrecursionlimit() - _ROW_MARGIN``
+    rows by recursion, so the largest odd ``n`` answered at r=1 is one order
+    for (1,2;n), ((n+1)/2,1;n) and (1,4;2n), which reach the search of (1,2;n)
+    directly, through an alias and through a stretch: with the memo cold or
+    holding the base record, and called directly or from 50 frames deeper.
+    The member (2, ..., 2, 1) places its last row below (n-1)/2 rows, so at
+    Python's default limit of 1,000 frames that order is 1,799."""
+    monkeypatch.setenv("EQHILB_MAX_BOXES", "8000")
+    largest = 2 * (sys.getrecursionlimit() - coloring._ROW_MARGIN) - 1
+    keys = (lambda n: GroupParams(1, 2, n), lambda n: GroupParams((n + 1) // 2, 1, n),
+            lambda n: GroupParams(1, 4, 2 * n))
+    for frames in (0, 50):
+        for warm in (False, True):
+            for key in keys:
+                coloring._balanced_family.cache_clear()
+                if warm:
+                    l_class(GroupParams(1, 2, largest), 1)
+                answer = _from_deeper(frames, l_class, key(largest), 1)
+                assert str(answer) == "L^2 + 2L", (frames, warm, key(largest))
+                with pytest.raises(EnumerationLimitError, match="frame limit"):
+                    _from_deeper(frames, l_class, key(largest + 2), 1)
+
+
 def test_l_class_matches_gottsche_product():
     """(1,-1;n) is the A_{n-1} singularity; its Hilbert schemes of points
     on the minimal resolution have Goettsche's product as class."""
     cases = [(n, r) for n in range(1, 11) for r in range(1, 6) if r * n <= 40]
     for n, r in cases + [(40, 2)]:
         assert list(l_class(GroupParams(1, -1, n), r).coeffs) == gottsche_l_class(n, r), (n, r)
+
+
+def _normal_forms(most):
+    """Every normal form ``(1, c; m)``, ``c`` a unit mod ``m``, with each
+    ``r >= 1`` such that ``r*m <= most``, as ``(c, m, r)``."""
+    return [(c, m, r) for m in range(1, most + 1) for c in range(m) if math.gcd(c, m) == 1
+            for r in range(1, most // m + 1)]
+
+
+def test_bottom_of_the_class_gives_the_central_fiber():
+    """The torus contracts the quotient, so the family retracts onto the
+    Hilbert-Chow fiber over 0, of dimension ``2r - low`` for the lowest
+    degree ``low`` of the class.  Observed on the normal forms with ``r*m <=
+    40``: ``2r - low = r - 1`` at ``m = 1`` (the punctual Hilbert scheme), and
+    ``2r - low = r`` with coefficient ``multipartition_count(m - 1, r)`` on
+    SL2 keys ``(1,m-1;m)`` with ``m >= 2``."""
+    for c, m, r in _normal_forms(40):
+        if c != m - 1:
+            continue
+        cls = l_class(GroupParams(1, c, m), r)
+        low = next(k for k, coeff in enumerate(cls.coeffs) if coeff)
+        if m == 1:
+            assert 2 * r - low == r - 1, r
+        else:
+            assert (2 * r - low, cls.coeff(low)) == (r, multipartition_count(m - 1, r)), (m, r)
+
+
+def test_top_of_the_class_is_a_multipartition_count(monkeypatch):
+    """``t_k(r)``, the coefficient of ``L^(2r-k)`` in the class of the normal
+    form ``(1,c;m)``, is the ordinary Betti number ``b_2k`` by Poincare
+    duality.  Observed, with no theorem behind it off SL2 and ``m = 1``: on
+    all 820 normal forms with ``r*m <= 40`` it is at most
+    ``multipartition_count(m, k)`` for every ``k <= r``, and equal to it for
+    ``2k <= r`` on SL2 keys (``c = m - 1``) and on every key with ``m <= 3``,
+    including (1,1;3) and (1,2;3) at r = 14 and 15, past the brute-force
+    filter: 838 equalities on the 820 forms and 32 on those four."""
+    forms = _normal_forms(40)
+    assert len(forms) == 820
+    monkeypatch.setenv("EQHILB_MAX_BOXES", "45")
+    equal = 0
+    for c, m, r in forms + [(1, 3, 14), (2, 3, 14), (1, 3, 15), (2, 3, 15)]:
+        cls = l_class(GroupParams(1, c, m), r)
+        for k in range(r + 1):
+            top, count = cls.coeff(2 * r - k), multipartition_count(m, k)
+            assert top <= count, (c, m, r, k)
+            if 2 * k <= r and (c == m - 1 or m <= 3):
+                assert top == count, (c, m, r, k)
+                equal += 1
+    assert equal == 838 + 32
 
 
 GRID_WEIGHTS = [(1, 1), (1, 2), (2, 3), (1, -1), (1, -2), (2, -3), (1, 3)]

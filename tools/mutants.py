@@ -86,6 +86,13 @@ MUTANTS = (
     ("row_end_cap_strict",
      "m * keys[last] + first[last] >= len(rows) + rows_left",
      "m * keys[last] + first[last] > len(rows) + rows_left", KERNELS),
+    ("row_budget_dropped",
+     "        if len(rows) >= budget:\n            # one frame per row: refuse before Python's "
+     "frame limit does\n            raise RecursionError\n",
+     "", KERNELS),
+    ("row_budget_one_row_late",
+     "if len(rows) >= budget:",
+     "if len(rows) > budget:", KERNELS),
     # the balance test coloring._tallies_match
     ("tally_row_residues_a_j",
      "sorted([b * j % n for j in range(len(rows))])",
@@ -194,6 +201,10 @@ MUTANTS = (
     ("check_star_n_required",
      '"a b partition? n? r?"',
      '"a b partition? n r?"', CLI),
+    # cli.main's refusal of a request that runs out of memory
+    ("main_lets_memory_error_through",
+     "    except MemoryError:\n        pass",
+     "    except MemoryError:\n        raise", CLI),
 )
 
 
