@@ -1,6 +1,7 @@
 """Brute-force references that the fast paths of the package are tested against."""
 
 import functools
+import inspect
 import os
 import sys
 from fractions import Fraction
@@ -79,50 +80,64 @@ def partitions_by_recursion(m):
     return rec(m, m)
 
 
+def _run_on_line(search, form, text, action):
+    """Run ``search(*form)`` with ``action(frame)`` called each time a frame of
+    the search's inner ``extend`` runs the one line of its source that reads
+    ``text``: a ``sys.settrace`` line hook, found by the line's text and
+    taken off again afterwards, whatever trace function was there before."""
+    lines, start = inspect.getsourcelines(search)
+    at = [start + i for i, line in enumerate(lines) if line.strip() == text]
+    assert len(at) == 1, (search.__name__, text, at)
+    lineno, = at
+    filename = search.__code__.co_filename
+
+    def local(frame, event, arg):
+        if event == "line" and frame.f_lineno == lineno:
+            action(frame)
+        return local
+
+    def hook(frame, event, arg):
+        code = frame.f_code
+        return local if code.co_name == "extend" and code.co_filename == filename else None
+
+    previous = sys.gettrace()
+    sys.settrace(hook)
+    try:
+        search(*form)
+    finally:
+        sys.settrace(previous)
+
+
 def search_nodes(g, r):
     """Nodes the balanced search visits for the family of ``(g, r)``: the
-    calls of its inner ``extend``, counted by a profile hook on a fresh
-    search of the family's normal form ``(1, c; m)``.  It calls
-    ``coloring._search``, which keeps no memo, so it counts every node
+    runs of a node's first line, ``below = starts[k - 1]``, counted by a line
+    hook on a fresh search of the family's normal form ``(1, c; m)``.  It
+    calls ``coloring._search``, which keeps no memo, so it counts every node
     whatever the family memo holds."""
     _, _, form = coloring._normal_form(coloring._family_key(g, r))
     nodes = 0
 
-    def hook(frame, event, arg):
+    def count(frame):
         nonlocal nodes
-        code = frame.f_code
-        if event == "call" and code.co_name == "extend" and code.co_filename == coloring.__file__:
-            nodes += 1
+        nodes += 1
 
-    sys.setprofile(hook)
-    try:
-        coloring._search(*form)
-    finally:
-        sys.setprofile(None)
+    _run_on_line(coloring._search, form, "below = starts[k - 1]", count)
     return nodes
 
 
 def rows_left_by_prefix(search, form):
     """The ``rows_left`` of every node of ``search(*form)`` with boxes left,
-    keyed by the node's row prefix: a profile hook reads both as each call
-    of the search's inner ``extend`` returns, since neither changes in its
-    body.  ``search`` is ``coloring._search`` or ``search_by_column_scan``,
-    neither memoized, so the search is fresh whatever the family memo holds."""
-    filename = search.__code__.co_filename
+    keyed by the node's row prefix: a line hook reads both where the node
+    tests ``if rows_left == 0:``.  ``search`` is ``coloring._search`` or
+    ``search_by_column_scan``, neither memoized, so the search is fresh
+    whatever the family memo holds."""
     seen = {}
 
-    def hook(frame, event, arg):
-        code = frame.f_code
-        if event == "return" and code.co_name == "extend" and code.co_filename == filename:
-            names = frame.f_locals
-            if names["remaining"]:
-                seen[tuple(names["rows"])] = names["rows_left"]
+    def read(frame):
+        names = frame.f_locals
+        seen[tuple(names["rows"])] = names["rows_left"]
 
-    sys.setprofile(hook)
-    try:
-        search(*form)
-    finally:
-        sys.setprofile(None)
+    _run_on_line(search, form, "if rows_left == 0:", read)
     return seen
 
 

@@ -1,8 +1,8 @@
 """Search nodes against live prefixes on families past the box ceiling.
 
 For each key it prints the nodes the balanced row search visits (the
-calls of ``coloring._search``'s inner ``extend``, counted by the profile
-hook ``search_nodes`` of ``tests/oracles.py``) and the live prefixes:
+runs of the first line of a node of ``coloring._search``, counted by the
+line hook ``search_nodes`` of ``tests/oracles.py``) and the live prefixes:
 the distinct row prefixes of the members, the empty one included, with
 every all-ones tail cut off, since the search emits such a tail at once.  Every live
 prefix is a node, so the difference is the work that finds nothing.  The
