@@ -19,8 +19,7 @@ statistics, L-class) of its ``_MEMO_SIZE`` most recently used families and
 no call that raised.  Its key is the coloring key ``(a mod n, b mod n, n,
 r)`` (``_family_key``), not the normal form, which costs about as much to
 find as a warm family call.  Every reader goes through ``_family_record``,
-which checks the box ceiling first, memo hits included, and is the one
-place that refuses a search too deep for Python's frames.  A miss reads the
+which checks the box ceiling first, memo hits included.  A miss reads the
 record of its normal form's base key through the memo, and only a base key
 runs the row search (``_search``), so the keys of one normal form share
 one record's statistics and L-class.
@@ -31,7 +30,6 @@ from __future__ import annotations
 import functools
 import math
 import os
-import sys
 from collections import Counter
 from typing import NamedTuple
 
@@ -50,11 +48,6 @@ _ENV_KEY = os.environ.encodekey(MAX_BOXES_ENV)
 
 #: Records kept by the family memo, one per ``_family_key``, so memory stays bounded.
 _MEMO_SIZE = 256
-
-#: Frames below Python's frame limit that ``_search`` leaves to its callers:
-#: it places at most ``sys.getrecursionlimit() - _ROW_MARGIN`` rows by recursion.
-_ROW_MARGIN = 100
-
 
 class _GroupParams(NamedTuple):
     a: int
@@ -300,12 +293,10 @@ def enumerate_balanced(g: GroupParams, r: int) -> tuple[Partition, ...]:
     """All balanced partitions of ``r*n`` for the coloring ``g``, sorted.
 
     ``r`` must be a nonnegative int.  An ``r*n`` above the box ceiling is
-    refused with ``EnumerationLimitError``, and so is a family whose search
-    would place more rows than Python's frame limit, less a fixed margin,
-    allows.  The family is
-    read from the family memo (module docstring); ``_balanced_family``
-    reduces ``g`` to its normal form and ``_search`` finds the rows.  The
-    tests' oracle is the brute-force filter over all partitions of ``r*n``.
+    refused with ``EnumerationLimitError``.  The family is read from the
+    family memo (module docstring); ``_balanced_family`` reduces ``g`` to
+    its normal form and ``_search`` finds the rows.  The tests' oracle is
+    the brute-force filter over all partitions of ``r*n``.
     """
     return _family_record(g, r).members
 
@@ -321,23 +312,8 @@ def l_class(g: GroupParams, r: int) -> LPolynomial:
 
 
 def _family_record(g: GroupParams, r: int) -> _FamilyRecord:
-    """The memo entry of the balanced family of ``g`` and ``r``.
-
-    The one place that refuses a search too deep for Python's frames: the
-    ``RecursionError`` of ``_search``'s row budget, or Python's own for a
-    caller deeper than ``_ROW_MARGIN`` frames, passes up through any nested
-    memo call and is renamed here, by the key asked for.  The budget is
-    fixed, so the refusal depends on the normal form alone, not on the
-    caller's depth or on what the memo holds.
-    """
-    key = _family_key(g, r)
-    try:
-        return _balanced_family(key)
-    except RecursionError:
-        am, bm, n, _ = key
-        raise EnumerationLimitError(
-            f"the balanced search of ({am},{bm};{n}) r={r} places more rows than "
-            f"the frame limit of {sys.getrecursionlimit()} allows") from None
+    """The memo entry of the balanced family of ``g`` and ``r``."""
+    return _balanced_family(_family_key(g, r))
 
 
 def _stretch(rows: tuple[int, ...], wide: int, tall: int) -> tuple[int, ...]:
@@ -375,8 +351,7 @@ def _balanced_family(key: tuple[int, int, int, int]) -> _FamilyRecord:
     relabels the colors, to the normal form ``(1, c; m)``, ``c = (b/g) *
     (a/h)^-1 mod m``.  Its base key ``(1 mod m, c, m, r)`` alone is searched;
     other keys share its record, stretched, as a stretch keeps the sorted
-    order and the statistics.  A search too deep for Python's frames raises
-    ``RecursionError`` through here, which ``_family_record`` renames.
+    order and the statistics.
     """
     wide, tall, (c, m, r) = _normal_form(key)
     base = (1 % m, c, m, r)
@@ -394,28 +369,30 @@ def _search(c: int, m: int, r: int) -> tuple[tuple[tuple[int, ...], ...], tuple[
     """The member rows of ``(1, c; m)``, ``c`` a unit mod ``m``, in ascending
     lexicographic order, and the statistic of each, folded in as rows are placed.
 
-    The search places rows longest first, one node (one call of ``extend``,
-    whose comments give the details) per row.  Every later row puts one box
-    in column 0, so ``rows_left``, the column-0 boxes the color counts can
-    still take, bounds the rows left, and the next row holds at least the
-    remaining boxes over it.  Row ends take the residues ``c*j`` (module
-    docstring), so a node returns when its last row's end residue is at its
-    cap among ``len(rows) + rows_left`` rows.  Column ends take the residues
-    ``i``, so a node closes columns from the row above's end leftwards until
-    an end residue is used up, which gives its shortest row, and tries its
-    lengths shortest first: the rows come out sorted.  Length 1 needs
-    ``rows_left`` to cover every remaining box, and that all-ones tail is
-    emitted at once.  Both bounds cost O(1) per node.
+    The search places rows longest first, one node (one pass of the loop in
+    ``extend``, whose comments give the details) per row.  Every later row
+    puts one box in column 0, so ``rows_left``, the column-0 boxes the color
+    counts can still take, bounds the rows left, and the next row holds at
+    least the remaining boxes over it.  Row ends take the residues ``c*j``
+    (module docstring), so a node ends when its last row's end residue is at
+    its cap among ``len(rows) + rows_left`` rows.  Column ends take the
+    residues ``i``, so a node closes columns from the row above's end
+    leftwards until an end residue is used up, which gives its shortest row,
+    and tries its lengths shortest first: the rows come out sorted.  Length
+    1 needs ``rows_left`` to cover every remaining box, and that all-ones
+    tail is emitted at once.  Both bounds cost O(1) per node.
 
-    A live node with ``sys.getrecursionlimit() - _ROW_MARGIN`` rows placed
-    raises ``RecursionError`` instead of placing another (``_family_record``).
+    A row that repeats the row above is its node's last child and is placed
+    in the node's own frame, which undoes the run when it ends; only a
+    shorter row calls ``extend``.  So a search is at most ``1 + isqrt(2*r*m)``
+    frames deep, the root's and one per distinct row length on a path, as
+    ``d`` distinct lengths take ``d*(d+1)/2`` boxes.
 
     The statistic is the hook count of ``tangent`` with weights ``(1, c)``: a
     column adds, as it closes, the earlier rows with its key, and a run of
     ``k`` equal rows adds ``k // m`` row ends.
     """
     total = r * m
-    budget = sys.getrecursionlimit() - _ROW_MARGIN
     # two lists of m*(r+1) colors: row j is the cycle 0, 1, ..., m-1 read
     # from cycle[starts[k]], its start c*j with k = j mod m, for up to r*m
     # boxes, and column 0 from row k reads starts[k:], at most r*m boxes;
@@ -445,101 +422,120 @@ def _search(c: int, m: int, r: int) -> tuple[tuple[tuple[int, ...], ...], tuple[
     dims: list[int] = []
 
     def extend(remaining: int, max_row: int, k: int, dim: int, run: int, rows_left: int) -> None:
-        # rows 0..j-1 are placed and end in a run of run rows of length
-        # max_row, and dim counts their closed columns and ended runs; k is
-        # j mod m, row j - 1 starts at below (row -1 at row m - 1's start),
-        # column i closes at height j with key cycle[below + i] = i +
-        # c*(j-1), and cycle[below + max_row] is the key of row j-1
-        below = starts[k - 1]
-        if remaining == 0:
-            # the open columns close, each matching the earlier rows and row j-1
-            cols = cycle[below:below + max_row]
-            found.append(tuple(rows))
-            dims.append(dim + laps[run] + sum(map(keys.__getitem__, cols))
-                        + cols.count(cycle[below + max_row]))
-            return
-        # every row from j on puts one box in column 0, and rows_left is
-        # how many more boxes column 0 can take (no color above r), so row
-        # j, the longest of the rest, holds at least remaining / rows_left;
-        # and there are at most j + rows_left rows, whose ends take the
-        # residues of their c*j (module docstring), residue x in
-        # ceil((j + rows_left - first[x]) / m) of them, so row j-1 must
-        # find its key last below that count in the earlier rows, that is
-        # m*keys[last] + first[last] < j + rows_left
-        if rows_left == 0:
-            return
-        last = cycle[below + max_row]
-        if m * keys[last] + first[last] >= len(rows) + rows_left:
-            return
-        if len(rows) >= budget:
-            # one frame per row: refuse before Python's frame limit does
-            raise RecursionError
-        shortest = -(-remaining // rows_left)
-        if shortest > max_row:
-            # no row that long fits below row j-1
-            return
-        row, after = starts[k], (k + 1) % m
-        # row j-1 joins the key histogram for this node and the nodes below
-        # it; a row j of length l ends the run above and closes columns
-        # l..max_row-1 at height j with the ends cycle[row + l:row + max_row].
-        # Columns close from the right down to shut, the shortest row
-        # allowed: a shorter row closes more columns, so the first column
-        # whose end is no longer open stops it.  closed counts the matches
-        # of columns shut..max_row-1, and each row tried reopens its column
-        keys[last] += 1
-        closed = dim + laps[run]
-        shut = max_row
-        while shut > shortest and ends[cycle[row + shut - 1]]:
-            shut -= 1
-            ends[cycle[row + shut]] -= 1
-            closed += keys[cycle[below + shut]]
-        # each child's rows_left: counts only grow, so a color that fills
-        # column 0 t rows below row j fills it t - 1 rows below row j+1, and
-        # only the colors row j places fill it sooner, so bound is the least
-        # of those below the boxes placed so far; each of those column-0
-        # boxes takes one of the boxes left, so it never exceeds them
-        bound = rows_left - 1
-        length = 0
-        rows.append(0)
-        for x in cycle[row:row + (max_row if max_row < remaining else remaining)]:
-            v = counts[x] + 1
-            if v > r:
+        # each pass of the loop is one node: rows 0..j-1 are placed and end
+        # in a run of run rows of length max_row, and dim counts their closed
+        # columns and ended runs; k is j mod m, row j - 1 starts at below
+        # (row -1 at row m - 1's start), column i closes at height j with key
+        # cycle[below + i] = i + c*(j-1), and cycle[below + max_row] is the
+        # key of row j-1.  A node's last child repeats the row above and is
+        # the next pass; placed counts the repeated rows this frame holds
+        placed = 0
+        while True:
+            below = starts[k - 1]
+            if remaining == 0:
+                # the open columns close, each matching the earlier rows and
+                # row j-1
+                cols = cycle[below:below + max_row]
+                found.append(tuple(rows))
+                dims.append(dim + laps[run] + sum(map(keys.__getitem__, cols))
+                            + cols.count(cycle[below + max_row]))
                 break
-            counts[x] = v
-            b = (first[x] - after) % m + wait[v]
-            if b < bound:
-                bound = b
-            length += 1
-            if length < shut:
-                continue
-            rows[-1] = length
-            if length == 1:
-                # shortest is 1, so every remaining column-0 box fits and
-                # the all-ones tail closes: its run ends, and column 0
-                # closes at height j + remaining, matching earlier rows and
-                # the tail rows j + t, keyed 1 + c*(j + t)
-                top = starts[k + remaining - 1]
-                found.append(tuple(rows) + (1,) * (remaining - 1))
-                dims.append(closed + laps[remaining] + keys[top]
-                            + starts[k:k + remaining].count((top - 1) % m))
-            elif length == max_row:
-                # only the longest row repeats the row above
-                extend(remaining - length, length, after, dim, run + 1, bound)
-            else:
-                extend(remaining - length, length, after, closed, 1, bound)
-            if length < max_row:
-                # the next row leaves column length open (at the root of
-                # r*m = 1 the tail is the longest row, and nothing reopens)
-                ends[cycle[row + length]] += 1
-                closed -= keys[cycle[below + length]]
-                shut += 1
-        rows.pop()
-        while shut < max_row:
-            ends[cycle[row + shut]] += 1
-            shut += 1
-        keys[last] -= 1
-        for col in cycle[row:row + length]:
-            counts[col] -= 1
+            # every row from j on puts one box in column 0, and rows_left is
+            # how many more boxes column 0 can take (no color above r), so
+            # row j, the longest of the rest, holds at least remaining /
+            # rows_left; and there are at most j + rows_left rows, whose ends
+            # take the residues of their c*j (module docstring), residue x in
+            # ceil((j + rows_left - first[x]) / m) of them, so row j-1 must
+            # find its key last below that count in the earlier rows, that
+            # is m*keys[last] + first[last] < j + rows_left
+            if rows_left == 0:
+                break
+            last = cycle[below + max_row]
+            if m * keys[last] + first[last] >= len(rows) + rows_left:
+                break
+            shortest = -(-remaining // rows_left)
+            if shortest > max_row:
+                # no row that long fits below row j-1
+                break
+            row, after = starts[k], (k + 1) % m
+            # row j-1 joins the key histogram for this node and the nodes
+            # below it; a row j of length l ends the run above and closes
+            # columns l..max_row-1 at height j with the ends cycle[row +
+            # l:row + max_row].  Columns close from the right down to shut,
+            # the shortest row allowed: a shorter row closes more columns, so
+            # the first column whose end is no longer open stops it.  closed
+            # counts the matches of columns shut..max_row-1, and each row
+            # tried reopens its column
+            keys[last] += 1
+            closed = dim + laps[run]
+            shut = max_row
+            while shut > shortest and ends[cycle[row + shut - 1]]:
+                shut -= 1
+                ends[cycle[row + shut]] -= 1
+                closed += keys[cycle[below + shut]]
+            # each child's rows_left: counts only grow, so a color that fills
+            # column 0 t rows below row j fills it t - 1 rows below row j+1,
+            # and only the colors row j places fill it sooner, so bound is the
+            # least of those below the boxes placed so far; each of those
+            # column-0 boxes takes one of the boxes left, so it never exceeds
+            # them
+            bound = rows_left - 1
+            length = 0
+            rows.append(0)
+            for x in cycle[row:row + (max_row if max_row < remaining else remaining)]:
+                v = counts[x] + 1
+                if v > r:
+                    break
+                counts[x] = v
+                b = (first[x] - after) % m + wait[v]
+                if b < bound:
+                    bound = b
+                length += 1
+                if length < shut:
+                    continue
+                rows[-1] = length
+                if length == 1:
+                    # shortest is 1, so every remaining column-0 box fits and
+                    # the all-ones tail closes: its run ends, and column 0
+                    # closes at height j + remaining, matching earlier rows
+                    # and the tail rows j + t, keyed 1 + c*(j + t)
+                    top = starts[k + remaining - 1]
+                    found.append(tuple(rows) + (1,) * (remaining - 1))
+                    dims.append(closed + laps[remaining] + keys[top]
+                                + starts[k:k + remaining].count((top - 1) % m))
+                elif length < max_row:
+                    extend(remaining - length, length, after, closed, 1, bound)
+                if length < max_row:
+                    # the next row leaves column length open (at the root of
+                    # r*m = 1 the tail is the longest row, and nothing reopens)
+                    ends[cycle[row + length]] += 1
+                    closed -= keys[cycle[below + length]]
+                    shut += 1
+            if length < max_row or length == 1:
+                # no child repeats row j-1 (the all-ones tail at the root of
+                # r*m = 1 is not a repeat): the node ends
+                rows.pop()
+                while shut < max_row:
+                    ends[cycle[row + shut]] += 1
+                    shut += 1
+                keys[last] -= 1
+                for col in cycle[row:row + length]:
+                    counts[col] -= 1
+                break
+            # row j repeats row j-1, every column is open again, and its
+            # node is the next pass
+            remaining, k, run, rows_left = remaining - length, after, run + 1, bound
+            placed += 1
+        # the run ends: undo its repeated rows, the last first, as a node
+        # ends: row j is max_row long from starts[k], and row j-1's key is
+        # cycle[starts[k - 1] + max_row]
+        while placed:
+            placed -= 1
+            k = (k - 1) % m
+            rows.pop()
+            keys[cycle[starts[k - 1] + max_row]] -= 1
+            for col in cycle[starts[k]:starts[k] + max_row]:
+                counts[col] -= 1
 
     extend(total, total, 0, 0, 0, total)
     return tuple(found), tuple(dims)

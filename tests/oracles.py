@@ -141,6 +141,32 @@ def rows_left_by_prefix(search, form):
     return seen
 
 
+def search_depth(form):
+    """The deepest nesting of frames of ``coloring._search``'s inner
+    ``extend`` on ``form``, counted by a call/return profile hook, which is
+    taken off again afterwards, whatever profile function was there before."""
+    depth = deepest = 0
+    filename = coloring._search.__code__.co_filename
+
+    def hook(frame, event, arg):
+        nonlocal depth, deepest
+        code = frame.f_code
+        if code.co_name == "extend" and code.co_filename == filename:
+            if event == "call":
+                depth += 1
+                deepest = max(deepest, depth)
+            elif event == "return":
+                depth -= 1
+
+    previous = sys.getprofile()
+    sys.setprofile(hook)
+    try:
+        coloring._search(*form)
+    finally:
+        sys.setprofile(previous)
+    return deepest
+
+
 def col_height(lam, i):
     """Height of column i: the number of rows longer than i."""
     return sum(1 for row in lam.rows if row > i)

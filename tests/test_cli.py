@@ -513,13 +513,14 @@ def test_family_past_the_ceiling_is_answered_in_row_sized_tables():
         0, "(1,1;4001) r=1: [H] = L^2 + L, P(z) = z^4 + z^2, euler = 2\n", "")
 
 
-def test_search_deeper_than_the_frame_limit_is_refused():
-    """The search recurses once per row, and ``(2, ..., 2, 1)`` of
-    ``(1,2;2001)`` has 1,001 rows: refused with ``error:``, not a traceback."""
-    proc = _run_limited(["poincare", "--a", "1", "--b", "2", "--n", "2001", "--r", "1"],
+def test_search_deeper_than_the_frame_limit_is_answered():
+    """``(2, ..., 2, 1)`` of ``(1,2;4001)`` has 2,001 rows, past Python's
+    default limit of 1,000 frames, but a repeated row takes no frame of the
+    search: answered under the 600 MB limit."""
+    proc = _run_limited(["poincare", "--a", "1", "--b", "2", "--n", "4001", "--r", "1"],
                         program=_PAST_THE_CEILING)
-    assert (proc.returncode, proc.stdout) == (1, "")
-    assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        0, "(1,2;4001) r=1: [H] = L^2 + 2L, P(z) = z^4 + 2z^2, euler = 3\n", "")
 
 
 def test_running_out_of_memory_is_an_error_line():

@@ -23,7 +23,8 @@ from eqhilb import (
 )
 from eqhilb import coloring
 from oracles import (box_ceiling_by_environ_get, brute_force_balanced, live_prefixes,
-                     rows_left_by_prefix, search_by_column_scan, search_nodes, weight_vector)
+                     rows_left_by_prefix, search_by_column_scan, search_depth, search_nodes,
+                     weight_vector)
 
 
 def test_group_params_validation():
@@ -284,6 +285,19 @@ def _ascending_column_scan(form):
     lengths longest first, in the ascending order ``_search`` emits."""
     rows, dims = search_by_column_scan(*form)
     return tuple(reversed(rows)), tuple(reversed(dims))
+
+
+def test_search_nests_one_frame_per_distinct_row_length():
+    """A row that repeats the row above is placed in its node's own frame,
+    and only a shorter row calls ``extend``, so the frames on a path are at
+    most the root and one per distinct row length: ``1 + isqrt(2*r*m)``, as
+    ``d`` distinct lengths need ``d*(d+1)/2`` boxes.  On every normal form
+    with ``m <= 25`` and ``r*m <= 40``, and on the chains (2, 2001, 1) and
+    (2, 8001, 1), whose member (2, ..., 2, 1) places 1,001 and 4,001 rows."""
+    forms = [(c, m, r) for m in range(1, 26) for c in range(m) if math.gcd(c, m) == 1
+             for r in range(1, 40 // m + 1)]
+    for c, m, r in forms + [(2, 2001, 1), (2, 8001, 1)]:
+        assert search_depth((c, m, r)) <= 1 + math.isqrt(2 * r * m), (c, m, r)
 
 
 def test_each_child_receives_the_scanned_rows_left():

@@ -1,7 +1,5 @@
 import functools
 import math
-import re
-import sys
 from collections import Counter
 
 import pytest
@@ -18,6 +16,7 @@ from eqhilb import (
     betti_statistic,
     distinguished_arrows,
     enumerate_balanced,
+    hj_expand,
     invariant_arrows,
     l_class,
     multipartition_count,
@@ -322,37 +321,15 @@ def test_keys_of_one_normal_form_share_one_record(monkeypatch):
         searches.clear()
 
 
-def test_refused_searches_leave_no_memo_entry(monkeypatch):
-    """A family past the ceiling is refused before the memo, one with more
-    rows than the frame limit allows inside the search; neither is kept, so
-    the second request of the deep family, its own normal form, misses
-    again."""
+def test_refused_searches_leave_no_memo_entry():
+    """A family past the ceiling is refused before the memo: nothing is
+    kept, and a second request is refused again without a miss."""
     before = coloring._balanced_family.cache_info()
-    with pytest.raises(EnumerationLimitError):
-        enumerate_balanced(GroupParams(1, 2, 81), 1)
-    monkeypatch.setenv("EQHILB_MAX_BOXES", "5000")
     for _ in range(2):
-        with pytest.raises(EnumerationLimitError, match="frame limit"):
-            enumerate_balanced(GroupParams(1, 2, 2001), 1)
+        with pytest.raises(EnumerationLimitError):
+            enumerate_balanced(GroupParams(1, 2, 81), 1)
     after = coloring._balanced_family.cache_info()
-    assert (after.currsize, after.misses) == (before.currsize, before.misses + 2)
-
-
-def test_frame_limit_refusals_name_the_key_asked_for(monkeypatch):
-    """(1,4;4002) is (1,2;2001) with every row twice as long, and
-    (1000,-1;2001) has the normal form (1,2;2001); both reach the search
-    through the base key (1,2;2001), whose member (2, ..., 2, 1) has 1,001
-    rows.  Each refusal names the key asked for, in residues, and neither
-    leaves a memo entry."""
-    monkeypatch.setenv("EQHILB_MAX_BOXES", "5000")
-    coloring._balanced_family.cache_clear()
-    for g, name in ((GroupParams(1, 4, 4002), "(1,4;4002)"),
-                    (GroupParams(1000, -1, 2001), "(1000,2000;2001)")):
-        with pytest.raises(EnumerationLimitError,
-                           match=rf"^the balanced search of {re.escape(name)} r=1 places more "
-                                 r"rows than the frame limit of \d+ allows$"):
-            enumerate_balanced(g, 1)
-    assert coloring._balanced_family.cache_info().currsize == 0
+    assert (after.currsize, after.misses) == (before.currsize, before.misses)
 
 
 def _from_deeper(frames, call, *args):
@@ -360,28 +337,28 @@ def _from_deeper(frames, call, *args):
     return call(*args) if frames == 0 else _from_deeper(frames - 1, call, *args)
 
 
-def test_one_frame_limit_boundary_per_normal_form(monkeypatch):
-    """``_search`` places at most ``sys.getrecursionlimit() - _ROW_MARGIN``
-    rows by recursion, so the largest odd ``n`` answered at r=1 is one order
-    for (1,2;n), ((n+1)/2,1;n) and (1,4;2n), which reach the search of (1,2;n)
-    directly, through an alias and through a stretch: with the memo cold or
-    holding the base record, and called directly or from 50 frames deeper.
-    The member (2, ..., 2, 1) places its last row below (n-1)/2 rows, so at
-    Python's default limit of 1,000 frames that order is 1,799."""
-    monkeypatch.setenv("EQHILB_MAX_BOXES", "8000")
-    largest = 2 * (sys.getrecursionlimit() - coloring._ROW_MARGIN) - 1
+def test_chains_longer_than_the_frame_limit_are_answered(monkeypatch):
+    """(1,2;n), ((n+1)/2,1;n) and (1,4;2n) reach the search of (1,2;n)
+    directly, through an alias and through a stretch, and its member
+    (2, ..., 2, 1) places (n+1)/2 rows: 2,001 at n = 4001, past Python's
+    default limit of 1,000 frames.  A repeated row takes no frame, so at
+    n = 1801 and 4001 each key is answered, with the memo cold or holding
+    the base record, and called directly or from 50 frames deeper.  The
+    class is ``L^2 + l*L``, ``l`` the Hirzebruch-Jung length of ``n/2``."""
+    monkeypatch.setenv("EQHILB_MAX_BOXES", "8002")
     keys = (lambda n: GroupParams(1, 2, n), lambda n: GroupParams((n + 1) // 2, 1, n),
             lambda n: GroupParams(1, 4, 2 * n))
-    for frames in (0, 50):
-        for warm in (False, True):
-            for key in keys:
-                coloring._balanced_family.cache_clear()
-                if warm:
-                    l_class(GroupParams(1, 2, largest), 1)
-                answer = _from_deeper(frames, l_class, key(largest), 1)
-                assert str(answer) == "L^2 + 2L", (frames, warm, key(largest))
-                with pytest.raises(EnumerationLimitError, match="frame limit"):
-                    _from_deeper(frames, l_class, key(largest + 2), 1)
+    for n in (1801, 4001):
+        expected = LPolynomial([0, len(hj_expand(n, 2)), 1])
+        assert str(expected) == "L^2 + 2L"
+        for frames in (0, 50):
+            for warm in (False, True):
+                for key in keys:
+                    coloring._balanced_family.cache_clear()
+                    if warm:
+                        l_class(GroupParams(1, 2, n), 1)
+                    answer = _from_deeper(frames, l_class, key(n), 1)
+                    assert answer == expected, (n, frames, warm, key(n))
 
 
 def test_l_class_matches_gottsche_product():

@@ -47,20 +47,34 @@ TIMEOUT_S = 300
 MUTANTS = (
     # the node body of coloring._search
     ("no_row_fits_return_dropped",
-     "        if shortest > max_row:\n            # no row that long fits below row j-1\n            return\n",
+     "            if shortest > max_row:\n                # no row that long fits below row j-1\n"
+     "                break\n",
      "", KERNELS),
     ("repeat_child_bound_ignores_its_colors",
-     "dim, run + 1, bound)",
-     "dim, run + 1, rows_left - 1)", KERNELS),
+     "after, run + 1, bound",
+     "after, run + 1, rows_left - 1", KERNELS),
     ("column_reopen_dropped",
-     "                ends[cycle[row + length]] += 1\n",
+     "                    ends[cycle[row + length]] += 1\n",
      "", KERNELS),
     ("closed_kept_on_reopen",
-     "                closed -= keys[cycle[below + length]]\n",
+     "                    closed -= keys[cycle[below + length]]\n",
      "", KERNELS),
     ("repeat_child_run_reset",
-     "dim, run + 1, bound)",
-     "dim, 1, bound)", KERNELS),
+     "after, run + 1, bound",
+     "after, 1, bound", KERNELS),
+    ("tail_at_the_root_repeats",
+     "if length < max_row or length == 1:",
+     "if length < max_row:", KERNELS),
+    # the unwind of a frame's run of equal rows
+    ("unwind_counts_restore_dropped",
+     "            for col in cycle[starts[k]:starts[k] + max_row]:\n                counts[col] -= 1\n",
+     "", KERNELS),
+    ("unwind_keys_on_the_wrong_row",
+     "keys[cycle[starts[k - 1] + max_row]] -= 1",
+     "keys[cycle[starts[k] + max_row]] -= 1", KERNELS),
+    ("unwind_rows_kept",
+     "            rows.pop()\n            keys[cycle[starts[k - 1]",
+     "            keys[cycle[starts[k - 1]", KERNELS),
     ("shorter_child_run_0",
      "closed, 1, bound)",
      "closed, 0, bound)", KERNELS),
@@ -86,13 +100,6 @@ MUTANTS = (
     ("row_end_cap_strict",
      "m * keys[last] + first[last] >= len(rows) + rows_left",
      "m * keys[last] + first[last] > len(rows) + rows_left", KERNELS),
-    ("row_budget_dropped",
-     "        if len(rows) >= budget:\n            # one frame per row: refuse before Python's "
-     "frame limit does\n            raise RecursionError\n",
-     "", KERNELS),
-    ("row_budget_one_row_late",
-     "if len(rows) >= budget:",
-     "if len(rows) > budget:", KERNELS),
     # the balance test coloring._tallies_match
     ("tally_row_residues_a_j",
      "sorted([b * j % n for j in range(len(rows))])",

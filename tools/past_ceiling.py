@@ -9,15 +9,18 @@ wide and mostly find nothing.  Each run is a fresh interpreter on the
 the address space limited to 600 MB.  Each child times its own call of
 ``eqhilb.cli.main``, reads its own peak RSS, and reports both on the last
 line of its stderr; a child that raises prints the traceback and exits 1,
-as the CLI would.
+as the CLI would.  For each r = 1 run this script checks the class on the
+child's stdout against ``L^2 + l*L``, ``l`` the Hirzebruch-Jung length of
+``n / (b * a^-1 mod n)``, and records ``"check": "ok"`` or the class expected.
 
     python3 tools/past_ceiling.py
 
 Output is one JSON list with one entry per run: the weights, the order,
-the multiplicity, the exit code, the seconds, the peak RSS in MB, and the
-last line of stdout and of stderr.  ``tools/past_ceiling.expected`` holds
-the answers, that is the output without its ``seconds`` and
-``peak_rss_mb`` lines, and CI diffs a run against it:
+the multiplicity, the exit code, the seconds, the peak RSS in MB, the last
+line of stdout and of stderr, and for r = 1 the check.
+``tools/past_ceiling.expected`` holds the answers, that is the output
+without its ``seconds`` and ``peak_rss_mb`` lines, and CI diffs a run
+against it:
 
     python3 tools/past_ceiling.py | grep -Ev '^  "(seconds|peak_rss_mb)": ' \\
         | diff tools/past_ceiling.expected -
@@ -31,6 +34,11 @@ import resource
 import subprocess
 import sys
 from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+sys.path.insert(0, str(SRC))
+
+from eqhilb import LPolynomial, hj_expand  # noqa: E402
 
 ORDERS = (1001, 2001, 3001, 4001)
 WEIGHTS = ((1, 1), (1, 2))
@@ -63,7 +71,7 @@ def _limit_address_space() -> None:
 
 def run(a: int, b: int, n: int, r: int) -> dict:
     """One ``poincare`` child on ``(a, b; n)`` and ``r``, and what it reports."""
-    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    env = dict(os.environ, PYTHONPATH=str(SRC))
     env["EQHILB_MAX_BOXES"] = str(CEILING)
     argv = ["poincare", "--a", str(a), "--b", str(b), "--n", str(n), "--r", str(r)]
     proc = subprocess.run([sys.executable, "-c", CHILD, *argv], capture_output=True, text=True,
@@ -73,8 +81,19 @@ def run(a: int, b: int, n: int, r: int) -> dict:
             "stdout": (proc.stdout.splitlines() or [""])[-1], "stderr": (err or [""])[-1]}
 
 
+def check(entry: dict) -> str:
+    """``"ok"`` if an r = 1 run printed the class ``L^2 + l*L`` (module
+    docstring), else the class expected."""
+    a, b, n = entry["a"], entry["b"], entry["n"]
+    expected = str(LPolynomial([0, len(hj_expand(n, b * pow(a, -1, n) % n)), 1]))
+    printed = entry["stdout"].partition("[H] = ")[2].partition(", P(z)")[0]
+    return "ok" if printed == expected else f"expected {expected}"
+
+
 def main() -> None:
     runs = [run(a, b, n, 1) for n in ORDERS for a, b in WEIGHTS]
+    for entry in runs:
+        entry["check"] = check(entry)
     runs += [run(a, b, n, 3) for a, b, n in WIDE]
     print(json.dumps(runs, indent=1))
 
