@@ -22,7 +22,12 @@ find as a warm family call.  Every reader goes through ``_family_record``,
 which checks the box ceiling first, memo hits included.  A miss reads the
 record of its normal form's base key through the memo, and only a base key
 runs the row search (``_search``), so the keys of one normal form share
-one record's statistics and L-class.
+one record's statistics and L-class.  Every record takes its members from
+one index of the memo, ``_members`` (``rows -> Partition``), so equal
+members of different records are one object.  A miss empties the memo and
+the index when the index holds more than ``_MEMO_MEMBERS`` members, and
+empties the index when the memo is empty (after a caller's
+``cache_clear()``): the memo is bounded by the distinct members it holds.
 """
 
 from __future__ import annotations
@@ -31,6 +36,7 @@ import functools
 import math
 import os
 from collections import Counter
+from collections.abc import Iterable
 from typing import NamedTuple
 
 from .errors import EnumerationLimitError, PreconditionError, UnbalancedPartitionError
@@ -48,6 +54,11 @@ _ENV_KEY = os.environ.encodekey(MAX_BOXES_ENV)
 
 #: Records kept by the family memo, one per ``_family_key``, so memory stays bounded.
 _MEMO_SIZE = 256
+#: Members the memo's index may hold before a miss empties the memo and the
+#: index (``_balanced_family``): about 0.3 GB, enough for (1,1;1) r=60.
+_MEMO_MEMBERS = 2**20
+#: The family memo's index ``rows -> Partition``: each member of its records once.
+_members: dict[tuple[int, ...], Partition] = {}
 
 class _GroupParams(NamedTuple):
     a: int
@@ -352,17 +363,36 @@ def _balanced_family(key: tuple[int, int, int, int]) -> _FamilyRecord:
     (a/h)^-1 mod m``.  Its base key ``(1 mod m, c, m, r)`` alone is searched;
     other keys share its record, stretched, as a stretch keeps the sorted
     order and the statistics.
+
+    Each miss first applies the index's two emptying rules: past
+    ``_MEMO_MEMBERS`` members in ``_members`` it empties the memo, and an
+    empty memo empties the index.  Then the members of the searched or
+    stretched rows come from the index (``_held``), so the index holds every
+    member of every record in the memo, each once, and exceeds
+    ``_MEMO_MEMBERS`` by at most the members of the records one call builds.
     """
+    if len(_members) > _MEMO_MEMBERS:
+        _balanced_family.cache_clear()
+    if not _balanced_family.cache_info().currsize:
+        _members.clear()
     wide, tall, (c, m, r) = _normal_form(key)
     base = (1 % m, c, m, r)
     if key != base:
         record = _balanced_family(base)
-        return record if wide * tall == 1 else record._replace(members=tuple(
-            Partition._of(_stretch(lam.rows, wide, tall)) for lam in record.members))
+        return record if wide * tall == 1 else record._replace(members=_held(
+            _stretch(lam.rows, wide, tall) for lam in record.members))
     found, dims = _search(c, m, r)
     by_dim = Counter(dims)
-    return _FamilyRecord(tuple(map(Partition._of, found)), dims,
+    return _FamilyRecord(_held(found), dims,
                          LPolynomial(by_dim[k] for k in range(max(by_dim, default=-1) + 1)))
+
+
+def _held(found: Iterable[tuple[int, ...]]) -> tuple[Partition, ...]:
+    """The members with rows ``found``, each taken from the memo's index
+    (``_members``) and built there only when it holds no equal member (a
+    ``Partition`` is always true)."""
+    return tuple([_members.get(rows) or _members.setdefault(rows, Partition._of(rows))
+                  for rows in found])
 
 
 def _search(c: int, m: int, r: int) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
@@ -538,4 +568,9 @@ def _search(c: int, m: int, r: int) -> tuple[tuple[tuple[int, ...], ...], tuple[
                 counts[col] -= 1
 
     extend(total, total, 0, 0, 0, total)
+    # extend refers to itself through its closure: break that cycle, so the
+    # tables and the rows the memo's index did not keep are freed on return
+    # rather than at a full collection.  A MemoryError skips this line, and
+    # the cycle keeps the tables until cli.main collects them.
+    del extend
     return tuple(found), tuple(dims)

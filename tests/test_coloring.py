@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import math
 import operator
@@ -298,6 +299,22 @@ def test_search_nests_one_frame_per_distinct_row_length():
              for r in range(1, 40 // m + 1)]
     for c, m, r in forms + [(2, 2001, 1), (2, 8001, 1)]:
         assert search_depth((c, m, r)) <= 1 + math.isqrt(2 * r * m), (c, m, r)
+
+
+def test_a_finished_search_leaves_no_garbage_cycle():
+    """``extend`` refers to itself, and ``_search`` breaks that cycle when the
+    root call returns, so its tables and the rows nobody kept are freed at
+    once: a collection right after the search finds nothing unreachable."""
+    gc.collect()
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for form in ((1, 10, 4), (2, 5, 8), (0, 1, 12)):
+            coloring._search(*form)
+            assert gc.collect() == 0, form
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_each_child_receives_the_scanned_rows_left():

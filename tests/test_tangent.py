@@ -321,6 +321,67 @@ def test_keys_of_one_normal_form_share_one_record(monkeypatch):
         searches.clear()
 
 
+def test_equal_members_of_one_size_are_one_object():
+    """(1,1;1) r=6 holds every partition of 6; (1,1;2) r=3 and (1,-1;3) r=2
+    are searched, and (1,2;6) r=1 is (1,1;3) r=1 stretched.  Each equal
+    member across their five records is one object, the memo index's."""
+    coloring._balanced_family.cache_clear()
+    families = [enumerate_balanced(GroupParams(a, b, n), r)
+                for a, b, n, r in ((1, 1, 1, 6), (1, 1, 2, 3), (1, -1, 3, 2), (1, 2, 6, 1))]
+    assert coloring._balanced_family.cache_info().currsize == 5
+    first = {}
+    for family in families:
+        for lam in family:
+            assert first.setdefault(lam, lam) is lam, lam
+    assert len(first) == len(families[0]) < sum(map(len, families))
+    assert all(coloring._members[lam.rows] is lam for lam in first)
+
+
+def test_member_budget_empties_the_memo_and_keeps_its_answers(monkeypatch):
+    """With a budget of 10 members the sweep empties the memo many times.
+    Every answer equals a fresh memo's, every member of a returned family
+    is the index's, and after a call that missed, the index exceeds the
+    budget by at most the members of the two records (base and stretched)
+    that the call assembled; a call that hit leaves the index as it was."""
+    groups = [GroupParams(1, 1, 1)] + [GroupParams(a, b, n) for n in range(2, 7)
+                                       for a in range(n) for b in range(n) if math.gcd(a, b) == 1]
+    keys = [(g, r) for g in groups for r in range(1, 13 // g.n + 1)]
+    memo = coloring._balanced_family
+    fresh = {}
+    for g, r in keys:
+        memo.cache_clear()
+        fresh[g, r] = enumerate_balanced(g, r), l_class(g, r)
+    budget = 10
+    monkeypatch.setattr(coloring, "_MEMO_MEMBERS", budget)
+    memo.cache_clear()
+    emptied, before, held = 0, memo.cache_info(), 0
+    for g, r in keys + keys[::-1]:
+        family, lc = enumerate_balanced(g, r), l_class(g, r)
+        assert (family, lc) == fresh[g, r], (g, r)
+        assert all(coloring._members[lam.rows] is lam for lam in family), (g, r)
+        after = memo.cache_info()
+        if (after.hits, after.misses) == (before.hits + 2, before.misses):
+            assert len(coloring._members) == held, (g, r)
+        else:  # a miss; an emptying resets the counts too
+            assert len(coloring._members) <= budget + 2 * len(family), (g, r)
+        emptied += after.currsize < before.currsize
+        before, held = after, len(coloring._members)
+    assert emptied >= 10
+
+
+def test_a_cleared_memo_empties_its_index_at_the_next_miss():
+    """After ``cache_clear()``, the next miss empties the index, so after one
+    call of the stretched key (1,2;6) r=2 it holds the members of that
+    call's two records and nothing from before the clear."""
+    enumerate_balanced(GroupParams(1, 1, 1), 8)
+    coloring._balanced_family.cache_clear()
+    family = enumerate_balanced(GroupParams(1, 2, 6), 2)
+    assert coloring._balanced_family.cache_info().currsize == 2
+    base = enumerate_balanced(GroupParams(1, 1, 3), 2)
+    assert base != family
+    assert set(map(id, coloring._members.values())) == set(map(id, family + base))
+
+
 def test_refused_searches_leave_no_memo_entry():
     """A family past the ceiling is refused before the memo: nothing is
     kept, and a second request is refused again without a miss."""

@@ -11,9 +11,11 @@ reads back through those keys what the pass leaves in the memo: ``records``
 counts the distinct records, as the keys of one normal form without a
 pseudo-reflection share one; ``members_held`` counts every member of every
 distinct record, and ``distinct_members`` the distinct partitions among
-them, which the records of different keys may share.  The seed orders the
-requests but does not change which keys they hit, so none of these depend
-on it.
+them, which the records of different keys may share; ``member_objects``
+counts the distinct member objects (by ``id``), which equals
+``distinct_members`` when the records share each equal member.  The seed
+orders the requests but does not change which keys they hit, so none of
+these depend on it.
 
     PYTHONPATH=src python3 tools/memo_traffic.py
 
@@ -63,7 +65,8 @@ def cold_pass_traffic(workload: str, golden: dict) -> dict[str, int]:
     records = {id(record): record for record in map(memo, missed)}.values()
     members = [lam for record in records for lam in record.members]
     return {"family_misses": info.misses, "records": len(records),
-            "members_held": len(members), "distinct_members": len(set(members))}
+            "members_held": len(members), "distinct_members": len(set(members)),
+            "member_objects": len(set(map(id, members)))}
 
 
 def main() -> None:

@@ -110,6 +110,20 @@ MUTANTS = (
     ("tally_unit_shortcut_dropped",
      "    if math.gcd(a, n) == 1:\n        return True\n",
      "", KERNELS),
+    # the family memo's index of members: coloring._held and the emptying rules,
+    # and the cycle _search breaks so that the rows the index did not keep are freed
+    ("members_built_without_the_index",
+     "_members.get(rows) or _members.setdefault(rows, Partition._of(rows))",
+     "Partition._of(rows)", KERNELS),
+    ("empty_memo_keeps_its_index",
+     "    if not _balanced_family.cache_info().currsize:\n        _members.clear()\n",
+     "", KERNELS),
+    ("member_budget_never_fires",
+     "if len(_members) > _MEMO_MEMBERS:",
+     "if False and len(_members) > _MEMO_MEMBERS:", KERNELS),
+    ("search_cycle_kept",
+     "    del extend\n",
+     "", KERNELS),
     # the statistic tangent._cell_dimension
     ("cell_key_one_column_long",
      "key[:length].count(",
