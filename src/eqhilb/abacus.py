@@ -45,7 +45,7 @@ from __future__ import annotations
 import operator
 from typing import NamedTuple
 
-from .coloring import _tallies_match
+from .coloring import _require_ints, _tallies_match
 from .errors import AmbiguousQuotientError, InvariantViolationError, NotNCoreError, PreconditionError
 from .partitions import Partition, _require_partition
 
@@ -147,8 +147,7 @@ class MultiPartition(_MultiPartition):
 def runners(lam: Partition, n: int) -> tuple[MultiPartition, Partition]:
     """The n-quotient, with its alignment, and the n-core (module docstring)."""
     _require_partition("lam", lam)
-    if type(n) is not int:
-        raise PreconditionError(f"n must be an int, got {n!r}")
+    _require_ints(n=n)
     if n < 1:
         raise PreconditionError(f"n must be >= 1, got {n}")
     rows = lam.rows
@@ -245,8 +244,7 @@ def from_core_quotient(core: Partition, quot: MultiPartition) -> Partition:
 def has_empty_core(lam: Partition, n: int) -> bool:
     """True when the n-core vanishes: ``lam`` is balanced for ``(1, -1; n)``."""
     _require_partition("lam", lam)
-    if type(n) is not int:
-        raise PreconditionError(f"n must be an int, got {n!r}")
+    _require_ints(n=n)
     if n < 1:
         raise PreconditionError(f"n must be >= 1, got {n}")
     return lam.size % n == 0 and _tallies_match(1, -1, n, lam.rows)

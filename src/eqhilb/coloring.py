@@ -15,19 +15,20 @@ one multiset of residues; likewise for ``b`` with the column ends
 invariant under both is flat, and so is one invariant under a unit ``a``.
 
 One ``lru_cache`` memo, ``_balanced_family``, keeps the records (members,
-statistics, L-class) of its ``_MEMO_SIZE`` most recently used families and
-no call that raised.  Its key is the coloring key ``(a mod n, b mod n, n,
-r)`` (``_family_key``), not the normal form, which costs about as much to
-find as a warm family call.  Every reader goes through ``_family_record``,
-which checks the box ceiling first, memo hits included.  A miss reads the
-record of its normal form's base key through the memo, and only a base key
-runs the row search (``_search``), so the keys of one normal form share
-one record's statistics and L-class.  Every record takes its members from
+statistics, L-class) of the families asked for and no call that raised.
+Its key is the coloring key ``(a mod n, b mod n, n, r)`` (``_family_key``),
+not the normal form, which costs about as much to find as a warm family
+call.  Every reader goes through ``_family_record``, which checks the box
+ceiling first, memo hits included.  A miss reads the record of its normal
+form's base key through the memo, and only a base key runs the row search
+(``_search``), so the keys of one normal form share one record's
+statistics and L-class.  Every record takes its members from
 one index of the memo, ``_members`` (``rows -> Partition``), so equal
 members of different records are one object.  A miss empties the memo and
-the index when the index holds more than ``_MEMO_MEMBERS`` members, and
-empties the index when the memo is empty (after a caller's
-``cache_clear()``): the memo is bounded by the distinct members it holds.
+the index when the memo's keys and the index's members together exceed
+``_MEMO_MEMBERS``, and empties the index when the memo is empty (after a
+caller's ``cache_clear()``), so the index holds exactly the members of the
+records in the memo, and the memo is bounded by its keys and their members.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from collections.abc import Iterable
 from typing import NamedTuple
 
 from .errors import EnumerationLimitError, PreconditionError, UnbalancedPartitionError
-from .partitions import Box, Partition, _column_heights
+from .partitions import Box, Partition, _column_heights, _require_partition
 
 #: Default ceiling on r*n for enumerations and L-classes, on the orders of
 #: an r = 0 range, on the terms of a Hirzebruch-Jung expansion and on the
@@ -52,10 +53,8 @@ MAX_BOXES_ENV = "EQHILB_MAX_BOXES"
 #: The variable's key in ``os.environ``'s own store (see ``_box_ceiling``).
 _ENV_KEY = os.environ.encodekey(MAX_BOXES_ENV)
 
-#: Records kept by the family memo, one per ``_family_key``, so memory stays bounded.
-_MEMO_SIZE = 256
-#: Members the memo's index may hold before a miss empties the memo and the
-#: index (``_balanced_family``): about 0.3 GB, enough for (1,1;1) r=60.
+#: Keys and members the family memo and its index may hold together before a
+#: miss empties both (``_balanced_family``): about 0.3 GB, enough for (1,1;1) r=60.
 _MEMO_MEMBERS = 2**20
 #: The family memo's index ``rows -> Partition``: each member of its records once.
 _members: dict[tuple[int, ...], Partition] = {}
@@ -95,17 +94,10 @@ class GroupParams(_GroupParams):
         return f"({self.a},{self.b};{self.n})"
 
 
-def _group_refusal(g: object) -> PreconditionError:
-    """The refusal of a ``g`` that is not a ``GroupParams``, a plain tuple among them."""
-    return PreconditionError(f"g must be a GroupParams, got {g!r}")
-
-
 def _require_group(g: object) -> None:
-    """Refuse a ``g`` that is not a ``GroupParams``.  The two warm-path readers,
-    ``is_balanced`` and ``_family_key``, catch the ``AttributeError`` instead,
-    which costs nothing when nothing is raised."""
+    """Refuse a ``g`` that is not a ``GroupParams``, a plain tuple among them."""
     if not isinstance(g, GroupParams):
-        raise _group_refusal(g)
+        raise PreconditionError(f"g must be a GroupParams, got {g!r}")
 
 
 def color(g: GroupParams, box: Box) -> int:
@@ -120,12 +112,9 @@ def is_balanced(g: GroupParams, lam: Partition) -> tuple[bool, int | None]:
     The empty partition is balanced with multiplicity 0.  The size and the
     boundary tallies decide, so a huge ``n`` costs nothing.
     """
-    if not isinstance(lam, Partition):
-        raise PreconditionError(f"lam must be a Partition, got {lam!r}")
-    try:
-        a, b, n = g.a, g.b, g.n
-    except AttributeError:
-        raise _group_refusal(g) from None
+    _require_partition("lam", lam)
+    _require_group(g)
+    a, b, n = g
     if lam.size % n or not _tallies_match(a, b, n, lam.rows):
         return (False, None)
     return (True, lam.size // n)
@@ -200,10 +189,8 @@ def _family_key(g: GroupParams, r: int) -> tuple[int, int, int, int]:
         raise PreconditionError(f"multiplicity must be an int, got {r!r}")
     if r < 0:
         raise PreconditionError(f"multiplicity must be nonnegative, got {r}")
-    try:
-        a, b, n = g.a, g.b, g.n
-    except AttributeError:
-        raise _group_refusal(g) from None
+    _require_group(g)
+    a, b, n = g
     ceiling = _box_ceiling()
     total = r * n
     if total > ceiling:
@@ -348,7 +335,7 @@ def _normal_form(key: tuple[int, int, int, int]) -> tuple[int, int, tuple[int, i
     return wide, tall, (bm // wide * pow(am // tall, -1, m) % m, m, r)
 
 
-@functools.lru_cache(maxsize=_MEMO_SIZE)
+@functools.lru_cache(maxsize=None)
 def _balanced_family(key: tuple[int, int, int, int]) -> _FamilyRecord:
     """The record of ``key``: the one place that assembles a record.
 
@@ -364,16 +351,20 @@ def _balanced_family(key: tuple[int, int, int, int]) -> _FamilyRecord:
     other keys share its record, stretched, as a stretch keeps the sorted
     order and the statistics.
 
-    Each miss first applies the index's two emptying rules: past
-    ``_MEMO_MEMBERS`` members in ``_members`` it empties the memo, and an
-    empty memo empties the index.  Then the members of the searched or
-    stretched rows come from the index (``_held``), so the index holds every
-    member of every record in the memo, each once, and exceeds
-    ``_MEMO_MEMBERS`` by at most the members of the records one call builds.
+    Each miss first applies the memo's two emptying rules: an empty memo
+    empties the index, and past ``_MEMO_MEMBERS`` keys in the memo and
+    members in ``_members`` together it empties both.  Counting the keys
+    bounds the aliased keys too, which add no members; an empty memo is not
+    cleared, so its ``cache_info()`` counts stay.  Then the members of the
+    searched or stretched rows come from the index (``_held``), so the index
+    holds exactly the members of the records in the memo, each once, and
+    the keys and members exceed ``_MEMO_MEMBERS`` by at most what one call
+    adds: two keys and the members of the two records it builds.
     """
-    if len(_members) > _MEMO_MEMBERS:
+    if not (size := _balanced_family.cache_info().currsize):
+        _members.clear()
+    elif size + len(_members) > _MEMO_MEMBERS:
         _balanced_family.cache_clear()
-    if not _balanced_family.cache_info().currsize:
         _members.clear()
     wide, tall, (c, m, r) = _normal_form(key)
     base = (1 % m, c, m, r)

@@ -5,6 +5,7 @@ import copy
 import importlib
 import pickle
 import re
+import types
 
 import pytest
 
@@ -174,11 +175,14 @@ def test_functions_refuse_a_tuple_for_a_partition(call, name):
         call((2,))
 
 
-_NOT_A_GROUP = (1, 2, 3)
+#: a plain tuple, and an object with the attributes a, b and n of a group
+#: of order 0, each with its refusal
+_NOT_A_GROUP = [((1, 2, 3), r"\(1, 2, 3\)"),
+                (types.SimpleNamespace(a=1, b=1, n=0), r"namespace\(a=1, b=1, n=0\)")]
 _LAM = eqhilb.Partition((2,))
 
-#: each public function that takes a ``GroupParams``, with the tuple
-#: ``(1, 2, 3)`` in its place
+#: each public function that takes a ``GroupParams``, with a value of
+#: ``_NOT_A_GROUP`` in its place
 TUPLE_FOR_GROUP = [
     pytest.param(lambda g: eqhilb.enumerate_balanced(g, 1), id="enumerate_balanced"),
     pytest.param(lambda g: eqhilb.l_class(g, 1), id="l_class"),
@@ -198,7 +202,9 @@ TUPLE_FOR_GROUP = [
 
 @pytest.mark.parametrize("call", TUPLE_FOR_GROUP)
 def test_functions_refuse_a_tuple_for_a_group(call):
-    """A tuple where a ``GroupParams`` belongs is refused, not left to end in
-    an AttributeError."""
-    with pytest.raises(eqhilb.PreconditionError, match=r"^g must be a GroupParams, got \(1, 2, 3\)$"):
-        call(_NOT_A_GROUP)
+    """A tuple or another object where a ``GroupParams`` belongs is refused by
+    its type, not left to end in an AttributeError, or in a ZeroDivisionError
+    when it has the attributes of one."""
+    for value, shown in _NOT_A_GROUP:
+        with pytest.raises(eqhilb.PreconditionError, match=rf"^g must be a GroupParams, got {shown}$"):
+            call(value)

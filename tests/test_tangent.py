@@ -246,48 +246,57 @@ def test_l_class_memo_holds_one_entry_per_coloring():
     assert coloring._balanced_family.cache_info().currsize - before <= 2
 
 
-def test_memos_are_bounded_and_recompute_evicted_keys():
-    """More coloring keys than the memo holds: the least recent are evicted
-    first and recomputed.  (1,1;13) is its own normal form, which no key of
-    order below 13 reaches, so its second request is one miss."""
-    bound = coloring._MEMO_SIZE
-    groups = [GroupParams(a, b, n) for n in range(2, 12) for a in range(n) for b in range(n)
+def test_memos_are_bounded_and_recompute_evicted_keys(monkeypatch):
+    """The memo's keys count toward its budget with the index's members.  The
+    91 keys (a, b; 13) share 12 records with 39 distinct members, so under a
+    budget of 59 the keys, not the members, empty the memo, and each answer
+    stays a fresh memo's.  (1,1;13), the first key, is the only key of its
+    normal form, so once an emptying drops it, its next request is one miss."""
+    groups = [GroupParams(a, b, 13) for a in range(1, 13) for b in range(1, 13)
               if math.gcd(a, b) == 1]
-    # distinct keys, each a family of n boxes
-    assert len({coloring._family_key(g, 1) for g in groups}) > bound
     first = GroupParams(1, 1, 13)
-    family, lc = enumerate_balanced(first, 1), l_class(first, 1)
-    for g in groups:
-        enumerate_balanced(g, 1)
-        l_class(g, 1)
     memo = coloring._balanced_family
-    assert memo.cache_info().currsize <= bound
+    memo.cache_clear()
+    fresh = {g: (enumerate_balanced(g, 1), l_class(g, 1)) for g in groups}
+    members = len(coloring._members)
+    assert (memo.cache_info().currsize, members) == (91, 39)
+    budget = members + 20
+    monkeypatch.setattr(coloring, "_MEMO_MEMBERS", budget)
+    memo.cache_clear()
+    family, lc = enumerate_balanced(first, 1), l_class(first, 1)
+    emptied, before = 0, memo.cache_info().currsize
+    for g in groups:
+        assert (enumerate_balanced(g, 1), l_class(g, 1)) == fresh[g], g
+        size = memo.cache_info().currsize
+        assert len(coloring._members) <= members < budget
+        assert size + len(coloring._members) <= budget + 2 + len(fresh[g][0]), g
+        emptied += size < before
+        before = size
+    assert emptied >= 1
     misses = memo.cache_info().misses
     assert enumerate_balanced(first, 1) == family == brute_force_balanced(first, 1)
     assert l_class(first, 1) == lc
     assert memo.cache_info().misses == misses + 1
 
 
-def test_family_memo_hit_refreshes_its_key():
-    """A hit makes its key the most recent: the first key, requested again
-    once the memo is full, is still held after ``_MEMO_SIZE - 1`` new keys,
-    where evicting the oldest entry first would have dropped it.  Each key
-    is its own normal form, so each miss adds one entry."""
-    bound = coloring._MEMO_SIZE
+def test_memo_keeps_every_key_and_its_index_their_members():
+    """The 281 keys of order up to 11 and r = 1 are more than an LRU of 256
+    records kept, and far below the member budget: a second pass has no miss,
+    and the index holds exactly the members of the records they return,
+    which include every base record (each is a requested key's)."""
+    groups = [GroupParams(1, 1, 1)] + [GroupParams(a, b, n) for n in range(2, 12)
+                                       for a in range(n) for b in range(n) if math.gcd(a, b) == 1]
+    assert len({coloring._family_key(g, 1) for g in groups}) == 281
     memo = coloring._balanced_family
     memo.cache_clear()
-    keys = [(1, c, m, 1) for m in range(2, 46) for c in range(m) if math.gcd(c, m) == 1]
-    assert len(keys) >= 2 * bound - 1
-    assert all(coloring._normal_form(key) == (1, 1, key[1:]) for key in keys)
-    for key in keys[:bound]:
-        memo(key)
-    memo(keys[0])
-    for key in keys[bound:2 * bound - 1]:
-        memo(key)
-    info = memo.cache_info()
-    assert (info.currsize, info.misses) == (bound, 2 * bound - 1)
-    memo(keys[0])
-    assert memo.cache_info().hits == info.hits + 1
+    for g in groups:
+        enumerate_balanced(g, 1)
+        l_class(g, 1)
+    misses = memo.cache_info().misses
+    families = [enumerate_balanced(g, 1) for g in groups]
+    assert all(l_class(g, 1).euler() == len(family) for g, family in zip(groups, families))
+    assert memo.cache_info().misses == misses
+    assert set(map(id, coloring._members.values())) == {id(lam) for f in families for lam in f}
 
 
 def test_keys_of_one_normal_form_share_one_record(monkeypatch):

@@ -39,7 +39,8 @@ request; run it once per tree, each in its own interpreter:
     PYTHONPATH=src python3 tools/identity_sweep.py
 
 It uses only the public API and the command-line entry point, so it
-runs unchanged on older trees.  A run takes about six minutes on one core.
+runs unchanged on older trees.  A run took 138 s, with a peak RSS of
+109 MB, on a shared 2-vCPU Linux VM with CPython 3.11.7.
 
 ``tools/identity_sweep.expected`` holds the lines this tree prints, and CI
 diffs a run against it; a change that alters a family, an L-class or an

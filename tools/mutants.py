@@ -9,8 +9,9 @@ statistic, the abacus and the insertion map run ``KERNELS``
         tests/test_abacus.py tests/test_stabilization.py
 
 the analysis layer runs ``ANALYSIS``, ``tests/test_analysis.py`` alone,
-and the subcommand table of the CLI runs ``CLI``, ``tests/test_cli.py`` and
-the three golden replays ``tests/test_cli_*golden.py``.
+the subcommand table of the CLI runs ``CLI``, ``tests/test_cli.py`` and
+the three golden replays ``tests/test_cli_*golden.py``, and the group check
+of ``coloring._family_key`` runs ``tests/test_public_api.py``.
 For each mutant the tool copies ``src/``, ``tests/`` and ``pyproject.toml``
 into a temporary directory, applies the edit there, runs the mutant's tests
 on the copy, and prints ``name KILLED`` if a test fails (or the run exceeds
@@ -116,14 +117,21 @@ MUTANTS = (
      "_members.get(rows) or _members.setdefault(rows, Partition._of(rows))",
      "Partition._of(rows)", KERNELS),
     ("empty_memo_keeps_its_index",
-     "    if not _balanced_family.cache_info().currsize:\n        _members.clear()\n",
-     "", KERNELS),
+     "    if not (size := _balanced_family.cache_info().currsize):\n        _members.clear()\n    elif",
+     "    size = _balanced_family.cache_info().currsize\n    if", KERNELS),
     ("member_budget_never_fires",
-     "if len(_members) > _MEMO_MEMBERS:",
-     "if False and len(_members) > _MEMO_MEMBERS:", KERNELS),
+     "elif size + len(_members) > _MEMO_MEMBERS:",
+     "elif False and size + len(_members) > _MEMO_MEMBERS:", KERNELS),
+    ("memo_budget_ignores_its_keys",
+     "elif size + len(_members) > _MEMO_MEMBERS:",
+     "elif len(_members) > _MEMO_MEMBERS:", KERNELS),
     ("search_cycle_kept",
      "    del extend\n",
      "", KERNELS),
+    # the type check of coloring._family_key, the warm path's reader of g
+    ("group_checked_by_attribute",
+     "    _require_group(g)\n    a, b, n = g\n    ceiling",
+     "    a, b, n = g.a, g.b, g.n\n    ceiling", ("tests/test_public_api.py",)),
     # the statistic tangent._cell_dimension
     ("cell_key_one_column_long",
      "key[:length].count(",
