@@ -45,9 +45,9 @@ from __future__ import annotations
 import operator
 from typing import NamedTuple
 
-from .coloring import _require_ints, _tallies_match
+from .coloring import _tallies_match
 from .errors import AmbiguousQuotientError, InvariantViolationError, NotNCoreError, PreconditionError
-from .partitions import Partition, _require_partition
+from .partitions import Partition, _require_int, _require_partition
 
 _EMPTY = Partition()
 
@@ -147,9 +147,7 @@ class MultiPartition(_MultiPartition):
 def runners(lam: Partition, n: int) -> tuple[MultiPartition, Partition]:
     """The n-quotient, with its alignment, and the n-core (module docstring)."""
     _require_partition("lam", lam)
-    _require_ints(n=n)
-    if n < 1:
-        raise PreconditionError(f"n must be >= 1, got {n}")
+    _require_int("n", n, 1)
     rows = lam.rows
     m = len(rows)
     levels = [[] for _ in range(n)]
@@ -208,11 +206,10 @@ def from_core_quotient(core: Partition, quot: MultiPartition) -> Partition:
     matches = set()  # alignments that rebuild one partition give one preimage
     for rho in rotations:
         abs_parts = prows[-rho % n:] + prows[:-rho % n]  # runner s holds part (s - rho) % n
-        # one more bead on every runner until each runner holds its part
-        extra = 0
-        for p, c in zip(abs_parts, sizes):
-            if len(p) - c > extra:
-                extra = len(p) - c
+        # one more bead on every runner until each runner holds its part; a
+        # negative extra drops the beads 0..n-1 and shifts the rest down by n,
+        # which is the same partition
+        extra = max(map(operator.sub, map(len, abs_parts), sizes))
         # runner s holds c + extra beads: row t of its part at level
         # row + c + extra - 1 - t, then the levels below them, packed
         beads = []
@@ -244,7 +241,5 @@ def from_core_quotient(core: Partition, quot: MultiPartition) -> Partition:
 def has_empty_core(lam: Partition, n: int) -> bool:
     """True when the n-core vanishes: ``lam`` is balanced for ``(1, -1; n)``."""
     _require_partition("lam", lam)
-    _require_ints(n=n)
-    if n < 1:
-        raise PreconditionError(f"n must be >= 1, got {n}")
+    _require_int("n", n, 1)
     return lam.size % n == 0 and _tallies_match(1, -1, n, lam.rows)

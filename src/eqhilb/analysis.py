@@ -16,9 +16,9 @@ import operator
 from typing import TYPE_CHECKING, NamedTuple
 
 from .coloring import (MAX_BOXES_ENV, GroupParams, _box_ceiling, _order_range, _reflections,
-                       _require_group, _require_ints, _stretch, enumerate_balanced)
+                       _require_group, _stretch, enumerate_balanced)
 from .errors import EnumerationLimitError, InsufficientSamplesError, PreconditionError
-from .partitions import Partition, _require_partition
+from .partitions import Partition, _require_int, _require_partition
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -55,7 +55,8 @@ def satisfies_star(mu: Partition, a: int, b: int) -> bool:
     ``mu`` has a multiple of ``-b`` rows, and stretching its rows ``0, -b,
     -2b, ...``, each divided by ``a``, gives ``mu`` back."""
     _require_partition("mu", mu)
-    _require_ints(a=a, b=b)
+    _require_int("a", a)
+    _require_int("b", b)
     if not (a > 0 > b):
         raise PreconditionError(f"requires a > 0 > b, got ({a}, {b})")
     if math.gcd(a, b) != 1:
@@ -107,11 +108,8 @@ def multipartition_count(n: int, r: int) -> int:
     gives ``m*f_m = n * sum_{k=1..m} sigma(k)*f_{m-k}``, ``sigma(k)`` the sum of
     the divisors of ``k``, so the cost does not grow with ``n`` and the count
     is a polynomial of degree ``r`` in ``n``."""
-    _require_ints(n=n, r=r)
-    if n < 1:
-        raise PreconditionError(f"n must be >= 1, got {n}")
-    if r < 0:
-        raise PreconditionError(f"r must be nonnegative, got {r}")
+    _require_int("n", n, 1)
+    _require_int("r", r, 0)
     sigma = [0] * (r + 1)
     for d in range(1, r + 1):
         for k in range(d, r + 1, d):
@@ -130,7 +128,8 @@ def hj_expand(n: int, k: int) -> tuple[int, ...]:
     resolution of the corresponding cyclic quotient surface singularity.
     One longer than the box ceiling is refused: ``n/(n-1)`` has ``n - 1`` terms.
     """
-    _require_ints(n=n, k=k)
+    _require_int("n", n)
+    _require_int("k", k)
     if not (0 < k < n):
         raise PreconditionError(f"requires 0 < k < n, got n={n}, k={k}")
     if math.gcd(n, k) != 1:
@@ -170,9 +169,8 @@ class Quasipolynomial(_Quasipolynomial):
                 valid_from: int, class_validated: tuple[bool | None, ...]):
         polys = tuple(None if p is None else tuple(p) for p in polys)
         class_validated = tuple(class_validated)
-        _require_ints(period=period, valid_from=valid_from)
-        if period < 1:
-            raise PreconditionError(f"period must be >= 1, got {period}")
+        _require_int("period", period, 1)
+        _require_int("valid_from", valid_from)
         for flag in class_validated:
             if flag is not None and flag is not True and flag is not False:
                 raise PreconditionError(f"each flag must be True, False or None, got {flag!r}")
@@ -186,7 +184,7 @@ class Quasipolynomial(_Quasipolynomial):
     _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks too
 
     def evaluate(self, n: int) -> Fraction:
-        _require_ints(n=n)
+        _require_int("n", n)
         poly = self.polys[n % self.period]
         if poly is None:
             raise PreconditionError(f"no polynomial fitted for residue {n % self.period}")
@@ -262,14 +260,14 @@ def fit_quasipolynomial(samples, period: int, degree_bound: int) -> Quasipolynom
     training point and the held-out one.
     Validation failures are reported in the result, never silently accepted.
     """
-    _require_ints(period=period, degree_bound=degree_bound)
-    if period < 1:
-        raise PreconditionError(f"period must be >= 1, got {period}")
+    _require_int("period", period, 1)
+    _require_int("degree_bound", degree_bound)
     if degree_bound < 0:
         raise PreconditionError(f"degree bound must be nonnegative, got {degree_bound}")
     by_class: dict[int, list[tuple[int, int]]] = {}
     for n, value in samples:
-        _require_ints(order=n, value=value)
+        _require_int("order", n)
+        _require_int("value", value)
         by_class.setdefault(n % period, []).append((n, value))
     if not by_class:
         raise InsufficientSamplesError("no samples given")
@@ -306,7 +304,9 @@ def verify_quasipolynomial(g: GroupParams, r: int, n_from: int, n_to: int) -> di
     the next fitted order, and the fit from there is reported.
     """
     _require_group(g)
-    _require_ints(multiplicity=r, n_from=n_from, n_to=n_to)
+    _require_int("multiplicity", r)
+    _require_int("n_from", n_from)
+    _require_int("n_to", n_to)
     if g.a * g.b >= 0:
         raise PreconditionError(f"requires weights of opposite sign, got ({g.a}, {g.b})")
     if n_from < 1:

@@ -41,7 +41,7 @@ from collections.abc import Iterable
 from typing import NamedTuple
 
 from .errors import EnumerationLimitError, PreconditionError, UnbalancedPartitionError
-from .partitions import Box, Partition, _column_heights, _require_partition
+from .partitions import Box, Partition, _column_heights, _require_int, _require_partition
 
 #: Default ceiling on r*n for enumerations and L-classes, on the orders of
 #: an r = 0 range, on the terms of a Hirzebruch-Jung expansion and on the
@@ -81,7 +81,7 @@ class GroupParams(_GroupParams):
         if math.gcd(a, b) != 1:
             raise PreconditionError(f"weights must be coprime, got ({a}, {b})")
         if n < 1:
-            raise PreconditionError(f"group order must be >= 1, got {n}")
+            _require_int("group order", n, 1)
         # the named tuple's own __new__ does just this, one call further down
         return tuple.__new__(cls, (a, b, n))
 
@@ -142,13 +142,6 @@ def _require_balanced(g: GroupParams, lam: Partition, r: int | None = None) -> i
     return mult
 
 
-def _require_ints(**values: object) -> None:
-    """Refuse the first value that is not an int, a bool included, by its name."""
-    for name, value in values.items():
-        if type(value) is not int:
-            raise PreconditionError(f"{name} must be an int, got {value!r}")
-
-
 def _box_ceiling() -> int:
     """The ceiling on boxes: ``EQHILB_MAX_BOXES`` if set, else ``DEFAULT_MAX_BOXES``.
 
@@ -185,10 +178,8 @@ def _family_key(g: GroupParams, r: int) -> tuple[int, int, int, int]:
     """The family memo key ``(a mod n, b mod n, n, r)`` (module docstring),
     after checking ``g``, ``r`` and the ceiling on ``r*n``; every ``r = 0``
     family is ``{empty}`` and takes the trivial group's key."""
-    if type(r) is not int:
-        raise PreconditionError(f"multiplicity must be an int, got {r!r}")
-    if r < 0:
-        raise PreconditionError(f"multiplicity must be nonnegative, got {r}")
+    if type(r) is not int or r < 0:
+        _require_int("multiplicity", r, 0)
     _require_group(g)
     a, b, n = g
     ceiling = _box_ceiling()

@@ -128,6 +128,16 @@ def _require_partition(name: str, value: object) -> None:
         raise PreconditionError(f"{name} must be a Partition, got {value!r}")
 
 
+def _require_int(name: str, value: object, least: int | None = None) -> None:
+    """Refuse a ``value`` that is not an int, a bool included, or is below
+    ``least``, by its ``name``."""
+    if type(value) is not int:
+        raise PreconditionError(f"{name} must be an int, got {value!r}")
+    if least is not None and value < least:
+        bound = "nonnegative" if least == 0 else f">= {least}"
+        raise PreconditionError(f"{name} must be {bound}, got {value}")
+
+
 def _column_heights(rows) -> list[int]:
     """Heights of the columns of the weakly decreasing ``rows``, column 0 first."""
     heights: list[int] = []
@@ -145,8 +155,7 @@ def partitions_of(m: int) -> Iterator[Partition]:
     ``v``, and refill with rows ``v`` and a remainder.
     Used as the brute-force oracle for constrained enumerations.
     """
-    if type(m) is not int:
-        raise PreconditionError(f"m must be an int, got {m!r}")
+    _require_int("m", m)
     if m < 0:
         raise ValueError("m must be nonnegative")
     rows = [m] if m else []

@@ -37,9 +37,9 @@ error; a failed output check raises ``InvariantViolationError``.
 from __future__ import annotations
 
 from .coloring import (GroupParams, _family_record, _order_range, _require_balanced, _require_group,
-                       _require_ints, is_balanced)
+                       is_balanced)
 from .errors import InvariantViolationError, PreconditionError
-from .partitions import Box, Partition, _column_heights, _require_partition
+from .partitions import Box, Partition, _column_heights, _require_int, _require_partition
 
 
 def _positive_weights(g: GroupParams) -> GroupParams:
@@ -102,9 +102,7 @@ def _shift(g: GroupParams, r: int, lam: Partition, sign: int) -> Partition:
 def _insert(g: GroupParams, r: int, lam: Partition, sign: int) -> Partition:
     """The checked insertion step for ``sign`` 1, its inverse for ``sign`` -1."""
     g = _positive_weights(g)
-    _require_ints(multiplicity=r)
-    if r < 0:
-        raise PreconditionError(f"multiplicity must be nonnegative, got {r}")
+    _require_int("multiplicity", r, 0)
     rab = r * g.a * g.b
     if g.n <= rab:
         raise PreconditionError(f"requires n > r*a*b, got n={g.n} <= {rab}")
@@ -144,7 +142,9 @@ def verify_period(g: GroupParams, r: int, n_from: int, n_to: int) -> dict:
     witness that the insertion realizes a statistic-preserving bijection;
     an image outside the next family has ``betti_image`` None.
     """
-    _require_ints(multiplicity=r, n_from=n_from, n_to=n_to)
+    _require_int("multiplicity", r)
+    _require_int("n_from", n_from)
+    _require_int("n_to", n_to)
     g = _positive_weights(g)
     if n_from < 1:
         raise PreconditionError(f"group orders start at 1, got n_from={n_from}")

@@ -3,7 +3,7 @@
 Each mutant is ``(name, old, new, tests)``: a textual edit of the package
 source in which ``old`` occurs exactly once across ``src/eqhilb/*.py``, and
 the test files that should catch it.  The kernels of the search, the
-statistic, the abacus and the insertion map run ``KERNELS``
+statistic, the abacus, the insertion map and the int refusal run ``KERNELS``
 
     python -m pytest -q -x tests/test_coloring.py tests/test_tangent.py \
         tests/test_abacus.py tests/test_stabilization.py
@@ -157,9 +157,18 @@ MUTANTS = (
     ("core_level_test_le",
      "if levels != sum(c * (c - 1) // 2 for c in sizes):",
      "if levels <= sum(c * (c - 1) // 2 for c in sizes):", KERNELS),
-    ("extra_starts_at_minus_1",
-     "        extra = 0\n",
-     "        extra = -1\n", KERNELS),
+    # the int refusal partitions._require_int, and its call in stabilization._insert
+    ("int_refusal_admits_bool",
+     "if type(value) is not int:",
+     "if not isinstance(value, int):", KERNELS),
+    ("int_refusal_skips_its_bound",
+     "    if least is not None and value < least:\n"
+     "        bound = \"nonnegative\" if least == 0 else f\">= {least}\"\n"
+     "        raise PreconditionError(f\"{name} must be {bound}, got {value}\")\n",
+     "", KERNELS),
+    ("insert_multiplicity_unchecked",
+     "    g = _positive_weights(g)\n    _require_int(\"multiplicity\", r, 0)\n",
+     "    g = _positive_weights(g)\n", KERNELS),
     # stabilization._anchor
     ("anchor_skips_the_last_point",
      "    for t in range(r + 1):\n        pt = Box(",
